@@ -60,6 +60,9 @@ class Gate:
         if self.kind in PARAM_KINDS or self.kind == "DELAY":
             if self.param is None:
                 raise ValueError(f"{self.kind} requires a parameter")
+            if not math.isfinite(self.param):
+                raise ValueError(f"{self.kind} parameter must be finite, "
+                                 f"got {self.param}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 

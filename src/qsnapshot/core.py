@@ -35,10 +35,6 @@ class Rng:
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
 
-    def choice_index(self, probabilities: np.ndarray) -> int:
-        """Sample an index from a discrete distribution."""
-        return int(self._gen.choice(len(probabilities), p=probabilities))
-
     def child(self, index: int) -> "Rng":
         """Derive an independent generator; deterministic in (seed, index)."""
         derived = np.random.SeedSequence([self.seed, int(index)])

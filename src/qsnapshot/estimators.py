@@ -2,9 +2,12 @@
 
 Two engines: a gradient-trained neural generator (finite differences across
 the non-differentiable fidelity boundary, analytic backpropagation inside the
-network, Adam updates) and QESwap, a population evolutionary strategy. Each
-runs against one of three representation adapters: state vector, unitary via
-QR, or density matrix.
+network, Adam updates) and QESwap, a population evolutionary strategy. Both
+run in one ask/tell loop: the engine asks for a batch of raw vectors, the
+loop decodes and scores them through the oracle, records the trace, best
+candidate and probe, checks the stop rule, then tells the engine the rewards.
+Raw vectors are decoded by one of three representation adapters: state
+vector, unitary via QR, or density matrix.
 """
 
 from __future__ import annotations
@@ -353,40 +356,104 @@ def _decode_with_retry(decoder, raw: np.ndarray, rng: Rng):
 
 
 # ---------------------------------------------------------------------------
-# Engines
+# Engines: ``ask()`` proposes a (batch, raw_dim) array of raw vectors;
+# ``tell(rewards, score)`` updates from their rewards and may spend more
+# evaluations through ``score``.
 
 
-def _run_gradient(oracle, raw_dim: int, decoder, config: GradientConfig,
-                  method: str, representation: str, n_qubits: int,
-                  mixed_flag: bool) -> ReconstructionReport:
+class _GradientEngine:
+    """Generator network trained by central differences across the oracle."""
+
+    def __init__(self, raw_dim: int, config: GradientConfig, rng: Rng):
+        self.budget = config.epochs
+        self._config = config
+        self._rng = rng
+        self._net = GeneratorNetwork(raw_dim, rng)
+        self._params = self._net.weights + self._net.biases
+        self._adam = Adam([p.shape for p in self._params], lr=config.lr)
+
+    def ask(self) -> np.ndarray:
+        self._raw, self._cache = self._net.forward(self._rng.uniform(LATENT_DIM))
+        return self._raw[None, :]
+
+    def tell(self, rewards: np.ndarray, score):
+        # central differences across the oracle boundary only, probed in the
+        # order +e0, -e0, +e1, -e1, ...
+        eps, dim = self._config.fd_epsilon, self._raw.size
+        bumps = eps * np.eye(dim)
+        probes = np.stack([self._raw + bumps, self._raw - bumps], axis=1)
+        f = score(probes.reshape(2 * dim, dim)).reshape(dim, 2)
+        grad_raw = -(f[:, 0] - f[:, 1]) / (2.0 * eps)
+        grads_w, grads_b = self._net.backward(
+            self._cache, grad_raw * self._config.scaling_factor
+        )
+        self._adam.step(self._params, grads_w + grads_b)
+
+
+class _EsEngine:
+    """QESwap: standardized-advantage evolution strategy over one mean vector."""
+
+    def __init__(self, raw_dim: int, config: EsConfig, rng: Rng):
+        self.budget = config.max_iter
+        self._config = config
+        self._rng = rng
+        self._w = rng.normal(raw_dim)
+
+    def ask(self) -> np.ndarray:
+        self._noise = self._rng.normal((self._config.population, self._w.size))
+        return self._w + self._config.sigma * self._noise
+
+    def tell(self, rewards: np.ndarray, score):
+        spread = float(np.std(rewards))
+        if spread < 1e-12:
+            return  # degenerate population: no update this iteration
+        advantages = (rewards - rewards.mean()) / spread
+        c = self._config
+        self._w = self._w + (c.alpha / (c.population * c.sigma)) * (
+            advantages @ self._noise
+        )
+
+
+_ENGINES = {"gradient": _GradientEngine, "qeswap": _EsEngine}
+
+# The lambdas look the decoders up at call time, so a wrapper installed on a
+# module-level decoder name takes effect.
+_DECODERS = {
+    "statevector": lambda raw: decode_candidate_state(raw),
+    "unitary": lambda raw: decode_candidate_unitary(raw).apply_to_zero(),
+    "density": lambda raw: decode_candidate_density(raw),
+}
+
+
+def _run(method: str, representation: str, oracle, config,
+         n_qubits: int) -> ReconstructionReport:
+    """The engine loop: ask, score, record trace/best/probe, stop or tell."""
     start = time.perf_counter()
+    d = 2**n_qubits
+    raw_dim = 2 * d if representation == "statevector" else 2 * d * d
+    decoder = _DECODERS[representation]
     rng = Rng(config.seed)
-    net = GeneratorNetwork(raw_dim, rng)
-    shapes = [w.shape for w in net.weights] + [b.shape for b in net.biases]
-    adam = Adam(shapes, lr=config.lr)
+    engine = _ENGINES[method](raw_dim, config, rng)
     evals = 0
+    decoded = []
 
-    def evaluate(raw):
+    def score(raws: np.ndarray) -> np.ndarray:
+        # the only place a raw vector becomes an oracle call
         nonlocal evals
-        evals += 1
-        return oracle.evaluate(_decode_with_retry(decoder, raw, rng))
+        decoded[:] = [_decode_with_retry(decoder, raw, rng) for raw in raws]
+        evals += len(decoded)
+        return np.array([oracle.evaluate(c) for c in decoded], dtype=np.float64)
 
-    trace = []
-    validation = []
-    best_f = -math.inf
-    best_candidate = None
-    epochs_used = 0
-    for epoch in range(config.epochs):
-        epochs_used = epoch + 1
-        z = rng.uniform(LATENT_DIM)
-        raw, cache = net.forward(z)
-        candidate = _decode_with_retry(decoder, raw, rng)
-        evals += 1
-        f = oracle.evaluate(candidate)
+    trace, validation = [], []
+    best_f, best_candidate = -math.inf, None
+    steps = 0
+    for steps in range(1, engine.budget + 1):
+        rewards = score(engine.ask())
+        top = int(np.argmax(rewards))  # ties keep the first maximum
+        f, candidate = float(rewards[top]), decoded[top]
         trace.append(f)
         if f > best_f:
-            best_f = f
-            best_candidate = candidate
+            best_f, best_candidate = f, candidate
         stop_value = f
         if config.probe is not None:
             validation.append(config.probe(candidate))
@@ -394,111 +461,26 @@ def _run_gradient(oracle, raw_dim: int, decoder, config: GradientConfig,
                 stop_value = validation[-1]
         if stop_value >= config.stop_threshold:
             break
-        # central differences across the oracle boundary only
-        grad_raw = np.empty(raw_dim)
-        for j in range(raw_dim):
-            bump = np.zeros(raw_dim)
-            bump[j] = config.fd_epsilon
-            f_plus = evaluate(raw + bump)
-            f_minus = evaluate(raw - bump)
-            grad_raw[j] = -(f_plus - f_minus) / (2.0 * config.fd_epsilon)
-        grads_w, grads_b = net.backward(cache, grad_raw * config.scaling_factor)
-        adam.step(net.weights + net.biases, grads_w + grads_b)
+        engine.tell(rewards, score)
     return ReconstructionReport(
-        method=method,
-        representation=representation,
-        n_qubits=n_qubits,
-        best_fidelity=best_f,
-        epochs=epochs_used,
-        oracle_evals=evals,
-        fidelity_trace=trace,
-        wall_time_s=time.perf_counter() - start,
-        mixed_state_flag=mixed_flag,
-        seed=config.seed,
-        final_candidate=best_candidate,
-        validation_trace=validation,
-    )
-
-
-def _run_qeswap(oracle, raw_dim: int, decoder, config: EsConfig,
-                method: str, representation: str, n_qubits: int,
-                mixed_flag: bool) -> ReconstructionReport:
-    start = time.perf_counter()
-    rng = Rng(config.seed)
-    w = rng.normal(raw_dim)
-    evals = 0
-    trace = []
-    validation = []
-    best_f = -math.inf
-    best_candidate = None
-    iters_used = 0
-    for iteration in range(config.max_iter):
-        iters_used = iteration + 1
-        noise = rng.normal((config.population, raw_dim))
-        rewards = np.empty(config.population)
-        iter_best_f = -math.inf
-        iter_best_candidate = None
-        for i in range(config.population):
-            candidate = _decode_with_retry(decoder, w + config.sigma * noise[i], rng)
-            evals += 1
-            rewards[i] = oracle.evaluate(candidate)
-            if rewards[i] > iter_best_f:
-                iter_best_f = rewards[i]
-                iter_best_candidate = candidate
-        trace.append(float(iter_best_f))
-        if iter_best_f > best_f:
-            best_f = float(iter_best_f)
-            best_candidate = iter_best_candidate
-        stop_value = iter_best_f
-        if config.probe is not None:
-            validation.append(config.probe(iter_best_candidate))
-            if config.stop_on_probe:
-                stop_value = validation[-1]
-        if stop_value >= config.stop_threshold:
-            break
-        spread = float(np.std(rewards))
-        if spread < 1e-12:
-            continue  # degenerate population: no update this iteration
-        advantages = (rewards - rewards.mean()) / spread
-        w = w + (config.alpha / (config.population * config.sigma)) * (
-            advantages @ noise
-        )
-    return ReconstructionReport(
-        method=method,
-        representation=representation,
-        n_qubits=n_qubits,
-        best_fidelity=best_f,
-        epochs=iters_used,
-        oracle_evals=evals,
-        fidelity_trace=trace,
-        wall_time_s=time.perf_counter() - start,
-        mixed_state_flag=mixed_flag,
-        seed=config.seed,
-        final_candidate=best_candidate,
-        validation_trace=validation,
+        method=method, representation=representation, n_qubits=n_qubits,
+        best_fidelity=best_f, epochs=steps, oracle_evals=evals,
+        fidelity_trace=trace, wall_time_s=time.perf_counter() - start,
+        mixed_state_flag=representation == "density", seed=config.seed,
+        final_candidate=best_candidate, validation_trace=validation,
     )
 
 
 def train_gradient(oracle, n_qubits: int, config: GradientConfig | None = None
                    ) -> ReconstructionReport:
     """Gradient-based state-vector reconstruction (loss 1 - F, Adam)."""
-    if config is None:
-        config = GradientConfig()
-    return _run_gradient(
-        oracle, 2 * 2**n_qubits, decode_candidate_state, config,
-        "gradient", "statevector", n_qubits, False,
-    )
+    return reconstruct("gradient", "statevector", oracle, config, n_qubits)
 
 
 def train_qeswap(oracle, n_qubits: int, config: EsConfig | None = None
                  ) -> ReconstructionReport:
     """QESwap state-vector reconstruction (standardized-advantage ES)."""
-    if config is None:
-        config = EsConfig()
-    return _run_qeswap(
-        oracle, 2 * 2**n_qubits, decode_candidate_state, config,
-        "qeswap", "statevector", n_qubits, False,
-    )
+    return reconstruct("qeswap", "statevector", oracle, config, n_qubits)
 
 
 def reconstruct(method: str, representation: str, oracle, config=None,
@@ -509,27 +491,12 @@ def reconstruct(method: str, representation: str, oracle, config=None,
     density representation the oracle signal is the Hilbert-Schmidt overlap
     and the report carries the mixed-state caveat flag.
     """
-    if method not in ("gradient", "qeswap"):
+    if method not in _ENGINES:
         raise ValueError(f"unknown method {method!r}")
-    if representation not in ("statevector", "unitary", "density"):
+    if representation not in _DECODERS:
         raise ValueError(f"unknown representation {representation!r}")
     if n_qubits is None:
         n_qubits = oracle.n_qubits
-    d = 2**n_qubits
-    if representation == "statevector":
-        raw_dim, decoder, mixed = 2 * d, decode_candidate_state, False
-    elif representation == "unitary":
-        raw_dim, mixed = 2 * d * d, False
-
-        def decoder(raw):
-            return decode_candidate_unitary(raw).apply_to_zero()
-
-    else:
-        raw_dim, decoder, mixed = 2 * d * d, decode_candidate_density, True
-    if method == "gradient":
-        cfg = config if config is not None else GradientConfig()
-        return _run_gradient(oracle, raw_dim, decoder, cfg, method,
-                             representation, n_qubits, mixed)
-    cfg = config if config is not None else EsConfig()
-    return _run_qeswap(oracle, raw_dim, decoder, cfg, method,
-                       representation, n_qubits, mixed)
+    if config is None:
+        config = GradientConfig() if method == "gradient" else EsConfig()
+    return _run(method, representation, oracle, config, n_qubits)

@@ -63,6 +63,7 @@ class KrausChannel:
         """
         d = self.operators[0].shape[0]
         effects = tuple(k.conj().T @ k for k in self.operators)
+        object.__setattr__(self, "_effects", effects)  # POVM effects K^dagger K
         weights = []
         unitaries = []
         unitary_mix = True
@@ -98,10 +99,6 @@ class KrausChannel:
             return False
         k = self.operators[0]
         return bool(np.max(np.abs(k - np.eye(k.shape[0]))) < 1e-12)
-
-    def effects(self) -> tuple:
-        """The POVM effects K_i^dagger K_i (selection probabilities)."""
-        return tuple(k.conj().T @ k for k in self.operators)
 
 
 def identity_channel(arity: int = 1) -> KrausChannel:
@@ -358,9 +355,8 @@ def _apply_channel_batch(
         tensor = np.moveaxis(tensor, axes, range(1, 1 + len(qubits)))
         m = tensor.reshape(batch, k_local, -1)
         gram = np.einsum("bir,bjr->bij", m, m.conj())
-        effects = channel.effects()
-        probs = np.empty((len(effects), batch))
-        for i, eff in enumerate(effects):
+        probs = np.empty((len(channel._effects), batch))
+        for i, eff in enumerate(channel._effects):
             probs[i] = np.einsum("ij,bji->b", eff, gram).real
 
     probs = np.clip(probs, 0.0, None)

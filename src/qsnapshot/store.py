@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,8 @@ from .core import StateVector
 
 MAGIC = b"QSNAP\x00\x00\x01"
 FORMAT_VERSION = 1
+
+_IDENTIFIER = re.compile(r"[0-9a-f]{64}")
 
 METADATA_KEYS = ("method", "representation", "best_fidelity", "epochs",
                  "created_at", "seed", "label")
@@ -114,11 +117,12 @@ def deposit(record: SnapshotRecord, store_path) -> str:
         meta_file = store / f"{ident}.json"
         if body_file.exists():
             return ident
-        _atomic_write(body_file, body)
+        # sidecar first: the body's existence marks the record complete
         _atomic_write(
             meta_file,
             json.dumps(record.metadata, indent=2, sort_keys=True).encode() + b"\n",
         )
+        _atomic_write(body_file, body)
         with open(store / "index.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": ident, "n_qubits": record.n_qubits}) + "\n")
         return ident
@@ -132,6 +136,8 @@ def withdraw(identifier: str, store_path) -> tuple:
     Returns (StateVector, QuantumCircuit); the circuit reprepares the stored
     state from |0...0> with fidelity >= 1 - 1e-9.
     """
+    if not _IDENTIFIER.fullmatch(str(identifier)):
+        raise SnapshotNotFoundError(f"no snapshot with id {identifier!r}")
     store = Path(store_path)
     body_file = store / f"{identifier}.qsnap"
     if not body_file.exists():

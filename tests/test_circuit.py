@@ -47,6 +47,12 @@ class TestGate:
             Gate("X", (0,), 1.0)
         Gate("DELAY", (0,), 100.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["RZ", "RY", "DELAY"])
+    def test_non_finite_param_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="finite"):
+            Gate(kind, (0,), value)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Gate("CZ", (0, 1))

@@ -21,6 +21,9 @@ class TestExitCodes:
     def test_runtime_error_missing_snapshot(self, tmp_path):
         assert run_cli("withdraw", "deadbeef", "--store", str(tmp_path)) == 2
 
+    def test_runtime_error_path_like_snapshot_id(self, tmp_path):
+        assert run_cli("withdraw", "../" + "0" * 64, "--store", str(tmp_path)) == 2
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(

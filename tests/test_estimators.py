@@ -1,5 +1,6 @@
 """Tests for decoders, the generator network, and both reconstruction engines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qsnapshot.core import (
     overlap_fidelity,
     random_pure_state,
 )
+from qsnapshot.noise import NoiseParams, calibrated_noise_model
 from qsnapshot.estimators import (
     Adam,
     EsConfig,
@@ -385,3 +387,89 @@ class TestReconstructDispatch:
         report = reconstruct("qeswap", "statevector", oracle,
                              EsConfig(max_iter=30, seed=7, stop_threshold=0.99))
         assert report.best_fidelity >= 0.99
+
+
+def _trajectory_digest(report) -> str:
+    """SHA-256 over both traces (little-endian float64), epochs and evals."""
+    h = hashlib.sha256()
+    for seq in (report.fidelity_trace, report.validation_trace):
+        h.update(np.asarray(seq, dtype="<f8").tobytes())
+        h.update(b"|")
+    h.update(f"{report.epochs}|{report.oracle_evals}".encode())
+    return h.hexdigest()
+
+
+def _golden_run(case):
+    """Small fixed-seed reconstructions covering every engine path."""
+    target = random_pure_state(1, Rng(40))
+    prep = mottonen_prepare(target)
+
+    def probe(candidate):
+        return overlap_fidelity(target, candidate)
+
+    if case == "gradient-statevector":
+        return reconstruct("gradient", "statevector", FidelityOracle(prep),
+                           GradientConfig(epochs=4, seed=1, stop_threshold=2.0,
+                                          probe=probe))
+    if case == "gradient-statevector-stop":
+        return reconstruct("gradient", "statevector", FidelityOracle(prep),
+                           GradientConfig(epochs=50, lr=1e-3, seed=2,
+                                          stop_threshold=0.9, probe=probe,
+                                          stop_on_probe=True))
+    if case == "gradient-unitary":
+        return reconstruct("gradient", "unitary", FidelityOracle(prep),
+                           GradientConfig(epochs=2, seed=3, stop_threshold=2.0))
+    if case == "qeswap-statevector":
+        return reconstruct("qeswap", "statevector", FidelityOracle(prep),
+                           EsConfig(population=8, max_iter=8, seed=8,
+                                    stop_threshold=0.999, probe=probe,
+                                    stop_on_probe=True))
+    if case == "qeswap-unitary":
+        return reconstruct("qeswap", "unitary", FidelityOracle(prep),
+                           EsConfig(population=8, max_iter=6, seed=5,
+                                    stop_threshold=0.99))
+    if case == "qeswap-shots":
+        oracle = FidelityOracle(prep, mode="shots", shots=64, rng=Rng(6))
+        return reconstruct("qeswap", "statevector", oracle,
+                           EsConfig(population=6, max_iter=4, seed=6,
+                                    stop_threshold=2.0))
+    if case == "qeswap-noisy":
+        oracle = FidelityOracle(prep, mode="noisy",
+                                noise_model=calibrated_noise_model(NoiseParams()),
+                                trajectories=8, rng=Rng(7))
+        return reconstruct("qeswap", "statevector", oracle,
+                           EsConfig(population=4, max_iter=2, seed=7,
+                                    stop_threshold=2.0))
+    if case == "gradient-density":
+        rho = decode_candidate_density(Rng(8).normal(8))
+        return reconstruct("gradient", "density", HilbertSchmidtOracle(rho),
+                           GradientConfig(epochs=3, seed=8, stop_threshold=2.0),
+                           n_qubits=1)
+    raise AssertionError(case)
+
+
+# Digests of the fixed-seed runs above. Any change to the order of RNG draws,
+# oracle calls, stop checks or updates changes them.
+GOLDEN_TRAJECTORIES = {
+    "gradient-statevector":
+        "2ba2e46944ff9d2fd6c1cef4743ae3d284bfeb96068b67c76012dab6fec40934",
+    "gradient-statevector-stop":
+        "7179036599386908109a995b37b9a8729af418569a22848b112c19dc0faa0390",
+    "gradient-unitary":
+        "f681aa0a1b3c8e4597bb3cfccba6a2242f0683ff3f488b794f5083bfa651b87e",
+    "qeswap-statevector":
+        "86b4d8a0773c8754e66d055dd772793a68b5f615c3d203fb71fb12f815e0a7aa",
+    "qeswap-unitary":
+        "6780e4a59ed2f57e2476765ee7e8e67d226cc8ce4d4e2e8f534550d5fe0d1de7",
+    "qeswap-shots":
+        "839d8822c8b4d6409d6957c77eeb276c453f39346891bce66b8a38ef24fa57cd",
+    "qeswap-noisy":
+        "b82aaa65a7a36b72d863b922f03d9019925218fa7c18d68f5fee9a32b6b5d4da",
+    "gradient-density":
+        "d16556f2247c4c326f97621de7595a9ec64744a80e6c591264de4a033563bb05",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectory(case):
+    assert _trajectory_digest(_golden_run(case)) == GOLDEN_TRAJECTORIES[case]

@@ -8,11 +8,13 @@ import pytest
 
 from qsnapshot.circuit import execute_statevector
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
+from qsnapshot import store as store_module
 from qsnapshot.store import (
     MAGIC,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     SnapshotRecord,
+    StoreError,
     deposit,
     list_snapshots,
     withdraw,
@@ -86,6 +88,42 @@ class TestDepositWithdraw:
     def test_unknown_identifier(self, tmp_path):
         with pytest.raises(SnapshotNotFoundError):
             withdraw("0" * 64, tmp_path)
+
+    def test_path_like_identifier_rejected(self, tmp_path):
+        # the identifier must not reach a stored body outside the store
+        ident = deposit(SnapshotRecord.from_state(random_pure_state(1, Rng(7))),
+                        tmp_path / "inner")
+        (tmp_path / "other").mkdir()
+        with pytest.raises(SnapshotNotFoundError):
+            withdraw("../inner/" + ident, tmp_path / "other")
+
+    @pytest.mark.parametrize("ident", ["0" * 63, "0" * 65, "A" * 64, "g" * 64, ""])
+    def test_malformed_identifier_rejected(self, tmp_path, ident):
+        with pytest.raises(SnapshotNotFoundError):
+            withdraw(ident, tmp_path)
+
+    def test_crash_before_body_is_repaired(self, tmp_path, monkeypatch):
+        record = SnapshotRecord.from_state(random_pure_state(1, Rng(8)),
+                                           method="qeswap", label="crash")
+        writes = []
+        original = store_module._atomic_write
+
+        def crash_on_second(path, data):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError("simulated crash")
+            original(path, data)
+
+        monkeypatch.setattr(store_module, "_atomic_write", crash_on_second)
+        with pytest.raises(StoreError):
+            deposit(record, tmp_path)
+        monkeypatch.setattr(store_module, "_atomic_write", original)
+        ident = deposit(record, tmp_path)
+        state, _ = withdraw(ident, tmp_path)
+        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        meta = json.loads((tmp_path / f"{ident}.json").read_text())
+        assert meta["method"] == "qeswap"
+        assert meta["label"] == "crash"
 
     def test_corruption_detected(self, tmp_path):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(2, Rng(3))), tmp_path)
