@@ -1,7 +1,10 @@
 """Gate-level circuits and exact statevector execution.
 
 Qubit 0 is the least-significant bit of the basis index throughout. The
-SWAP-test layout puts the ancilla at circuit position 0.
+SWAP-test layout puts the ancilla at circuit position 0. Next to the serial
+builders (mottonen_prepare, build_swap_test) sits a batched SWAP-test kernel
+(swap_test_head, swap_test_probabilities): many second states against one
+first state as one (batch, 2^(2n+1)) array, bit for bit the serial result.
 """
 
 from __future__ import annotations
@@ -24,15 +27,19 @@ X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=np.complex128)
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=np.complex128
-    )
+def rz_matrix(theta) -> np.ndarray:
+    """RZ(theta); an array of angles gives a (..., 2, 2) stack, entry for entry."""
+    t = np.asarray(theta, dtype=np.float64)
+    out = np.zeros(t.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+    return out
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def ry_matrix(theta) -> np.ndarray:
+    """RY(theta); an array of angles gives a (..., 2, 2) stack, entry for entry."""
+    half = np.asarray(theta, dtype=np.float64) / 2
+    c, s = np.vectorize(math.cos)(half), np.vectorize(math.sin)(half)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,15 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple, n_qubits: int
     """Apply a k-qubit matrix to amplitudes (flat, or batched with a leading axis).
 
     ``qubits[0]`` is the most significant bit of the matrix's local basis
-    index; the matrix is 2^k x 2^k.
+    index; the matrix is 2^k x 2^k. For k = 1 and batched amplitudes it may
+    also be a (batch, 2, 2) stack holding one matrix per row.
     """
     k = len(qubits)
     if k == 1:
         idx0, idx1 = _bit_partition(n_qubits, qubits[0])
-        a0 = amps[..., idx0]
-        a1 = amps[..., idx1]
+        a0, a1 = amps[..., idx0], amps[..., idx1]
+        if mat.ndim == 3:
+            mat = np.moveaxis(mat, 0, -1)[..., None]
         out = np.empty_like(amps)
         out[..., idx0] = mat[0, 0] * a0 + mat[0, 1] * a1
         out[..., idx1] = mat[1, 0] * a0 + mat[1, 1] * a1
@@ -188,17 +197,23 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple, n_qubits: int
     return out if batched else out[0]
 
 
+@functools.lru_cache(maxsize=None)
 def _cx_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(2**n_qubits)
-    return np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+    perm = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
+    perm.flags.writeable = False
+    return perm
 
 
+@functools.lru_cache(maxsize=None)
 def _cswap_permutation(n_qubits: int, control: int, a: int, b: int) -> np.ndarray:
     idx = np.arange(2**n_qubits)
     bit_a = (idx >> a) & 1
     bit_b = (idx >> b) & 1
     swapped = idx ^ (((bit_a ^ bit_b) << a) | ((bit_a ^ bit_b) << b))
-    return np.where((idx >> control) & 1 == 1, swapped, idx)
+    perm = np.where((idx >> control) & 1 == 1, swapped, idx)
+    perm.flags.writeable = False
+    return perm
 
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray | None:
@@ -220,12 +235,9 @@ def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     mat = _single_qubit_matrix(gate)
     if mat is not None:
         return apply_matrix(amps, mat, gate.qubits, n_qubits)
-    if gate.kind == "CX":
-        perm = _cx_permutation(n_qubits, *gate.qubits)
-        return amps[..., perm]
-    if gate.kind == "CSWAP":
-        perm = _cswap_permutation(n_qubits, *gate.qubits)
-        return amps[..., perm]
+    if gate.kind in ("CX", "CSWAP"):
+        perm = _cx_permutation if gate.kind == "CX" else _cswap_permutation
+        return amps[..., perm(n_qubits, *gate.qubits)]
     if gate.kind in ("ID", "DELAY"):
         return amps
     if gate.kind == "RESET":
@@ -303,53 +315,59 @@ def sample_shots(circuit: QuantumCircuit, shots: int, rng: Rng) -> ShotResult:
 # Mottonen state preparation (uniformly controlled rotations, Gray-code CX)
 
 
-def _gray_permutation_sign(row: int, col: int) -> int:
-    ones = bin(row & (col ^ (col >> 1))).count("1")
-    return -1 if ones & 1 else 1
+@functools.lru_cache(maxsize=None)
+def _gray_signs(k: int) -> np.ndarray:
+    m = np.array([[1.0 - 2.0 * (bin(j & (i ^ (i >> 1))).count("1") & 1)
+                   for j in range(k)] for i in range(k)])
+    m.flags.writeable = False
+    return m
 
 
 def _multiplexor_thetas(alphas: np.ndarray) -> np.ndarray:
-    k = alphas.size
-    m = np.array(
-        [[_gray_permutation_sign(j, i) for j in range(k)] for i in range(k)],
-        dtype=np.float64,
-    )
-    return (m @ alphas) / k
+    # one stacked matvec per row: bit for bit what ``signs @ row`` gives
+    k = alphas.shape[-1]
+    return np.matmul(_gray_signs(k), alphas[..., None])[..., 0] / k
 
 
-def _uniform_rotation(kind: str, alphas: np.ndarray, controls: list, target: int) -> list:
-    """Multiplexed rotation over all control patterns, as rotations + a CX ladder."""
-    gates = []
-    thetas = _multiplexor_thetas(np.asarray(alphas, dtype=np.float64))
-    if not controls:
-        if abs(thetas[0]) > 1e-15:
-            gates.append(Gate(kind, (target,), float(thetas[0])))
-        return gates
-    size = len(thetas)
-    gray = [i ^ (i >> 1) for i in range(size)]
-    for i in range(size):
-        if abs(thetas[i]) > 1e-15:
-            gates.append(Gate(kind, (target,), float(thetas[i])))
-        flip = gray[i] ^ gray[(i + 1) % size]
-        control = controls[flip.bit_length() - 1]
-        gates.append(Gate("CX", (control, target)))
-    return gates
+def _mottonen_thetas(amps: np.ndarray) -> tuple:
+    """Rotation angles preparing each row of a (batch, 2^n) amplitude array:
+    the RY and RZ cascade angles, each (batch, 2^n - 1) in template column
+    order, and per row whether its phases need the RZ cascade at all."""
+    batch, dim = amps.shape
+    magnitudes, phases = np.abs(amps), np.angle(amps)
+    ry, rz = [], []
+    for level in range(dim.bit_length() - 1, 0, -1):
+        half = 2 ** (level - 1)
+        blocks = magnitudes.reshape(batch, -1, 2 * half)
+        upper = np.sum(blocks[..., half:] ** 2, axis=-1)
+        total = np.sum(blocks**2, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(total > 0, upper / np.where(total > 0, total, 1.0), 0.0)
+        ry.append(_multiplexor_thetas(2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0)))))
+        blocks = phases.reshape(batch, -1, 2 * half)
+        rz.append(_multiplexor_thetas(
+            np.sum(blocks[..., half:] - blocks[..., :half], axis=-1) / half))
+    phased = np.max(np.abs(phases), axis=1) > 1e-15
+    return np.concatenate(ry, axis=1), np.concatenate(rz, axis=1), phased
 
 
-def _ry_angles(magnitudes: np.ndarray, n: int, level: int) -> np.ndarray:
-    half = 2 ** (level - 1)
-    blocks = magnitudes.reshape(2 ** (n - level), 2 * half)
-    upper = np.sum(blocks[:, half:] ** 2, axis=1)
-    total = np.sum(blocks**2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(total > 0, upper / np.where(total > 0, total, 1.0), 0.0)
-    return 2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0)))
-
-
-def _rz_angles(phases: np.ndarray, n: int, level: int) -> np.ndarray:
-    half = 2 ** (level - 1)
-    blocks = phases.reshape(2 ** (n - level), 2 * half)
-    return np.sum(blocks[:, half:] - blocks[:, :half], axis=1) / half
+@functools.lru_cache(maxsize=None)
+def _mottonen_template(n: int) -> tuple:
+    """Slots of one cascade: ("ROT", qubit, angle column) or ("CX", control, target).
+    Level n..1 rotates qubit level-1 under every pattern of the qubits above
+    it: one rotation per pattern, interleaved with a Gray-code CX ladder."""
+    slots, column = [], 0
+    for level in range(n, 0, -1):
+        controls, target = list(range(level, n)), level - 1
+        size = 2 ** len(controls)
+        gray = [i ^ (i >> 1) for i in range(size)]
+        for i in range(size):
+            slots.append(("ROT", target, column + i))
+            if controls:
+                flip = gray[i] ^ gray[(i + 1) % size]
+                slots.append(("CX", controls[flip.bit_length() - 1], target))
+        column += size
+    return tuple(slots)
 
 
 def mottonen_prepare(target: StateVector) -> QuantumCircuit:
@@ -357,22 +375,18 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
 
     Uniformly controlled RY cascade for magnitudes, then a uniformly
     controlled RZ cascade for phases; multiplexors reduce to rotations
-    interleaved with Gray-code CX ladders. Emits only RY, RZ, CX.
+    interleaved with Gray-code CX ladders. Emits only RY, RZ, CX, leaving out
+    rotations with |theta| <= 1e-15 and the RZ cascade if no phase exceeds that.
     """
     n = target.n_qubits
-    amps = target.amplitudes
-    magnitudes = np.abs(amps)
-    phases = np.angle(amps)
+    ry, rz, phased = _mottonen_thetas(target.amplitudes[None, :])
     circuit = QuantumCircuit(n)
-    for level in range(n, 0, -1):
-        alphas = _ry_angles(magnitudes, n, level)
-        controls = list(range(level, n))
-        circuit.gates.extend(_uniform_rotation("RY", alphas, controls, level - 1))
-    if np.max(np.abs(phases)) > 1e-15:
-        for level in range(n, 0, -1):
-            alphas = _rz_angles(phases, n, level)
-            controls = list(range(level, n))
-            circuit.gates.extend(_uniform_rotation("RZ", alphas, controls, level - 1))
+    for kind, thetas in (("RY", ry[0]), ("RZ", rz[0]))[: 1 + int(phased[0])]:
+        for slot, a, b in _mottonen_template(n):
+            if slot == "CX":
+                circuit.gates.append(Gate("CX", (a, b)))
+            elif abs(thetas[b]) > 1e-15:
+                circuit.gates.append(Gate(kind, (a,), float(thetas[b])))
     return circuit
 
 
@@ -475,3 +489,41 @@ def build_swap_test(
     circ.add("H", 0)
     circ.add("MEASURE", 0)
     return circ
+
+
+def swap_test_head(prep_a: QuantumCircuit) -> np.ndarray:
+    """Amplitudes after the SWAP test's first H and ``prep_a`` on qubits 1..n;
+    every SWAP test against that first state starts from a copy of them."""
+    n = prep_a.n_qubits
+    amps = StateVector.computational_basis(2 * n + 1).amplitudes.copy()
+    for gate in build_swap_test(n, prep_a, QuantumCircuit(n)).gates[: 1 + len(prep_a.gates)]:
+        amps = apply_gate(amps, gate, 2 * n + 1)
+    return amps
+
+
+def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Final basis probabilities of one SWAP test per row of ``candidates``.
+
+    Each row of the (batch, 2^n) array is loaded onto qubits n+1..2n of a copy
+    of ``head`` by the fixed Mottonen template with that row's angles, as an
+    exact identity where :func:`mottonen_prepare` leaves a rotation out: bit
+    for bit the probabilities of the serially built and simulated SWAP test.
+    """
+    n = candidates.shape[1].bit_length() - 1
+    width = 2 * n + 1
+    if candidates.shape[1] != 2**n or head.shape != (2**width,):
+        raise ValueError(f"{candidates.shape[1]} amplitudes do not fit a head of {head.size}")
+    ry, rz, phased = _mottonen_thetas(candidates)
+    ry[np.abs(ry) <= 1e-15] = 0.0
+    rz[(np.abs(rz) <= 1e-15) | ~phased[:, None]] = 0.0
+    amps = np.repeat(head[None, :], len(candidates), axis=0)
+    for mats in (ry_matrix(ry), rz_matrix(rz))[: 1 + int(phased.any())]:
+        for slot, a, b in _mottonen_template(n):
+            if slot == "CX":
+                amps = amps[:, _cx_permutation(width, a + n + 1, b + n + 1)]
+            else:
+                amps = apply_matrix(amps, mats[:, b], (a + n + 1,), width)
+    for gate in build_swap_test(n, QuantumCircuit(n), QuantumCircuit(n)).gates[1:-1]:
+        amps = apply_gate(amps, gate, width)  # the CSWAPs and the last H
+    norms = np.array([np.linalg.norm(row) for row in amps])  # as StateVector.normalized
+    return np.abs(amps / norms[:, None]) ** 2

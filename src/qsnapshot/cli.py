@@ -63,22 +63,20 @@ def _parse_shots(text: str) -> int | None:
 
 
 def _build_spec(args) -> ExperimentSpec:
+    # a spec or noise file the library rejects is a runtime failure (exit 2)
     thresholds = tuple(args.threshold) if args.threshold else (0.95, 0.99)
-    try:
-        return ExperimentSpec(
-            method=args.method,
-            representation=args.repr,
-            n_qubits=args.qubits,
-            n_trials=args.trials,
-            noise=_parse_noise(args.noise),
-            trajectories=args.trajectories,
-            shots=_parse_shots(args.shots),
-            thresholds=thresholds,
-            seed=args.seed,
-            max_epochs=args.max_iter,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ExperimentSpec(
+        method=args.method,
+        representation=args.repr,
+        n_qubits=args.qubits,
+        n_trials=args.trials,
+        noise=_parse_noise(args.noise),
+        trajectories=args.trajectories,
+        shots=_parse_shots(args.shots),
+        thresholds=thresholds,
+        seed=args.seed,
+        max_epochs=args.max_iter,
+    )
 
 
 def _add_shared(parser: argparse.ArgumentParser, trials: bool = True):

@@ -6,6 +6,8 @@ network, Adam updates) and QESwap, a population evolutionary strategy. Both
 run in one ask/tell loop: the engine asks for a batch of raw vectors, the
 loop decodes and scores them through the oracle, records the trace, best
 candidate and probe, checks the stop rule, then tells the engine the rewards.
+A batch goes to the oracle in one ``evaluate_batch`` call when the oracle's
+class has that method; the SWAP-test oracle simulates it as one array.
 Raw vectors are decoded by one of three representation adapters: state
 vector, unitary via QR, or density matrix.
 """
@@ -21,11 +23,11 @@ from scipy.special import erf
 
 from .circuit import (
     QuantumCircuit,
-    ancilla_expectation,
     build_swap_test,
     lower_to_basis,
     mottonen_prepare,
-    sample_shots,
+    swap_test_head,
+    swap_test_probabilities,
 )
 from .core import (
     DensityMatrix,
@@ -52,10 +54,11 @@ class RankDeficientError(ValueError):
 class FidelityOracle:
     """SWAP-test fidelity signal against an opaque target preparation.
 
-    Estimators never see the target's amplitudes; the only access path is
-    :meth:`evaluate`. Modes: "analytic" (exact ancilla <Z>), "shots"
-    (finite-sample estimate), "noisy" (trajectory average under a noise
-    model on the lowered circuit).
+    Estimators never see the target's amplitudes; the only access paths are
+    :meth:`evaluate` and :meth:`evaluate_batch`. Modes: "analytic" (exact
+    ancilla <Z>), "shots" (finite-sample estimate), "noisy" (trajectory
+    average under a noise model on the lowered circuit of each candidate).
+    Analytic and shots batches are simulated as one (batch, 2^(2n+1)) array.
     """
 
     def __init__(
@@ -76,6 +79,7 @@ class FidelityOracle:
         if mode in ("shots", "noisy") and rng is None:
             raise ValueError(f"{mode} mode requires an rng")
         self._target_prep = target_prep
+        self._head = None if mode == "noisy" else swap_test_head(target_prep)
         self.n_qubits = target_prep.n_qubits
         self.mode = mode
         self._shots = shots
@@ -85,18 +89,27 @@ class FidelityOracle:
         self.evaluations = 0
 
     def evaluate(self, candidate: StateVector) -> float:
-        """One SWAP test of the candidate against a re-prepared target."""
+        """One SWAP test of the candidate against the target."""
+        if self.mode != "noisy":
+            return float(self.evaluate_batch([candidate])[0])
         self.evaluations += 1
-        test = build_swap_test(
-            self.n_qubits, self._target_prep, mottonen_prepare(candidate)
-        )
-        if self.mode == "analytic":
-            return float(ancilla_expectation(test))
-        if self.mode == "shots":
-            result = sample_shots(test, self._shots, self._rng)
-            return 2.0 * result.probability("0") - 1.0
+        test = build_swap_test(self.n_qubits, self._target_prep, mottonen_prepare(candidate))
         lowered = lower_to_basis(test)
         return execute_trajectories(lowered, self._model, self._trajectories, self._rng)
+
+    def evaluate_batch(self, candidates) -> np.ndarray:
+        """One SWAP test per candidate, in order; equal to ``evaluate`` on each."""
+        if self.mode == "noisy":
+            return np.array([self.evaluate(c) for c in candidates], dtype=np.float64)
+        self.evaluations += len(candidates)
+        probs = swap_test_probabilities(self._head, np.stack([c.amplitudes for c in candidates]))
+        if self.mode == "analytic":
+            # summed from a contiguous copy: a strided row sum rounds differently
+            return 1.0 - 2.0 * np.ascontiguousarray(probs[:, 1::2]).sum(axis=1)
+        # ancilla-0 counts, drawn row by row from the one generator
+        zeros = [np.count_nonzero(self._rng._gen.choice(
+            row.size, size=self._shots, p=row / row.sum()) % 2 == 0) for row in probs]
+        return 2.0 * (np.array(zeros) / self._shots) - 1.0
 
 
 class HilbertSchmidtOracle:
@@ -436,12 +449,16 @@ def _run(method: str, representation: str, oracle, config,
     engine = _ENGINES[method](raw_dim, config, rng)
     evals = 0
     decoded = []
+    # looked up on the class: an oracle may offer only ``evaluate``
+    evaluate_batch = getattr(type(oracle), "evaluate_batch", None)
 
     def score(raws: np.ndarray) -> np.ndarray:
         # the only place a raw vector becomes an oracle call
         nonlocal evals
         decoded[:] = [_decode_with_retry(decoder, raw, rng) for raw in raws]
         evals += len(decoded)
+        if evaluate_batch is not None:
+            return np.asarray(evaluate_batch(oracle, decoded), dtype=np.float64)
         return np.array([oracle.evaluate(c) for c in decoded], dtype=np.float64)
 
     trace, validation = [], []

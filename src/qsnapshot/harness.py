@@ -103,6 +103,10 @@ def standard_states(n_qubits: int | None = None) -> list:
 # Experiment specification
 
 
+# Largest (rows, 2^(2n+1)) complex128 array a spec may ask the oracle for.
+MAX_AMPLITUDE_BYTES = 2**30
+
+
 @dataclass
 class ExperimentSpec:
     """One cohort configuration; deterministic in (spec, seed)."""
@@ -123,8 +127,22 @@ class ExperimentSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.trajectories < 1:
+            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        # rows of the largest oracle call: trajectories, population, or 4d probes
+        d, width = 2**self.n_qubits, 2 * self.n_qubits + 1
+        rows = (self.trajectories if self.noise is not None else self.population
+                if self.method == "qeswap" else
+                4 * (d if self.representation == "statevector" else d * d))
+        nbytes = rows * 2**width * 16
+        if nbytes > MAX_AMPLITUDE_BYTES:
+            raise ValueError(f"n_qubits={self.n_qubits} needs SWAP tests of width {width}: "
+                             f"{rows} x 2^{width} amplitudes take {nbytes} bytes, "
+                             f"over the {MAX_AMPLITUDE_BYTES}-byte limit")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):
             raise ValueError("thresholds must lie in (0, 1]")
         self.thresholds = tuple(sorted(self.thresholds))

@@ -190,12 +190,17 @@ class NoiseParams:
     gate_len_2q: float = 660.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("bit_flip_p", "depol_1q", "depol_2q"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.t2 > 2 * self.t1:
-            raise ValueError(f"t2={self.t2} exceeds 2*t1={2 * self.t1}")
+        if self.t1 <= 0 or self.t2 <= 0:
+            raise ValueError(f"t1 and t2 must be positive, got t1={self.t1}, t2={self.t2}")
+        if self.t2 > self.t1:  # thermal_relaxation_channel supports t2 <= t1 only
+            raise UnsupportedRegimeError(f"t2={self.t2} > t1={self.t1} is not supported")
         for name in ("readout_len", "gate_len_1q", "gate_len_2q"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -24,6 +24,27 @@ class TestExitCodes:
     def test_runtime_error_path_like_snapshot_id(self, tmp_path):
         assert run_cli("withdraw", "../" + "0" * 64, "--store", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("command,qubits,message", [
+        ("cohort", "0", "n_qubits must be >= 1, got 0"),
+        ("standard", "0", "n_qubits must be >= 1, got 0"),
+        ("cohort", "15", "width 31: 50 x 2^31 amplitudes take 1717986918400 bytes"),
+    ])
+    def test_runtime_error_unsimulable_width(self, tmp_path, capsys, command,
+                                             qubits, message):
+        out = tmp_path / "o"
+        assert run_cli(command, "--qubits", qubits, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_error_noise_file_t2_above_t1(self, tmp_path, capsys):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("t1=100\nt2=150\n")
+        out = tmp_path / "o"
+        assert run_cli("cohort", "--noise", f"file:{cfg}", "--trials", "1",
+                       "--out", str(out)) == 2
+        assert "t2=150.0 > t1=100.0 is not supported" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(

@@ -5,8 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsnapshot.circuit import QuantumCircuit, mottonen_prepare
+from qsnapshot.circuit import (
+    QuantumCircuit,
+    ancilla_expectation,
+    build_swap_test,
+    mottonen_prepare,
+    sample_shots,
+)
 from qsnapshot.core import (
     DensityMatrix,
     Rng,
@@ -179,6 +187,137 @@ class TestOracles:
         spy = SpyOracle()
         report = train_qeswap(spy, 1, EsConfig(max_iter=3, seed=0, stop_threshold=2.0))
         assert report.epochs == 3
+
+
+def _edge_state(kind: str, n: int, rng: Rng) -> StateVector:
+    """A state whose Mottonen preparation hits one of the gate-skip rules."""
+    d = 2**n
+    if kind == "basis":  # every RY angle zero, no RZ cascade
+        return StateVector.computational_basis(n, int(rng.integers(0, d)))
+    if kind == "real":  # real-positive amplitudes: no RZ cascade
+        return StateVector.normalized(np.abs(rng.normal(d)) + 0.1)
+    if kind == "zeros":  # exact zeros, the upper half among them: zero RY angles
+        amps = rng.normal(d) + 1j * rng.normal(d)
+        amps[rng.uniform(d) < 0.3] = 0.0
+        amps[0], amps[d // 2:] = 1.0j, 0.0
+        return StateVector.normalized(amps)
+    return random_pure_state(n, rng)
+
+
+def _serial_expectations(prep, candidates) -> list:
+    """The reference: one SWAP-test circuit built and simulated per candidate."""
+    return [
+        ancilla_expectation(build_swap_test(prep.n_qubits, prep, mottonen_prepare(c)))
+        for c in candidates
+    ]
+
+
+class TestBatchedOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(["haar", "basis", "real", "zeros"]),
+                          min_size=1, max_size=8))
+    def test_batch_equals_serial_bit_for_bit(self, n, seed, kinds):
+        rng = Rng(seed)
+        prep = mottonen_prepare(_edge_state(kinds[-1], n, rng))
+        candidates = [_edge_state(kind, n, rng) for kind in kinds]
+        batch = FidelityOracle(prep).evaluate_batch(candidates)
+        assert batch.tolist() == _serial_expectations(prep, candidates)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["basis", "real", "zeros"])
+    def test_skipped_rotations_are_exact_identities(self, kind, n):
+        rng = Rng(50 + n)
+        candidates = [_edge_state(kind, n, rng) for _ in range(5)]
+        candidates.insert(2, random_pure_state(n, rng))  # a full-template row
+        skipped = [sum(g.kind in ("RY", "RZ") for g in mottonen_prepare(c).gates)
+                   < 2 * (2**n - 1) for c in candidates]
+        assert skipped == [True, True, False, True, True, True]
+        for prep in (mottonen_prepare(random_pure_state(n, rng)),
+                     mottonen_prepare(_edge_state(kind, n, rng))):
+            batch = FidelityOracle(prep).evaluate_batch(candidates)
+            assert batch.tolist() == _serial_expectations(prep, candidates)
+
+    def test_single_evaluate_is_a_one_row_batch(self):
+        prep = mottonen_prepare(random_pure_state(3, Rng(60)))
+        candidates = [random_pure_state(3, Rng(61 + i)) for i in range(4)]
+        singles = [FidelityOracle(prep).evaluate(c) for c in candidates]
+        assert singles == FidelityOracle(prep).evaluate_batch(candidates).tolist()
+        assert singles == _serial_expectations(prep, candidates)
+
+    def test_shots_draw_like_sample_shots(self):
+        n, shots = 2, 200
+        prep = mottonen_prepare(random_pure_state(n, Rng(21)))
+        candidates = [random_pure_state(n, Rng(22 + i)) for i in range(5)]
+        oracle = FidelityOracle(prep, mode="shots", shots=shots, rng=Rng(9))
+        zeros = (oracle.evaluate_batch(candidates) + 1.0) / 2.0 * shots
+        rng = Rng(9)
+        counts = [
+            sample_shots(build_swap_test(n, prep, mottonen_prepare(c)), shots, rng)
+            .counts.get("0", 0) for c in candidates
+        ]
+        assert zeros.tolist() == counts
+
+    def test_noisy_batch_is_serial_evaluate(self):
+        prep = mottonen_prepare(random_pure_state(1, Rng(23)))
+        model = calibrated_noise_model(NoiseParams())
+        candidates = [random_pure_state(1, Rng(24 + i)) for i in range(3)]
+
+        def oracle():
+            return FidelityOracle(prep, mode="noisy", noise_model=model,
+                                  trajectories=16, rng=Rng(25))
+
+        serial = oracle()
+        expected = [serial.evaluate(c) for c in candidates]
+        batched = oracle()
+        assert batched.evaluate_batch(candidates).tolist() == expected
+        assert batched.evaluations == serial.evaluations == 3
+
+    def test_candidate_width_must_match_target(self):
+        oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(34))))
+        with pytest.raises(ValueError, match="do not fit"):
+            oracle.evaluate(random_pure_state(1, Rng(35)))
+
+    def test_batch_accounting(self):
+        oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(30))))
+        oracle.evaluate_batch([random_pure_state(2, Rng(31 + i)) for i in range(7)])
+        assert oracle.evaluations == 7
+        oracle.evaluate(random_pure_state(2, Rng(40)))
+        assert oracle.evaluations == 8
+
+    def test_engine_scores_a_population_as_one_batch(self):
+        class CountingOracle(FidelityOracle):
+            def evaluate_batch(self, candidates):
+                self.batches.append(len(candidates))
+                return super().evaluate_batch(candidates)
+
+        oracle = CountingOracle(mottonen_prepare(random_pure_state(1, Rng(32))))
+        oracle.batches = []
+        report = train_qeswap(oracle, 1, EsConfig(population=6, max_iter=3, seed=0,
+                                                  stop_threshold=2.0))
+        assert oracle.batches == [6, 6, 6]
+        assert oracle.evaluations == report.oracle_evals == 18
+
+    def test_oracle_without_batch_method_uses_evaluate(self):
+        class SerialOracle:
+            n_qubits = 1
+
+            def __init__(self):
+                self.inner = FidelityOracle(mottonen_prepare(random_pure_state(1, Rng(33))))
+                self.calls = 0
+
+            def evaluate(self, candidate):
+                self.calls += 1
+                return self.inner.evaluate(candidate)
+
+            @property
+            def evaluations(self):
+                return self.inner.evaluations
+
+        oracle = SerialOracle()
+        report = train_qeswap(oracle, 1, EsConfig(population=6, max_iter=3, seed=0,
+                                                  stop_threshold=2.0))
+        assert oracle.calls == oracle.evaluations == report.oracle_evals == 18
 
 
 class TestGeneratorNetwork:

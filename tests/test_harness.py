@@ -66,6 +66,27 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(thresholds=(0.0, 0.99))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_qubits": 0}, {"n_qubits": -1}, {"trajectories": 0},
+    ])
+    def test_rejects_empty_register_or_trajectories(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ExperimentSpec(**kwargs)
+
+    def test_width_cap_names_width_and_bytes(self):
+        # 50 population rows x 2^31 amplitudes x 16 B
+        with pytest.raises(ValueError, match=r"width 31: .* 1717986918400 bytes"):
+            ExperimentSpec(n_qubits=15)
+
+    def test_width_cap_counts_the_largest_batch(self):
+        from qsnapshot.noise import NoiseParams
+
+        ExperimentSpec(n_qubits=9)  # 50 x 2^19 x 16 B = 400 MiB
+        with pytest.raises(ValueError, match="width 19"):  # 2000 trajectories
+            ExperimentSpec(n_qubits=9, noise=NoiseParams())
+        with pytest.raises(ValueError, match="width 19"):  # 2048 gradient probes
+            ExperimentSpec(n_qubits=9, method="gradient")
+
     def test_thresholds_sorted(self):
         spec = ExperimentSpec(thresholds=(0.99, 0.5))
         assert spec.thresholds == (0.5, 0.99)

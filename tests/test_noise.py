@@ -171,6 +171,25 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(t1=10.0, t2=100.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("t1", math.nan), ("t2", math.nan), ("t1", math.inf),
+        ("readout_len", math.nan), ("gate_len_1q", math.inf), ("gate_len_2q", math.nan),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseParams(**{name: value})
+
+    @pytest.mark.parametrize("t1,t2", [(0.0, 0.0), (100.0, 0.0), (100.0, -5.0)])
+    def test_non_positive_times_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="must be positive"):
+            NoiseParams(t1=t1, t2=t2)
+
+    def test_t2_above_t1_is_unsupported(self):
+        # t1 < t2 <= 2 t1 is physical, but thermal_relaxation_channel rejects it
+        with pytest.raises(UnsupportedRegimeError):
+            NoiseParams(t1=100.0, t2=150.0)
+        assert NoiseParams(t1=100.0, t2=100.0).t2 == 100.0
+
     def test_from_file(self, tmp_path):
         cfg = tmp_path / "noise.cfg"
         cfg.write_text("# comment\nbit_flip_p = 0.001\nt1=100\nt2=90\n")
