@@ -1,7 +1,11 @@
 """Gate-level circuits and exact statevector execution.
 
 Qubit 0 is the least-significant bit of the basis index throughout. The
-SWAP-test layout puts the ancilla at circuit position 0. Next to the serial
+SWAP-test layout puts the ancilla at circuit position 0. Every amplitude
+update (gates, per-row gate stacks, RESET, and the Kraus steps in the noise
+module) goes through one kernel: strided views of the amplitudes reshaped to
+(batch, 2, ..., 2), one view per local basis index (_local_views,
+apply_matrix); CX and CSWAP are cached permutations. Next to the serial
 builders (mottonen_prepare, build_swap_test) sits a batched SWAP-test kernel
 (swap_test_head, swap_test_probabilities): many second states against one
 first state as one (batch, 2^(2n+1)) array, bit for bit the serial result.
@@ -158,43 +162,40 @@ class ShotResult:
 # Statevector execution
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_partition(n_qubits: int, qubit: int):
-    idx = np.arange(2**n_qubits)
-    idx0 = idx[(idx >> qubit) & 1 == 0]
-    return idx0, idx0 | (1 << qubit)
+def _local_views(amps: np.ndarray, qubits: tuple, n_qubits: int) -> list:
+    """The 2^k strided views of ``amps.reshape(-1, 2, ..., 2)``, one per local
+    basis index with ``qubits[0]`` its most significant bit: view c holds every
+    amplitude whose bits on ``qubits`` spell c, in ascending basis order.
+    Writing into a view writes into ``amps`` when that array is contiguous."""
+    tensor = amps.reshape((-1,) + (2,) * n_qubits)  # axis 1 + j is qubit n-1-j
+    k = len(qubits)
+    views = []
+    for c in range(2**k):
+        index = [slice(None)] * (1 + n_qubits)
+        for j, q in enumerate(qubits):
+            index[n_qubits - q] = (c >> (k - 1 - j)) & 1
+        views.append(tensor[tuple(index)])
+    return views
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple, n_qubits: int) -> np.ndarray:
     """Apply a k-qubit matrix to amplitudes (flat, or batched with a leading axis).
 
     ``qubits[0]`` is the most significant bit of the matrix's local basis
-    index; the matrix is 2^k x 2^k. For k = 1 and batched amplitudes it may
-    also be a (batch, 2, 2) stack holding one matrix per row.
+    index; the matrix is 2^k x 2^k, or for batched amplitudes a
+    (batch, 2^k, 2^k) stack holding one matrix per row. Local amplitude r
+    becomes sum_c mat[r, c] * amplitude c, summed in ascending c.
     """
-    k = len(qubits)
-    if k == 1:
-        idx0, idx1 = _bit_partition(n_qubits, qubits[0])
-        a0, a1 = amps[..., idx0], amps[..., idx1]
-        if mat.ndim == 3:
-            mat = np.moveaxis(mat, 0, -1)[..., None]
-        out = np.empty_like(amps)
-        out[..., idx0] = mat[0, 0] * a0 + mat[0, 1] * a1
-        out[..., idx1] = mat[1, 0] * a0 + mat[1, 1] * a1
-        return out
-    batched = amps.ndim == 2
-    batch = amps.shape[0] if batched else 1
-    tensor = amps.reshape((batch,) + (2,) * n_qubits)
-    # axis 1 + j of the tensor is qubit n-1-j
-    axes = [1 + (n_qubits - 1 - q) for q in qubits]
-    tensor = np.moveaxis(tensor, axes, range(1, 1 + k))
-    moved_shape = tensor.shape
-    tensor = tensor.reshape(batch, 2**k, -1)
-    tensor = np.einsum("ij,bjk->bik", mat, tensor)
-    tensor = tensor.reshape(moved_shape)
-    tensor = np.moveaxis(tensor, range(1, 1 + k), axes)
-    out = tensor.reshape(batch, 2**n_qubits)
-    return out if batched else out[0]
+    mat = mat[..., None, :, :]  # a per-row entry broadcasts along its row
+    # contiguous copies: arithmetic on views with short runs costs more than the copy
+    src = [v.reshape(len(v), -1) for v in _local_views(amps, qubits, n_qubits)]
+    out = np.empty(amps.shape, dtype=np.result_type(amps, mat))
+    for r, dst in enumerate(_local_views(out, qubits, n_qubits)):
+        acc = mat[..., r, 0] * src[0]
+        for c in range(1, len(src)):
+            acc += mat[..., r, c] * src[c]
+        dst[...] = acc.reshape(dst.shape)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,21 +247,16 @@ def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
 
 
 def _apply_reset(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    idx = np.arange(2**n_qubits)
-    one_mask = (idx >> qubit) & 1 == 1
-    batched = amps.ndim == 2
-    out = np.array(amps, copy=True)
-    flat = out if batched else out[None, :]
-    p0 = np.sum(np.abs(flat[:, ~one_mask]) ** 2, axis=1)
-    for i in range(flat.shape[0]):
-        if p0[i] > 1e-24:
-            flat[i, one_mask] = 0.0
-            flat[i] /= math.sqrt(p0[i])
-        else:
-            # all weight on |1>: relocate it to |0> (projective reset)
-            flat[i, idx[~one_mask]] = flat[i, idx[~one_mask] | (1 << qubit)]
-            flat[i, one_mask] = 0.0
-    return out if batched else flat[0]
+    out = np.array(amps, copy=True, order="C")
+    zero, one = _local_views(out, (qubit,), n_qubits)
+    rows = out.reshape(len(zero), -1)
+    p0 = np.sum(np.abs(zero.reshape(len(zero), -1)) ** 2, axis=1)
+    kept = p0 > 1e-24
+    # all weight on |1>: relocate it to |0> (projective reset)
+    zero[~kept] = one[~kept]
+    one[...] = 0.0
+    rows[kept] /= np.sqrt(p0[kept])[:, None]
+    return out
 
 
 def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateVector:

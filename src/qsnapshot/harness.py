@@ -133,6 +133,15 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 1")
         if self.trajectories < 1:
             raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        if self.method not in ("gradient", "qeswap"):
+            raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")
+        if self.representation == "density":
+            raise ValueError("representation 'density' cannot run in a cohort: cohort "
+                             "targets are pure and the density oracles read the target; "
+                             "use mixed-diagnostic")
+        if self.representation not in ("statevector", "unitary"):
+            raise ValueError(f"unknown representation {self.representation!r}; "
+                             f"expected statevector or unitary")
         # rows of the largest oracle call: trajectories, population, or 4d probes
         d, width = 2**self.n_qubits, 2 * self.n_qubits + 1
         rows = (self.trajectories if self.noise is not None else self.population
@@ -452,6 +461,10 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
     and overstates similarity; (b) requires target access and is
     diagnostic-only. Returns per-target rows and summary counts.
     """
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if n_targets < 1:
+        raise ValueError(f"n_targets must be >= 1, got {n_targets}")
     root = Rng(seed)
     rows = []
     for i in range(n_targets):

@@ -3,7 +3,11 @@
 Channels are synthesized from scalar calibration parameters (bit-flip
 probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind. Trajectory execution is vectorized across
-trajectories; averaging reproduces the density-matrix evolution.
+trajectories; averaging reproduces the density-matrix evolution. Each channel
+step first chooses one operator per trajectory (static weights for unitary
+mixtures, local populations for diagonal effects, the local Gram matrix
+otherwise), then applies the chosen operators as one per-row stack through
+circuit.apply_matrix; rows that choose an identity are left untouched.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .circuit import BASIS_KINDS, QuantumCircuit, apply_gate, apply_matrix
-from .core import Rng, StateVector
+from .circuit import BASIS_KINDS, QuantumCircuit, _local_views, apply_gate, apply_matrix
+from .core import Rng
 
 COMPLETENESS_TOL = 1e-9
 
@@ -58,34 +62,33 @@ class KrausChannel:
         """Precompute fast-path metadata for trajectory sampling.
 
         A channel whose operators are all proportional to unitaries has
-        state-independent selection probabilities; a channel whose POVM
-        effects are all diagonal needs only basis populations.
+        state-independent selection probabilities (``_mix_weights``) and is
+        applied without renormalization; a channel whose POVM effects are all
+        diagonal needs only basis populations (``_effect_diagonals``).
+        ``_stack`` holds the operator each choice applies (the unitary for a
+        mixture) and ``_skip`` marks choices that leave the state as it is.
         """
         d = self.operators[0].shape[0]
-        effects = tuple(k.conj().T @ k for k in self.operators)
+        effects = np.array([k.conj().T @ k for k in self.operators])
         object.__setattr__(self, "_effects", effects)  # POVM effects K^dagger K
-        weights = []
-        unitaries = []
-        unitary_mix = True
-        for k, eff in zip(self.operators, effects):
-            w = float(np.trace(eff).real) / d
-            if np.max(np.abs(eff - w * np.eye(d))) > 1e-12:
-                unitary_mix = False
-                break
-            weights.append(w)
-            unitaries.append(None if w < 1e-30 else k / math.sqrt(w))
+        weights = [float(np.trace(eff).real) / d for eff in effects]
+        unitary_mix = all(np.max(np.abs(eff - w * np.eye(d))) <= 1e-12
+                          for eff, w in zip(effects, weights))
+        stack, skip = list(self.operators), [False] * len(self.operators)
         if unitary_mix:
-            w_arr = np.array(weights)
-            object.__setattr__(self, "_mix_weights", w_arr / w_arr.sum())
-            is_id = [
-                u is not None
-                and np.max(np.abs(u / u.flat[np.argmax(np.abs(u))] - np.eye(d))) < 1e-12
-                for u in unitaries
-            ]
-            object.__setattr__(self, "_mix_unitaries", tuple(unitaries))
-            object.__setattr__(self, "_mix_is_identity", tuple(is_id))
-        else:
-            object.__setattr__(self, "_mix_weights", None)
+            for i, (k, w) in enumerate(zip(self.operators, weights)):
+                if w < 1e-30:
+                    skip[i] = True
+                    continue
+                stack[i] = k / math.sqrt(w)
+                # identity up to a global phase: never multiplied, so its
+                # rows keep their bits
+                phase = stack[i].flat[np.argmax(np.abs(stack[i]))]
+                skip[i] = bool(np.max(np.abs(stack[i] / phase - np.eye(d))) < 1e-12)
+        w_arr = np.array(weights)
+        object.__setattr__(self, "_mix_weights", w_arr / w_arr.sum() if unitary_mix else None)
+        object.__setattr__(self, "_stack", np.array(stack))
+        object.__setattr__(self, "_skip", np.array(skip))
         diag = all(np.max(np.abs(eff - np.diag(np.diag(eff)))) < 1e-14 for eff in effects)
         object.__setattr__(
             self,
@@ -319,65 +322,39 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
 def _apply_channel_batch(
     amps: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int, rng: Rng
 ) -> np.ndarray:
-    """Stochastically apply one Kraus channel to a (trajectories, dim) batch."""
+    """Stochastically apply one Kraus channel to a (trajectories, dim) batch:
+    choose one operator per row, then apply the chosen operators as one
+    per-row stack."""
     if channel.is_identity:
         return amps
-    k_local = 2 ** len(qubits)
     batch = amps.shape[0]
     u = rng.uniform(batch)
-
     if channel._mix_weights is not None:
-        # operators proportional to unitaries: static probabilities, no renorm
-        choice = (u[None, :] > np.cumsum(channel._mix_weights)[:, None]).sum(axis=0)
-        choice = np.minimum(choice, len(channel.operators) - 1)
-        out = amps
-        for i, unitary in enumerate(channel._mix_unitaries):
-            if unitary is None or channel._mix_is_identity[i]:
-                continue
-            mask = choice == i
-            if not np.any(mask):
-                continue
-            if out is amps:
-                out = amps.copy()
-            out[mask] = apply_matrix(out[mask], unitary, qubits, n_qubits)
-        return out
-
-    if channel._effect_diagonals is not None:
-        # diagonal effects: probabilities from local basis populations
-        idx = np.arange(amps.shape[1])
-        local = np.zeros(amps.shape[1], dtype=np.int64)
-        for j, q in enumerate(qubits):  # qubits[0] = most significant local bit
-            local |= ((idx >> q) & 1) << (len(qubits) - 1 - j)
-        populations = np.zeros((batch, k_local))
-        mags = np.abs(amps) ** 2
-        for b in range(k_local):
-            populations[:, b] = mags[:, local == b].sum(axis=1)
-        probs = channel._effect_diagonals @ populations.T
+        # operators proportional to unitaries: static probabilities
+        probs = channel._mix_weights[:, None]
     else:
-        # general channel: local reduced Gram matrix per trajectory
-        tensor = amps.reshape((batch,) + (2,) * n_qubits)
-        axes = [1 + (n_qubits - 1 - q) for q in qubits]
-        tensor = np.moveaxis(tensor, axes, range(1, 1 + len(qubits)))
-        m = tensor.reshape(batch, k_local, -1)
-        gram = np.einsum("bir,bjr->bij", m, m.conj())
-        probs = np.empty((len(channel._effects), batch))
-        for i, eff in enumerate(channel._effects):
-            probs[i] = np.einsum("ij,bji->b", eff, gram).real
-
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=0, keepdims=True)
+        views = [v.reshape(batch, -1) for v in _local_views(amps, qubits, n_qubits)]
+        if channel._effect_diagonals is not None:
+            # diagonal effects: probabilities from local basis populations
+            populations = np.array([np.sum(np.abs(v) ** 2, axis=1) for v in views])
+            probs = channel._effect_diagonals @ populations
+        else:
+            # general channel: local reduced Gram matrix per trajectory
+            m = np.stack(views, axis=1)
+            gram = np.einsum("bir,bjr->bij", m, m.conj())
+            probs = np.einsum("kij,bji->kb", channel._effects, gram).real
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum(axis=0, keepdims=True)
     choice = (u[None, :] > np.cumsum(probs, axis=0)).sum(axis=0)
     choice = np.minimum(choice, len(channel.operators) - 1)
-    out = amps
-    for i, op in enumerate(channel.operators):
-        mask = choice == i
-        if not np.any(mask):
-            continue
-        sub = apply_matrix(out[mask], op, qubits, n_qubits)
-        norms = np.linalg.norm(sub, axis=1, keepdims=True)
-        if out is amps:
-            out = amps.copy()
-        out[mask] = sub / norms
+    rows = np.flatnonzero(~channel._skip[choice])
+    if rows.size == 0:
+        return amps
+    sub = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
+    if channel._mix_weights is None:
+        sub /= np.linalg.norm(sub, axis=1, keepdims=True)
+    out = amps.copy()
+    out[rows] = sub
     return out
 
 

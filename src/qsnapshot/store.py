@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import QuantumCircuit, mottonen_prepare
+from .circuit import mottonen_prepare
 from .core import StateVector
 
 MAGIC = b"QSNAP\x00\x00\x01"
@@ -123,8 +123,6 @@ def deposit(record: SnapshotRecord, store_path) -> str:
             json.dumps(record.metadata, indent=2, sort_keys=True).encode() + b"\n",
         )
         _atomic_write(body_file, body)
-        with open(store / "index.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"id": ident, "n_qubits": record.n_qubits}) + "\n")
         return ident
     except OSError as exc:
         raise StoreError(f"deposit failed: {exc}") from exc

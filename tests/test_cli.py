@@ -45,6 +45,20 @@ class TestExitCodes:
         assert "t2=150.0 > t1=100.0 is not supported" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_runtime_error_density_cohort(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("cohort", "--repr", "density", "--trials", "1",
+                       "--max-iter", "2", "--out", str(out)) == 2
+        assert "use mixed-diagnostic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--qubits", "--trials"])
+    def test_runtime_error_empty_mixed_diagnostic(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert run_cli("mixed-diagnostic", flag, "0", "--out", str(out)) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(

@@ -73,6 +73,15 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="must be >= 1"):
             ExperimentSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"method": "newton"}, "unknown method 'newton'"),
+        ({"representation": "mps"}, "unknown representation 'mps'"),
+        ({"representation": "density"}, "use mixed-diagnostic"),
+    ])
+    def test_rejects_specs_that_cannot_run(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**kwargs)
+
     def test_width_cap_names_width_and_bytes(self):
         # 50 population rows x 2^31 amplitudes x 16 B
         with pytest.raises(ValueError, match=r"width 31: .* 1717986918400 bytes"):
@@ -217,6 +226,11 @@ class TestMixedDiagnostic:
         s = result["summary"]
         assert s["hs_driven_uhlmann_leq_095"] >= 2
         assert s["uhlmann_driven_geq_099"] == 3
+
+    @pytest.mark.parametrize("kwargs", [{"n_qubits": 0}, {"n_targets": 0}])
+    def test_rejects_empty_register_or_cohort(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            run_mixed_state_diagnostic(**kwargs)
 
 
 class TestEmission:

@@ -8,11 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnapshot.circuit import (
     Gate,
     QuantumCircuit,
     ancilla_expectation,
+    apply_gate,
     apply_matrix,
     build_swap_test,
     lower_to_basis,
@@ -23,6 +26,7 @@ from qsnapshot.noise import (
     KrausChannel,
     NoiseParams,
     UnsupportedRegimeError,
+    _apply_channel_batch,
     bit_flip_channel,
     depolarizing_channel,
     execute_trajectories,
@@ -106,6 +110,62 @@ def dm_execute(circuit, model):
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestGateKernel:
+    """apply_matrix, RESET and the channel step against dense references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), form=st.sampled_from(["flat", "batched", "stack"]))
+    def test_apply_matrix_matches_dense_operator(self, data, form):
+        n = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, min(2, n)))
+        qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        batch = 1 if form == "flat" else 3
+        mats = gen.normal(size=(batch, 2**k, 2**k)) + 1j * gen.normal(size=(batch, 2**k, 2**k))
+        if form != "stack":
+            mats[:] = mats[0]
+        amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
+        expected = np.array([_expand(m, qubits, n) @ row for m, row in zip(mats, amps)])
+        if form == "flat":
+            got = apply_matrix(amps[0], mats[0], qubits, n)
+            assert got.shape == (2**n,)
+            got = got[None]
+        else:
+            got = apply_matrix(amps, mats if form == "stack" else mats[0], qubits, n)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_reset_batch_matches_projective_reference(self):
+        n, q = 3, 1
+        gen = np.random.default_rng(4)
+        amps = gen.normal(size=(3, 8)) + 1j * gen.normal(size=(3, 8))
+        amps[1, [i for i in range(8) if not (i >> q) & 1]] = 0.0  # all weight on |1>
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        project = _expand(np.array([[1, 0], [0, 0]]), (q,), n)
+        lower = _expand(np.array([[0, 1], [0, 0]]), (q,), n)  # |0><1|
+        expected = []
+        for row in amps:
+            kept = project @ row
+            norm = np.linalg.norm(kept)
+            expected.append(kept / norm if norm > 1e-12 else lower @ row)
+        got = apply_gate(amps, Gate("RESET", (q,)), n)
+        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+        for row, flat in zip(got, amps):
+            assert np.array_equal(row, apply_gate(flat, Gate("RESET", (q,)), n))
+
+    def test_mixture_rows_drawing_identity_keep_their_bytes(self):
+        ch = depolarizing_channel(0.4, 2)
+        gen = np.random.default_rng(5)
+        amps = gen.normal(size=(300, 8)) + 1j * gen.normal(size=(300, 8))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        # operator 0 is the identity; a row draws it when u <= its weight
+        identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_weights[0]
+        out = _apply_channel_batch(amps, ch, (2, 0), 3, Rng(9))
+        assert 0 < identity_rows.sum() < len(amps)
+        assert out[identity_rows].tobytes() == amps[identity_rows].tobytes()
+        assert not np.any(np.all(out[~identity_rows] == amps[~identity_rows], axis=1))
 
 
 class TestChannels:

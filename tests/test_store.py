@@ -72,8 +72,7 @@ class TestDepositWithdraw:
         i2 = deposit(record, tmp_path)
         assert i1 == i2
         assert len(list(tmp_path.glob("*.qsnap"))) == 1
-        index = (tmp_path / "index.jsonl").read_text().strip().splitlines()
-        assert len(index) == 1
+        assert not (tmp_path / "index.jsonl").exists()
 
     def test_withdraw_reprepares(self, tmp_path):
         target = StateVector.from_amplitudes([SQ2, SQ2])
