@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: cohort, standard, entropy, snapshot, mixed-diagnostic, deposit,
-withdraw, list. Exit codes: 0 success, 1 usage error, 2 runtime failure,
+withdraw, list. Each flag is defined once in ``_FLAGS``, and each subcommand
+takes exactly the flags its handler reads (``_COMMANDS``); any other flag is a
+usage error. Exit codes: 0 success, 1 usage error, 2 runtime failure,
 3 gating-threshold miss.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,42 +66,12 @@ def _parse_shots(text: str) -> int | None:
 
 
 def _build_spec(args) -> ExperimentSpec:
-    # a spec or noise file the library rejects is a runtime failure (exit 2)
-    thresholds = tuple(args.threshold) if args.threshold else (0.95, 0.99)
-    return ExperimentSpec(
-        method=args.method,
-        representation=args.repr,
-        n_qubits=args.qubits,
-        n_trials=args.trials,
-        noise=_parse_noise(args.noise),
-        trajectories=args.trajectories,
-        shots=_parse_shots(args.shots),
-        thresholds=thresholds,
-        seed=args.seed,
-        max_epochs=args.max_iter,
-    )
-
-
-def _add_shared(parser: argparse.ArgumentParser, trials: bool = True):
-    parser.add_argument("--method", choices=("gradient", "qeswap"), default="qeswap")
-    parser.add_argument("--repr", choices=("statevector", "unitary", "density"),
-                        default="statevector")
-    parser.add_argument("--qubits", type=int, default=1)
-    if trials:
-        parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--noise", default="off",
-                        help="off, paper, or file:<path> (key=value overrides)")
-    parser.add_argument("--trajectories", type=int, default=2000)
-    parser.add_argument("--shots", default="analytic",
-                        help="shot count for sampled oracles, or 'analytic'")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="out")
-    parser.add_argument("--threshold", type=float, action="append",
-                        help="fidelity threshold to track (repeatable)")
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--gate", type=float, default=None,
-                        help="exit 3 unless the pass rate at the top threshold "
-                             "meets this fraction")
+    # a spec or noise file the library rejects is a runtime failure (exit 2);
+    # a field whose flag the subcommand does not take keeps its default
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)
+             if getattr(args, f.name, None) is not None}
+    given.update(noise=_parse_noise(args.noise), shots=_parse_shots(args.shots))
+    return ExperimentSpec(**given)
 
 
 def _parse_circuit_file(path: str) -> QuantumCircuit:
@@ -197,8 +170,8 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_mixed_diagnostic(args) -> int:
     result = run_mixed_state_diagnostic(
-        n_qubits=args.qubits, n_targets=args.trials, seed=args.seed,
-        max_iter=args.max_iter or 300,
+        n_qubits=args.n_qubits, n_targets=args.n_trials, seed=args.seed,
+        max_iter=args.max_epochs or 300,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,6 +230,59 @@ def _cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Every flag, defined once; a flag that sets an ExperimentSpec field is stored
+# under the field's name. A subcommand takes exactly the flags _COMMANDS names
+# for it; a bracketed name there is optional where this table requires it.
+_FLAGS = {
+    "--method": {"choices": ("gradient", "qeswap"), "default": "qeswap"},
+    "--repr": {"dest": "representation", "default": "statevector",
+               "choices": ("statevector", "unitary", "density")},
+    "--qubits": {"dest": "n_qubits", "type": int, "default": 1},
+    "--trials": {"dest": "n_trials", "type": int, "default": 20},
+    "--noise": {"default": "off",
+                "help": "off, paper, or file:<path> (key=value overrides)"},
+    "--trajectories": {"type": int, "default": 2000},
+    "--shots": {"default": "analytic",
+                "help": "shot count for sampled oracles, or 'analytic'"},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"default": "out"},
+    "--threshold": {"dest": "thresholds", "type": float, "action": "append",
+                    "help": "fidelity threshold to track (repeatable)"},
+    "--max-iter": {"dest": "max_epochs", "type": int, "default": None},
+    "--gate": {"type": float, "default": None,
+               "help": "exit 3 unless the pass rate at the top threshold "
+                       "meets this fraction"},
+    "--circuit": {"required": True, "help": "gate-list text file"},
+    "--cut": {"type": int, "required": True, "help": "prefix length to snapshot"},
+    "--store": {"required": True, "help": "snapshot store directory"},
+    "--state": {"required": True, "help": "JSON with amplitudes [[re,im],...]"},
+    "id": {"help": "snapshot identifier"},
+    "--out-file": {"default": None},
+    "--circuit-out": {"default": None},
+}
+
+# the flags every subcommand that builds an ExperimentSpec takes
+_SPEC = "--method --qubits --noise --trajectories --shots --seed --max-iter"
+
+_COMMANDS = {
+    "cohort": (_cmd_cohort, "reconstruct random targets and aggregate",
+               f"{_SPEC} --repr --trials --threshold --out --gate"),
+    "standard": (_cmd_standard, "benchmark the standard-state catalog",
+                 f"{_SPEC} --repr --out --gate"),
+    "entropy": (_cmd_entropy, "cohort plus half-chain entropy comparison",
+                f"{_SPEC} --trials --out"),
+    "snapshot": (_cmd_snapshot, "reconstruct a circuit's state at a cut",
+                 f"{_SPEC} --repr --circuit --cut [--store]"),
+    "mixed-diagnostic": (_cmd_mixed_diagnostic,
+                         "Hilbert-Schmidt vs Uhlmann signals on mixed targets",
+                         "--qubits --trials --seed --max-iter --out"),
+    "deposit": (_cmd_deposit, "store a state from a JSON file", "--state --store"),
+    "withdraw": (_cmd_withdraw, "load a stored state and its circuit",
+                 "id --store --out-file --circuit-out"),
+    "list": (_cmd_list, "list stored snapshot identifiers", "--store"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsnapshot",
@@ -264,47 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "and snapshot storage",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohort", help="reconstruct random targets and aggregate")
-    _add_shared(p)
-    p.set_defaults(handler=_cmd_cohort)
-
-    p = sub.add_parser("standard", help="benchmark the standard-state catalog")
-    _add_shared(p, trials=False)
-    p.set_defaults(handler=_cmd_standard, trials=1)
-
-    p = sub.add_parser("entropy", help="cohort plus half-chain entropy comparison")
-    _add_shared(p)
-    p.set_defaults(handler=_cmd_entropy)
-
-    p = sub.add_parser("snapshot", help="reconstruct a circuit's state at a cut")
-    _add_shared(p, trials=False)
-    p.add_argument("--circuit", required=True, help="gate-list text file")
-    p.add_argument("--cut", type=int, required=True, help="prefix length to snapshot")
-    p.add_argument("--store", default=None, help="optionally deposit the result")
-    p.set_defaults(handler=_cmd_snapshot, trials=1)
-
-    p = sub.add_parser("mixed-diagnostic",
-                       help="Hilbert-Schmidt vs Uhlmann signals on mixed targets")
-    _add_shared(p)
-    p.set_defaults(handler=_cmd_mixed_diagnostic)
-
-    p = sub.add_parser("deposit", help="store a state from a JSON file")
-    p.add_argument("--state", required=True, help="JSON with amplitudes [[re,im],...]")
-    p.add_argument("--store", required=True)
-    p.set_defaults(handler=_cmd_deposit)
-
-    p = sub.add_parser("withdraw", help="load a stored state and its circuit")
-    p.add_argument("id")
-    p.add_argument("--store", required=True)
-    p.add_argument("--out-file", default=None)
-    p.add_argument("--circuit-out", default=None)
-    p.set_defaults(handler=_cmd_withdraw)
-
-    p = sub.add_parser("list", help="list stored snapshot identifiers")
-    p.add_argument("--store", required=True)
-    p.set_defaults(handler=_cmd_list)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            kwargs = _FLAGS[flag.strip("[]")]
+            if flag.startswith("["):
+                kwargs = {**kwargs, "required": False}
+            p.add_argument(flag.strip("[]"), **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -275,19 +275,23 @@ def _aggregate(spec: ExperimentSpec, trials: list) -> CohortSummary:
     )
 
 
-def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
-              trial_rng: Rng) -> TrialResult:
-    """One reconstruction of a known target, with classical validation probing."""
-    target_prep = mottonen_prepare(target)
+def _reconstruct_known(spec: ExperimentSpec, target: StateVector,
+                       target_prep: QuantumCircuit, rng: Rng) -> ReconstructionReport:
+    """Reconstruct a known target from its preparation, probing the true overlap."""
 
     def probe(candidate) -> float:
         return overlap_fidelity(candidate, target)
 
-    oracle = _make_oracle(spec, target_prep, trial_rng.child(1))
-    est_seed = trial_rng.child(2).seed
-    config = spec.estimator_config(est_seed, probe=probe)
-    report = reconstruct(spec.method, spec.representation, oracle,
-                         config, spec.n_qubits)
+    oracle = _make_oracle(spec, target_prep, rng.child(1))
+    config = spec.estimator_config(rng.child(2).seed, probe=probe)
+    return reconstruct(spec.method, spec.representation, oracle,
+                       config, spec.n_qubits)
+
+
+def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
+              trial_rng: Rng) -> TrialResult:
+    """One reconstruction of a known target, with classical validation probing."""
+    report = _reconstruct_known(spec, target, mottonen_prepare(target), trial_rng)
     validation = report.validation_trace
     entropy_t = entropy_r = None
     if spec.n_qubits >= 2 and report.final_candidate is not None:
@@ -295,7 +299,7 @@ def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
         entropy_r = half_chain_entropy(report.final_candidate)
     return TrialResult(
         trial=trial_index,
-        seed=est_seed,
+        seed=report.seed,
         best_fidelity=report.best_fidelity,
         validation_fidelity=max(validation) if validation else 0.0,
         epochs=report.epochs,
@@ -307,6 +311,28 @@ def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
     )
 
 
+def _run_trials(spec: ExperimentSpec, targets) -> list:
+    """Run trial i on the i-th target with ``Rng(spec.seed).child(i)``.
+
+    Per-trial failures are recorded with their error, not raised.
+    """
+    root = Rng(spec.seed)
+    trials = []
+    for i, target in enumerate(targets):
+        trial_rng = root.child(i)
+        try:
+            trials.append(run_trial(spec, target, i, trial_rng))
+        except Exception as exc:  # noqa: BLE001 - a run continues past bad trials
+            trials.append(TrialResult(
+                trial=i, seed=trial_rng.seed, best_fidelity=0.0,
+                validation_fidelity=0.0, epochs=0, oracle_evals=0,
+                epochs_to_threshold={thr: None for thr in spec.thresholds},
+                entropy_target=None, entropy_recon=None,
+                validation_trace=[], error=f"{type(exc).__name__}: {exc}",
+            ))
+    return trials
+
+
 def run_cohort(spec: ExperimentSpec) -> CohortSummary:
     """n_trials independent random targets reconstructed per the spec.
 
@@ -315,21 +341,9 @@ def run_cohort(spec: ExperimentSpec) -> CohortSummary:
     noiseless state-vector runs; the honest measure under noise).
     """
     root = Rng(spec.seed)
-    trials = []
-    for t in range(spec.n_trials):
-        trial_rng = root.child(t)
-        target = random_pure_state(spec.n_qubits, trial_rng.child(0))
-        try:
-            trials.append(run_trial(spec, target, t, trial_rng))
-        except Exception as exc:  # noqa: BLE001 - cohort continues past bad trials
-            trials.append(TrialResult(
-                trial=t, seed=trial_rng.seed, best_fidelity=0.0,
-                validation_fidelity=0.0, epochs=0, oracle_evals=0,
-                epochs_to_threshold={thr: None for thr in spec.thresholds},
-                entropy_target=None, entropy_recon=None,
-                validation_trace=[], error=f"{type(exc).__name__}: {exc}",
-            ))
-    return _aggregate(spec, trials)
+    targets = (random_pure_state(spec.n_qubits, root.child(t).child(0))
+               for t in range(spec.n_trials))
+    return _aggregate(spec, _run_trials(spec, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +354,22 @@ def run_standard_states(spec: ExperimentSpec) -> list:
     """Benchmark the catalog states of spec.n_qubits; returns table rows.
 
     Rows: {state, n_qubits, epochs_to_099, best_fidelity, epochs, error}.
-    Failures become NA rows rather than aborting the sweep.
+    ``epochs_to_099`` is the first epoch whose validation fidelity reaches
+    0.99, whatever ``spec.thresholds`` holds. Failures become NA rows rather
+    than aborting the sweep.
     """
-    root = Rng(spec.seed)
+    catalog = standard_states(spec.n_qubits)
     rows = []
-    for i, std in enumerate(standard_states(spec.n_qubits)):
-        try:
-            result = run_trial(spec, std.vector, i, root.child(i))
-            rows.append({
-                "state": std.name,
-                "n_qubits": std.n_qubits,
-                "epochs_to_099": result.epochs_to_threshold.get(0.99),
-                "best_fidelity": result.validation_fidelity,
-                "epochs": result.epochs,
-                "error": None,
-            })
-        except Exception as exc:  # noqa: BLE001 - NA row mirrors the table's NA cells
-            rows.append({
-                "state": std.name,
-                "n_qubits": std.n_qubits,
-                "epochs_to_099": None,
-                "best_fidelity": None,
-                "epochs": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+    for std, trial in zip(catalog, _run_trials(spec, [s.vector for s in catalog])):
+        failed = trial.error is not None
+        rows.append({
+            "state": std.name,
+            "n_qubits": std.n_qubits,
+            "epochs_to_099": _epochs_to(trial.validation_trace, 0.99),
+            "best_fidelity": None if failed else trial.validation_fidelity,
+            "epochs": None if failed else trial.epochs,
+            "error": trial.error,
+        })
     return rows
 
 
@@ -412,8 +418,12 @@ def run_midcircuit_snapshot(target_circuit: QuantumCircuit, cut_index: int,
     """Reconstruct the state at a prefix cut of a target circuit.
 
     The oracle's target preparation is the first ``cut_index`` gates; the
-    report's label records the cut position.
+    report's label records the cut position. The circuit must be
+    ``spec.n_qubits`` wide, the width the spec's amplitude limit was checked at.
     """
+    if target_circuit.n_qubits != spec.n_qubits:
+        raise ValueError(f"the circuit has {target_circuit.n_qubits} qubits but the "
+                         f"spec has n_qubits={spec.n_qubits}")
     if cut_index < 0 or cut_index > len(target_circuit.gates):
         raise ValueError(
             f"cut_index {cut_index} outside [0, {len(target_circuit.gates)}]"
@@ -423,15 +433,7 @@ def run_midcircuit_snapshot(target_circuit: QuantumCircuit, cut_index: int,
     target = execute_statevector(
         prefix, StateVector.computational_basis(prefix.n_qubits)
     )
-
-    def probe(candidate) -> float:
-        return overlap_fidelity(candidate, target)
-
-    rng = Rng(spec.seed)
-    oracle = _make_oracle(spec, prefix, rng.child(1))
-    config = spec.estimator_config(rng.child(2).seed, probe=probe)
-    report = reconstruct(spec.method, spec.representation, oracle,
-                         config, prefix.n_qubits)
+    report = _reconstruct_known(spec, target, prefix, Rng(spec.seed))
     report.label = f"cut@{cut_index}"
     return report
 

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from qsnapshot.cli import main
+from qsnapshot.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -59,6 +60,32 @@ class TestExitCodes:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mixed-diagnostic", "--noise", "bogus", "--trials", "1", "--max-iter", "2"],
+        ["entropy", "--gate", "1.0", "--qubits", "2", "--trials", "1", "--max-iter", "2"],
+        ["entropy", "--repr", "unitary", "--qubits", "2", "--trials", "1", "--max-iter", "2"],
+        ["snapshot", "--circuit", "CIRCUIT", "--cut", "2", "--qubits", "2",
+         "--max-iter", "2"],
+        ["standard", "--threshold", "0.95", "--max-iter", "2"],
+    ], ids=["mixed-diagnostic--noise", "entropy--gate", "entropy--repr",
+            "snapshot--out", "standard--threshold"])
+    def test_usage_error_flag_not_taken(self, tmp_path, args):
+        # each case passes one flag its subcommand does not take (for
+        # snapshot, the --out appended below); the rest would run
+        circ = tmp_path / "circ.txt"
+        circ.write_text("H 0\nCX 0,1\n")
+        out = tmp_path / "o"
+        args = [str(circ) if a == "CIRCUIT" else a for a in args]
+        assert run_cli(*args, "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_runtime_error_snapshot_width_mismatch(self, tmp_path, capsys):
+        circ = tmp_path / "circ.txt"
+        circ.write_text("H 0\nCX 0,1\n")
+        assert run_cli("snapshot", "--circuit", str(circ), "--cut", "2",
+                       "--qubits", "1", "--max-iter", "2") == 2
+        assert "circuit has 2 qubits but the spec has n_qubits=1" in capsys.readouterr().err
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(
@@ -67,6 +94,28 @@ class TestExitCodes:
             "--seed", "3",
         )
         assert code == 3
+
+
+SPEC_FLAGS = "--method --qubits --noise --trajectories --shots --seed --max-iter"
+FLAG_SETS = {
+    "cohort": f"{SPEC_FLAGS} --repr --trials --threshold --out --gate",
+    "standard": f"{SPEC_FLAGS} --repr --out --gate",
+    "entropy": f"{SPEC_FLAGS} --trials --out",
+    "snapshot": f"{SPEC_FLAGS} --repr --circuit --cut --store",
+    "mixed-diagnostic": "--qubits --trials --seed --max-iter --out",
+    "deposit": "--state --store",
+    "withdraw": "--store --out-file --circuit-out",
+    "list": "--store",
+}
+
+
+@pytest.mark.parametrize("command", FLAG_SETS)
+def test_flag_set(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_SETS)
+    taken = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert taken - {"-h", "--help"} == set(FLAG_SETS[command].split())
 
 
 class TestCohortCommand:

@@ -152,6 +152,12 @@ class TestStandardRun:
             assert r["error"] is None
             assert r["best_fidelity"] >= 0.99
 
+    def test_epochs_to_099_ignores_spec_thresholds(self):
+        rows = run_standard_states(small_spec(max_epochs=40, thresholds=(0.95,)))
+        assert [r["epochs_to_099"] for r in rows] == \
+            [r["epochs_to_099"] for r in run_standard_states(small_spec(max_epochs=40))]
+        assert all(r["epochs_to_099"] is not None for r in rows)
+
 
 class TestEntropyAnalysis:
     def test_requires_statevector(self):
@@ -205,6 +211,10 @@ class TestMidcircuitSnapshot:
     def test_cut_out_of_range(self):
         with pytest.raises(ValueError):
             run_midcircuit_snapshot(self.bell_circuit(), 3, small_spec(n_qubits=2))
+
+    def test_width_must_match_spec(self):
+        with pytest.raises(ValueError, match="circuit has 2 qubits but the spec has n_qubits=1"):
+            run_midcircuit_snapshot(self.bell_circuit(), 2, small_spec(n_qubits=1))
 
 
 class TestMixedDiagnostic:
