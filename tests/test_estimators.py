@@ -21,7 +21,9 @@ from qsnapshot.core import (
     StateVector,
     overlap_fidelity,
     random_pure_state,
+    uhlmann_fidelity,
 )
+from qsnapshot.harness import _random_rank2_density
 from qsnapshot.noise import NoiseParams, calibrated_noise_model
 from qsnapshot.estimators import (
     Adam,
@@ -579,6 +581,20 @@ def _golden_run(case):
         return reconstruct("qeswap", "statevector", oracle,
                            EsConfig(population=4, max_iter=2, seed=7,
                                     stop_threshold=2.0))
+    if case == "qeswap-statevector-n3":
+        target3 = random_pure_state(3, Rng(41))
+        return reconstruct("qeswap", "statevector", FidelityOracle(mottonen_prepare(target3)),
+                           EsConfig(population=50, max_iter=20, seed=9,
+                                    stop_threshold=2.0,
+                                    probe=lambda c: overlap_fidelity(target3, c)))
+    if case in ("qeswap-density-hs", "qeswap-density-uhlmann"):
+        rho = _random_rank2_density(2, Rng(42))
+        oracle_cls = HilbertSchmidtOracle if case.endswith("hs") else UhlmannOracle
+        return reconstruct("qeswap", "density", oracle_cls(rho),
+                           EsConfig(population=50, max_iter=30, seed=10,
+                                    stop_threshold=2.0,
+                                    probe=lambda c: uhlmann_fidelity(rho, c)),
+                           n_qubits=2)
     if case == "gradient-density":
         rho = decode_candidate_density(Rng(8).normal(8))
         return reconstruct("gradient", "density", HilbertSchmidtOracle(rho),
@@ -606,6 +622,12 @@ GOLDEN_TRAJECTORIES = {
         "b82aaa65a7a36b72d863b922f03d9019925218fa7c18d68f5fee9a32b6b5d4da",
     "gradient-density":
         "d16556f2247c4c326f97621de7595a9ec64744a80e6c591264de4a033563bb05",
+    "qeswap-statevector-n3":
+        "8c7fdee42896e882f8b632f9a8d815367daef99a5697fbdf9724cf7f41519942",
+    "qeswap-density-hs":
+        "4cbeaba2e7372dd957f9214672083d3c6c5b05cc93de4b1e85fb4b7d346d45cd",
+    "qeswap-density-uhlmann":
+        "b976c2fc2702f5a0dd8db93ea7e192aae9e9eb99781fa7db3856d4df01de3d53",
 }
 
 
