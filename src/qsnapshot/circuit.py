@@ -80,7 +80,8 @@ class Gate:
 
 @dataclass
 class QuantumCircuit:
-    """Ordered gate list over a fixed qubit count."""
+    """Ordered gate list over a fixed qubit count; the constructor and ``add``
+    check gates in order against one running set of measured qubits."""
 
     n_qubits: int
     gates: list = field(default_factory=list)
@@ -88,22 +89,22 @@ class QuantumCircuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        measured_done: set = set()
+        self._measured_done = set()
         for g in self.gates:
-            self._check_gate(g, measured_done)
+            self._check_gate(g)
 
-    def _check_gate(self, gate: Gate, measured_done: set):
+    def _check_gate(self, gate: Gate):
         for q in gate.qubits:
             if q < 0 or q >= self.n_qubits:
                 raise ValueError(f"qubit {q} outside circuit width {self.n_qubits}")
         if gate.kind == "RESET":
-            measured_done.difference_update(gate.qubits)
+            self._measured_done.difference_update(gate.qubits)
             return
         for q in gate.qubits:
-            if q in measured_done:
+            if q in self._measured_done:
                 raise ValueError(f"gate {gate.kind} follows MEASURE on qubit {q}")
         if gate.kind == "MEASURE":
-            measured_done.update(gate.qubits)
+            self._measured_done.update(gate.qubits)
 
     @property
     def measured(self) -> tuple:
@@ -111,11 +112,7 @@ class QuantumCircuit:
 
     def add(self, kind: str, *qubits, param: float | None = None) -> "QuantumCircuit":
         gate = Gate(kind, qubits, param)
-        done = {g.qubits[0] for g in self.gates if g.kind == "MEASURE"}
-        for g in self.gates:
-            if g.kind == "RESET":
-                done.difference_update(g.qubits)
-        self._check_gate(gate, done)
+        self._check_gate(gate)
         self.gates.append(gate)
         return self
 
@@ -376,14 +373,14 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
     """
     n = target.n_qubits
     ry, rz, phased = _mottonen_thetas(target.amplitudes[None, :])
-    circuit = QuantumCircuit(n)
+    gates = []
     for kind, thetas in (("RY", ry[0]), ("RZ", rz[0]))[: 1 + int(phased[0])]:
         for slot, a, b in _mottonen_template(n):
             if slot == "CX":
-                circuit.gates.append(Gate("CX", (a, b)))
+                gates.append(Gate("CX", (a, b)))
             elif abs(thetas[b]) > 1e-15:
-                circuit.gates.append(Gate(kind, (a,), float(thetas[b])))
-    return circuit
+                gates.append(Gate(kind, (a,), float(thetas[b])))
+    return QuantumCircuit(n, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +471,16 @@ def build_swap_test(
             f"do not match n_qubits={n_qubits}"
         )
     width = 2 * n_qubits + 1
-    circ = QuantumCircuit(width)
-    circ.add("H", 0)
     map_a = {q: q + 1 for q in range(n_qubits)}
     map_b = {q: q + 1 + n_qubits for q in range(n_qubits)}
-    circ.gates.extend(prep_a.remapped(map_a, width).gates)
-    circ.gates.extend(prep_b.remapped(map_b, width).gates)
-    for i in range(1, n_qubits + 1):
-        circ.add("CSWAP", 0, i, i + n_qubits)
-    circ.add("H", 0)
-    circ.add("MEASURE", 0)
-    return circ
+    return QuantumCircuit(width, [
+        Gate("H", (0,)),
+        *prep_a.remapped(map_a, width).gates,
+        *prep_b.remapped(map_b, width).gates,
+        *(Gate("CSWAP", (0, i, i + n_qubits)) for i in range(1, n_qubits + 1)),
+        Gate("H", (0,)),
+        Gate("MEASURE", (0,)),
+    ])
 
 
 def swap_test_head(prep_a: QuantumCircuit) -> np.ndarray:

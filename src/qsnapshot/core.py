@@ -62,9 +62,7 @@ class StateVector:
             raise ValueError(
                 f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
+        check_unit_norm(amps)
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -112,14 +110,7 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=np.complex128)
         if mat.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > NORM_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"matrix has eigenvalue {min_eig} below -{PSD_TOL}")
+        check_density(mat)
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -153,8 +144,7 @@ class UnitaryMatrix:
         mat = np.asarray(self.entries, dtype=np.complex128)
         if mat.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {mat.shape}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > UNITARY_TOL:
-            raise ValueError("matrix is not unitary within tolerance")
+        check_unitary(mat)
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -162,6 +152,30 @@ class UnitaryMatrix:
     def apply_to_zero(self) -> StateVector:
         """The state this unitary prepares from |0...0>."""
         return StateVector(self.n_qubits, self.entries[:, 0])
+
+
+def check_unit_norm(amps: np.ndarray) -> None:
+    """Like every ``check_*``, this takes one object or a stack (leading axes)."""
+    norm = np.linalg.norm(amps, axis=-1)
+    if np.any(bad := np.abs(norm - 1.0) > NORM_TOL):
+        raise ValueError(f"state vector norm {norm[bad][0]} deviates from 1 beyond {NORM_TOL}")
+
+
+def check_density(mats: np.ndarray) -> None:
+    if np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2)), initial=0.0) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    if np.any(bad := np.abs(tr - 1.0) > NORM_TOL):
+        raise ValueError(f"trace {tr[bad][0]} deviates from 1 beyond {NORM_TOL}")
+    min_eig = np.linalg.eigvalsh(mats)[..., 0]
+    if np.any(bad := min_eig < -PSD_TOL):
+        raise ValueError(f"matrix has eigenvalue {min_eig[bad][0]} below -{PSD_TOL}")
+
+
+def check_unitary(mats: np.ndarray) -> None:
+    gram = np.swapaxes(mats.conj(), -1, -2) @ mats
+    if np.max(np.abs(gram - np.eye(mats.shape[-1])), initial=0.0) > UNITARY_TOL:
+        raise ValueError("matrix is not unitary within tolerance")
 
 
 def random_pure_state(n_qubits: int, rng: Rng) -> StateVector:
@@ -193,7 +207,7 @@ def hilbert_schmidt_overlap(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.trace(rho.entries @ sigma.entries).real)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -203,12 +217,16 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, via Hermitian eigendecomposition."""
     if rho.n_qubits != sigma.n_qubits:
         raise ValueError(f"qubit count mismatch: {rho.n_qubits} vs {sigma.n_qubits}")
-    sqrt_rho = _psd_sqrt(rho.entries)
-    inner = sqrt_rho @ sigma.entries @ sqrt_rho
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    return float(uhlmann_fidelities(psd_sqrt(rho.entries), sigma.entries[None])[0])
+
+
+def uhlmann_fidelities(sqrt_rho: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``uhlmann_fidelity`` of each matrix of a (batch, d, d) stack, given sqrt(rho)."""
+    vals = np.clip(np.linalg.eigvalsh(sqrt_rho @ sigmas @ sqrt_rho), 0.0, None)
     vals[vals < 1e-14] = 0.0  # sqrt would amplify eigenvalue dust to ~1e-7
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(f, 1.0) if f <= 1.0 + 1e-8 else f
+    # squared per row as a Python float: an array square rounds differently
+    fs = [s ** 2 for s in np.sqrt(vals).sum(axis=1).tolist()]
+    return np.array([min(f, 1.0) if f <= 1.0 + 1e-8 else f for f in fs])
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:

@@ -6,10 +6,10 @@ network, Adam updates) and QESwap, a population evolutionary strategy. Both
 run in one ask/tell loop: the engine asks for a batch of raw vectors, the
 loop decodes and scores them through the oracle, records the trace, best
 candidate and probe, checks the stop rule, then tells the engine the rewards.
-A batch goes to the oracle in one ``evaluate_batch`` call when the oracle's
-class has that method; the SWAP-test oracle simulates it as one array.
-Raw vectors are decoded by one of three representation adapters: state
-vector, unitary via QR, or density matrix.
+The population stays one array from ``ask`` to the oracle: a batch decoder
+per representation (state vector, unitary via stacked QR, density matrix)
+feeds every oracle's ``evaluate_batch``, and only each iteration's top row
+becomes a ``StateVector``/``DensityMatrix``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ from .core import (
     Rng,
     StateVector,
     UnitaryMatrix,
-    hilbert_schmidt_overlap,
-    uhlmann_fidelity,
+    check_density,
+    check_unit_norm,
+    check_unitary,
+    psd_sqrt,
+    uhlmann_fidelities,
 )
 from .noise import NoiseModel, execute_trajectories
 
@@ -98,11 +101,12 @@ class FidelityOracle:
         return execute_trajectories(lowered, self._model, self._trajectories, self._rng)
 
     def evaluate_batch(self, candidates) -> np.ndarray:
-        """One SWAP test per candidate, in order; equal to ``evaluate`` on each."""
+        """One SWAP test per candidate (``StateVector`` or amplitude row), in order."""
+        amps = np.stack([getattr(c, "amplitudes", c) for c in candidates])
         if self.mode == "noisy":
-            return np.array([self.evaluate(c) for c in candidates], dtype=np.float64)
-        self.evaluations += len(candidates)
-        probs = swap_test_probabilities(self._head, np.stack([c.amplitudes for c in candidates]))
+            return np.array([self.evaluate(StateVector.from_amplitudes(a)) for a in amps])
+        self.evaluations += len(amps)
+        probs = swap_test_probabilities(self._head, amps)
         if self.mode == "analytic":
             # summed from a contiguous copy: a strided row sum rounds differently
             return 1.0 - 2.0 * np.ascontiguousarray(probs[:, 1::2]).sum(axis=1)
@@ -112,7 +116,19 @@ class FidelityOracle:
         return 2.0 * (np.array(zeros) / self._shots) - 1.0
 
 
-class HilbertSchmidtOracle:
+class _DensityOracle:
+    """``evaluate`` is a one-row call of ``evaluate_batch`` on a (batch, d, d) stack."""
+
+    def __init__(self, target: DensityMatrix):
+        self._target = target
+        self.n_qubits = target.n_qubits
+        self.evaluations = 0
+
+    def evaluate(self, candidate: DensityMatrix) -> float:
+        return float(self.evaluate_batch(candidate.entries[None])[0])
+
+
+class HilbertSchmidtOracle(_DensityOracle):
     """Tr(rho sigma) signal against a fixed target density matrix.
 
     This is what a SWAP test actually measures on mixed inputs; it drives the
@@ -120,79 +136,104 @@ class HilbertSchmidtOracle:
     plateau.
     """
 
-    def __init__(self, target: DensityMatrix):
-        self._target = target
-        self.n_qubits = target.n_qubits
-        self.evaluations = 0
-
-    def evaluate(self, candidate: DensityMatrix) -> float:
-        self.evaluations += 1
-        return hilbert_schmidt_overlap(self._target, candidate)
+    def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
+        self.evaluations += len(candidates)
+        return np.trace(self._target.entries @ candidates, axis1=1, axis2=2).real
 
 
-class UhlmannOracle:
+class UhlmannOracle(_DensityOracle):
     """True mixed-state fidelity signal; needs target access, so it is a
     validation/diagnostic oracle only, never a hardware-realizable signal."""
 
     def __init__(self, target: DensityMatrix):
-        self._target = target
-        self.n_qubits = target.n_qubits
-        self.evaluations = 0
+        super().__init__(target)
+        self._sqrt_target = psd_sqrt(target.entries)
 
-    def evaluate(self, candidate: DensityMatrix) -> float:
-        self.evaluations += 1
-        return uhlmann_fidelity(self._target, candidate)
+    def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
+        self.evaluations += len(candidates)
+        return uhlmann_fidelities(self._sqrt_target, candidates)
 
 
 # ---------------------------------------------------------------------------
-# Representation adapters
+# Representation adapters: a batch decoder runs each check once over the stack;
+# ``decode_candidate_*`` are one-row calls of them.
+
+
+def _complex_rows(raws) -> np.ndarray:
+    raws = np.asarray(raws, dtype=np.float64)
+    if raws.ndim != 2 or raws.shape[1] % 2 != 0:
+        raise ValueError(f"raw vector must have even length, got shape {raws.shape[1:]}")
+    return raws[:, 0::2] + 1j * raws[:, 1::2]
+
+
+def decode_states(raws) -> np.ndarray:
+    """(batch, 2^n) unit amplitude rows; consecutive entries pair as (re, im)."""
+    z = _complex_rows(raws)
+    if 2 ** int(np.round(np.log2(z.shape[1]))) != z.shape[1]:
+        raise ValueError(f"decoded dimension {z.shape[1]} is not a power of two")
+    # one 1-D norm per row: no vectorized norm rounds like it at every width
+    norms = np.array([np.linalg.norm(row) for row in z])
+    if np.any(norms < 1e-300):
+        raise ValueError("cannot normalize a zero vector")
+    amps = z / norms[:, None]
+    check_unit_norm(amps)
+    return amps
+
+
+def _decode_matrices(raws) -> np.ndarray:
+    z = _complex_rows(raws)
+    d = int(np.round(math.sqrt(z.shape[1])))
+    if d * d != z.shape[1] or 2 ** int(np.round(np.log2(d))) != d:
+        raise ValueError(f"raw length {2 * z.shape[1]} does not encode a 2^n x 2^n matrix")
+    return z.reshape(-1, d, d)
+
+
+def decode_unitaries(raws: np.ndarray, rng: Rng | None = None, draws: int = 5) -> np.ndarray:
+    """(batch, d, d) Q of a stacked QR, R's diagonal made real-positive. Given
+    an rng, each rank-deficient row, in ascending order, is perturbed and
+    decoded again (up to ``draws`` times) before ``RankDeficientError``."""
+    m = _decode_matrices(raws)
+    q, r = np.linalg.qr(m)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    deficient = np.abs(diag).min(axis=1) < 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    q = q * (diag / np.where(deficient[:, None], 1.0, np.abs(diag)))[:, None, :]
+    check_unitary(q[~deficient])
+    for i in np.flatnonzero(deficient):
+        if rng is None or draws == 0:
+            raise RankDeficientError("decoded matrix is numerically rank-deficient")
+        raw = raws[i] + 1e-6 * rng.normal(raws.shape[1])
+        q[i] = decode_unitaries(raw[None], rng, draws - 1)[0]
+    return q
+
+
+def decode_densities(raws) -> np.ndarray:
+    """rho = M M^dagger / Tr(M M^dagger) per row: a (batch, d, d) stack."""
+    m = _decode_matrices(raws)
+    gram = m @ np.swapaxes(m.conj(), 1, 2)
+    tr = np.trace(gram, axis1=1, axis2=2).real
+    if np.any(tr < 1e-300):
+        raise ValueError("cannot normalize a zero matrix")
+    rho = gram / tr[:, None, None]
+    rho = 0.5 * (rho + np.swapaxes(rho.conj(), 1, 2))
+    check_density(rho)
+    return rho
 
 
 def decode_candidate_state(raw: np.ndarray) -> StateVector:
     """Pair consecutive entries as (re, im) and normalize to a unit vector."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1 or raw.size % 2 != 0:
-        raise ValueError(f"raw vector must have even length, got shape {raw.shape}")
-    d = raw.size // 2
-    n = int(np.round(np.log2(d)))
-    if 2**n != d:
-        raise ValueError(f"decoded dimension {d} is not a power of two")
-    return StateVector.normalized(raw[0::2] + 1j * raw[1::2])
-
-
-def _decode_matrix(raw: np.ndarray) -> np.ndarray:
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1 or raw.size % 2 != 0:
-        raise ValueError(f"raw vector must have even length, got shape {raw.shape}")
-    half = raw.size // 2
-    d = int(np.round(math.sqrt(half)))
-    if d * d != half or 2 ** int(np.round(np.log2(d))) != d:
-        raise ValueError(f"raw length {raw.size} does not encode a 2^n x 2^n matrix")
-    return (raw[0::2] + 1j * raw[1::2]).reshape(d, d)
+    return StateVector.from_amplitudes(decode_states([raw])[0])
 
 
 def decode_candidate_unitary(raw: np.ndarray) -> UnitaryMatrix:
     """QR-orthogonalize the decoded matrix; R's diagonal made real-positive."""
-    m = _decode_matrix(raw)
-    d = m.shape[0]
-    q, r = np.linalg.qr(m)
-    diag = np.diag(r)
-    if np.min(np.abs(diag)) < 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-        raise RankDeficientError("decoded matrix is numerically rank-deficient")
-    q = q * (diag / np.abs(diag))
-    return UnitaryMatrix(int(np.round(np.log2(d))), q)
+    q = decode_unitaries([raw])[0]
+    return UnitaryMatrix(q.shape[0].bit_length() - 1, q)
 
 
 def decode_candidate_density(raw: np.ndarray) -> DensityMatrix:
     """rho = M M^dagger / Tr(M M^dagger) for the unconstrained decoded M."""
-    m = _decode_matrix(raw)
-    gram = m @ m.conj().T
-    tr = np.trace(gram).real
-    if tr < 1e-300:
-        raise ValueError("cannot normalize a zero matrix")
-    rho = gram / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(int(np.round(np.log2(m.shape[0]))), rho)
+    rho = decode_densities([raw])[0]
+    return DensityMatrix(rho.shape[0].bit_length() - 1, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +400,6 @@ class EsConfig:
             raise ValueError("sigma and alpha must be positive")
 
 
-def _decode_with_retry(decoder, raw: np.ndarray, rng: Rng):
-    for attempt in range(5):
-        try:
-            return decoder(raw)
-        except RankDeficientError:
-            raw = raw + 1e-6 * rng.normal(raw.size)
-    return decoder(raw)
-
-
 # ---------------------------------------------------------------------------
 # Engines: ``ask()`` proposes a (batch, raw_dim) array of raw vectors;
 # ``tell(rewards, score)`` updates from their rewards and may spend more
@@ -429,12 +461,11 @@ class _EsEngine:
 
 _ENGINES = {"gradient": _GradientEngine, "qeswap": _EsEngine}
 
-# The lambdas look the decoders up at call time, so a wrapper installed on a
-# module-level decoder name takes effect.
+# representation -> (batch decoder of (raws, rng), candidate class)
 _DECODERS = {
-    "statevector": lambda raw: decode_candidate_state(raw),
-    "unitary": lambda raw: decode_candidate_unitary(raw).apply_to_zero(),
-    "density": lambda raw: decode_candidate_density(raw),
+    "statevector": (lambda raws, rng: decode_states(raws), StateVector),
+    "unitary": (lambda raws, rng: decode_unitaries(raws, rng)[:, :, 0], StateVector),
+    "density": (lambda raws, rng: decode_densities(raws), DensityMatrix),
 }
 
 
@@ -444,22 +475,23 @@ def _run(method: str, representation: str, oracle, config,
     start = time.perf_counter()
     d = 2**n_qubits
     raw_dim = 2 * d if representation == "statevector" else 2 * d * d
-    decoder = _DECODERS[representation]
+    decode, candidate_cls = _DECODERS[representation]
     rng = Rng(config.seed)
     engine = _ENGINES[method](raw_dim, config, rng)
     evals = 0
-    decoded = []
+    decoded = None
     # looked up on the class: an oracle may offer only ``evaluate``
     evaluate_batch = getattr(type(oracle), "evaluate_batch", None)
 
     def score(raws: np.ndarray) -> np.ndarray:
         # the only place a raw vector becomes an oracle call
-        nonlocal evals
-        decoded[:] = [_decode_with_retry(decoder, raw, rng) for raw in raws]
+        nonlocal evals, decoded
+        decoded = decode(raws, rng)
         evals += len(decoded)
         if evaluate_batch is not None:
             return np.asarray(evaluate_batch(oracle, decoded), dtype=np.float64)
-        return np.array([oracle.evaluate(c) for c in decoded], dtype=np.float64)
+        return np.array([oracle.evaluate(candidate_cls(n_qubits, c)) for c in decoded],
+                        dtype=np.float64)
 
     trace, validation = [], []
     best_f, best_candidate = -math.inf, None
@@ -467,7 +499,7 @@ def _run(method: str, representation: str, oracle, config,
     for steps in range(1, engine.budget + 1):
         rewards = score(engine.ask())
         top = int(np.argmax(rewards))  # ties keep the first maximum
-        f, candidate = float(rewards[top]), decoded[top]
+        f, candidate = float(rewards[top]), candidate_cls(n_qubits, decoded[top])
         trace.append(f)
         if f > best_f:
             best_f, best_candidate = f, candidate

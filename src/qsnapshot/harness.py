@@ -356,9 +356,11 @@ def run_standard_states(spec: ExperimentSpec) -> list:
     Rows: {state, n_qubits, epochs_to_099, best_fidelity, epochs, error}.
     ``epochs_to_099`` is the first epoch whose validation fidelity reaches
     0.99, whatever ``spec.thresholds`` holds. Failures become NA rows rather
-    than aborting the sweep.
+    than aborting the sweep; a width without catalog states raises ValueError.
     """
     catalog = standard_states(spec.n_qubits)
+    if not catalog:
+        raise ValueError(f"the standard-state catalog has no {spec.n_qubits}-qubit states")
     rows = []
     for std, trial in zip(catalog, _run_trials(spec, [s.vector for s in catalog])):
         failed = trial.error is not None

@@ -38,7 +38,8 @@ class SnapshotNotFoundError(StoreError):
 
 
 class SnapshotIntegrityError(StoreError):
-    """Stored body does not hash to its identifier."""
+    """Stored body does not hash to its identifier, or its sidecar is not a
+    JSON object."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,12 @@ def withdraw(identifier: str, store_path) -> tuple:
     record = _decode_body(body)
     meta_file = store / f"{identifier}.json"
     if meta_file.exists():
-        metadata = json.loads(meta_file.read_text())
+        try:
+            metadata = json.loads(meta_file.read_bytes())  # empty, torn, not text
+            if not isinstance(metadata, dict):
+                raise ValueError("not an object")
+        except ValueError as exc:
+            raise SnapshotIntegrityError(f"metadata of {identifier}: {exc}") from exc
         record = SnapshotRecord(record.n_qubits, record.amplitudes, metadata)
     state = record.to_state()
     return state, mottonen_prepare(state)

@@ -68,6 +68,15 @@ class TestQuantumCircuit:
         circ = QuantumCircuit(1).add("MEASURE", 0).add("RESET", 0)
         circ.add("X", 0)  # allowed again
 
+    def test_measure_after_reset_closes_qubit_again(self):
+        # add follows gate order, as the constructor does
+        gates = [Gate("RESET", (0,)), Gate("MEASURE", (0,)), Gate("X", (0,))]
+        with pytest.raises(ValueError, match="follows MEASURE"):
+            QuantumCircuit(1, gates)
+        circ = QuantumCircuit(1).add("RESET", 0).add("MEASURE", 0)
+        with pytest.raises(ValueError, match="follows MEASURE"):
+            circ.add("X", 0)
+
     def test_qubit_bounds(self):
         with pytest.raises(ValueError):
             QuantumCircuit(1).add("X", 3)

@@ -86,6 +86,22 @@ class TestExitCodes:
                        "--qubits", "1", "--max-iter", "2") == 2
         assert "circuit has 2 qubits but the spec has n_qubits=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--gate", "1.0"]])
+    def test_runtime_error_standard_width_without_catalog(self, tmp_path, capsys, extra):
+        out = tmp_path / "o"
+        assert run_cli("standard", "--qubits", "4", "--out", str(out), *extra) == 2
+        assert "error: the standard-state catalog has no 4-qubit states" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_error_unreadable_sidecar(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        assert run_cli("deposit", "--state", str(state), "--store", str(tmp_path / "st")) == 0
+        ident = capsys.readouterr().out.strip()
+        (tmp_path / "st" / f"{ident}.json").write_text("")
+        assert run_cli("withdraw", ident, "--store", str(tmp_path / "st")) == 2
+        assert "error: metadata of" in capsys.readouterr().err
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsnapshot.circuit import (
     QuantumCircuit,
@@ -19,6 +21,7 @@ from qsnapshot.core import (
     DensityMatrix,
     Rng,
     StateVector,
+    hilbert_schmidt_overlap,
     overlap_fidelity,
     random_pure_state,
     uhlmann_fidelity,
@@ -38,6 +41,9 @@ from qsnapshot.estimators import (
     decode_candidate_density,
     decode_candidate_state,
     decode_candidate_unitary,
+    decode_densities,
+    decode_states,
+    decode_unitaries,
     reconstruct,
     train_gradient,
     train_qeswap,
@@ -130,6 +136,147 @@ class TestDecodeDensity:
             vals = np.linalg.eigvalsh(rho.entries)
             assert abs(np.trace(rho.entries).real - 1.0) < 1e-10
             assert vals[0] > -1e-9
+
+
+@st.composite
+def _raw_stacks(draw, matrix: bool):
+    """(batch, raw_dim) raws at n = 1..3 with zero and rank-deficient rows mixed in."""
+    n = draw(st.integers(1, 3))
+    d = 2**n
+    raws = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), 2 * (d * d if matrix else d)),
+                           elements=st.floats(-4, 4, width=64)))
+    for row in raws:
+        kind = draw(st.sampled_from(["as drawn", "zero", "rank one"]))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "rank one" and matrix:  # every column equal to the first
+            row.reshape(d, d, 2)[:] = row.reshape(d, d, 2)[:, :1]
+    return raws
+
+
+def _one_row_results(decode, raws):
+    """The one-row decoder on each row, or the first error it raises."""
+    try:
+        return [decode(raw) for raw in raws]
+    except ValueError as exc:
+        return exc
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchDecoders:
+    """Each batch decoder equals its one-row public decoder, row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raws=_raw_stacks(matrix=False))
+    def test_states(self, raws):
+        expected = _one_row_results(decode_candidate_state, raws)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=re.escape(str(expected))):
+                decode_states(raws)
+        else:
+            assert _same_bytes(decode_states(raws), np.stack([s.amplitudes for s in expected]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raws=_raw_stacks(matrix=True))
+    def test_densities(self, raws):
+        expected = _one_row_results(decode_candidate_density, raws)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=re.escape(str(expected))):
+                decode_densities(raws)
+        else:
+            assert _same_bytes(decode_densities(raws), np.stack([r.entries for r in expected]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raws=_raw_stacks(matrix=True))
+    def test_unitaries(self, raws):
+        expected = _one_row_results(decode_candidate_unitary, raws)
+        if isinstance(expected, Exception):  # without an rng nothing is redrawn
+            with pytest.raises(type(expected), match=re.escape(str(expected))):
+                decode_unitaries(raws)
+        else:
+            assert _same_bytes(decode_unitaries(raws), np.stack([q.entries for q in expected]))
+
+    @staticmethod
+    def _serial_retry(raws, rng):
+        """Per-row decode and retry, one row after the other."""
+        columns = []
+        for raw in raws:
+            for _attempt in range(5):
+                try:
+                    columns.append(decode_candidate_unitary(raw).apply_to_zero().amplitudes)
+                    break
+                except RankDeficientError:
+                    raw = raw + 1e-6 * rng.normal(raw.size)
+            else:
+                columns.append(decode_candidate_unitary(raw).apply_to_zero().amplitudes)
+        return np.stack(columns)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raws=_raw_stacks(matrix=True), seed=st.integers(0, 2**32 - 1))
+    def test_retry_follows_serial_rng_order(self, raws, seed):
+        serial_rng, batch_rng = Rng(seed), Rng(seed)
+        expected = self._serial_retry(raws, serial_rng)
+        assert _same_bytes(decode_unitaries(raws, batch_rng)[:, :, 0], expected)
+        assert batch_rng.normal(4).tolist() == serial_rng.normal(4).tolist()
+
+    def test_retry_gives_up_after_five_draws(self):
+        class ZeroRng:  # perturbations that never lift the rank
+            draws = 0
+
+            def normal(self, size):
+                self.draws += 1
+                return np.zeros(size)
+
+        raws = Rng(3).normal((3, 8))
+        raws[1] = 0.0
+        rng = ZeroRng()
+        with pytest.raises(RankDeficientError, match="rank-deficient"):
+            decode_unitaries(raws, rng)
+        assert rng.draws == 5
+
+
+def _serial_uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """The per-matrix Uhlmann formula, written out independently of the oracle."""
+    vals, vecs = np.linalg.eigh(rho)
+    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    vals = np.clip(np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho), 0.0, None)
+    vals[vals < 1e-14] = 0.0
+    f = float(np.sum(np.sqrt(vals)) ** 2)
+    return min(f, 1.0) if f <= 1.0 + 1e-8 else f
+
+
+class TestBatchedDensityOracles:
+    """evaluate_batch equals the per-matrix formulas on 5,000 decoded rows."""
+
+    N_ROWS = 5000
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def case(self, request):
+        n = request.param
+        rng = Rng(70 + n)
+        target = _random_rank2_density(n, rng)
+        rhos = decode_densities(rng.normal((self.N_ROWS, 2 * 4**n)))
+        return n, target, rhos
+
+    def test_hilbert_schmidt(self, case):
+        n, target, rhos = case
+        oracle = HilbertSchmidtOracle(target)
+        batch = oracle.evaluate_batch(rhos).tolist()
+        assert batch == [hilbert_schmidt_overlap(target, DensityMatrix(n, r)) for r in rhos]
+        assert batch[:50] == [oracle.evaluate(DensityMatrix(n, r)) for r in rhos[:50]]
+        assert oracle.evaluations == self.N_ROWS + 50
+
+    def test_uhlmann(self, case):
+        n, target, rhos = case
+        oracle = UhlmannOracle(target)
+        batch = oracle.evaluate_batch(rhos).tolist()
+        assert batch == [_serial_uhlmann(target.entries, r) for r in rhos]
+        assert batch[:50] == [oracle.evaluate(DensityMatrix(n, r)) for r in rhos[:50]]
+        assert batch[:50] == [uhlmann_fidelity(target, DensityMatrix(n, r)) for r in rhos[:50]]
+        assert oracle.evaluations == self.N_ROWS + 50
 
 
 class TestOracles:

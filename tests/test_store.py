@@ -133,6 +133,13 @@ class TestDepositWithdraw:
         with pytest.raises(SnapshotIntegrityError):
             withdraw(ident, tmp_path)
 
+    @pytest.mark.parametrize("sidecar", [b"", b'{"method": "qes', b"\xff\xfe{", b"[]"])
+    def test_bad_sidecar_is_a_store_error(self, tmp_path, sidecar):
+        ident = deposit(SnapshotRecord.from_state(random_pure_state(1, Rng(6))), tmp_path)
+        (tmp_path / f"{ident}.json").write_bytes(sidecar)
+        with pytest.raises(SnapshotIntegrityError, match=f"metadata of {ident}"):
+            withdraw(ident, tmp_path)
+
     def test_metadata_sidecar(self, tmp_path):
         record = SnapshotRecord.from_state(
             random_pure_state(1, Rng(4)), method="gradient", best_fidelity=0.997
