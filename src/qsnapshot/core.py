@@ -55,17 +55,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        check_unit_norm(amps)
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        _freeze(self, "amplitudes", check_unit_norm)
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
@@ -104,16 +94,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        d = 2**self.n_qubits
-        mat = np.asarray(self.entries, dtype=np.complex128)
-        if mat.shape != (d, d):
-            raise ValueError(f"expected shape ({d}, {d}), got {mat.shape}")
-        check_density(mat)
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "entries", mat)
+        _freeze(self, "entries", check_density)
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
@@ -138,27 +119,40 @@ class UnitaryMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        d = 2**self.n_qubits
-        mat = np.asarray(self.entries, dtype=np.complex128)
-        if mat.shape != (d, d):
-            raise ValueError(f"expected shape ({d}, {d}), got {mat.shape}")
-        check_unitary(mat)
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "entries", mat)
+        _freeze(self, "entries", check_unitary)
 
     def apply_to_zero(self) -> StateVector:
         """The state this unitary prepares from |0...0>."""
         return StateVector(self.n_qubits, self.entries[:, 0])
 
 
+def _freeze(obj, name: str, check) -> None:
+    """The value classes' shared constructor body: width and shape checks,
+    ``check``, then a read-only complex128 copy stored as ``name``."""
+    if obj.n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {obj.n_qubits}")
+    d = 2**obj.n_qubits
+    arr = np.asarray(getattr(obj, name), dtype=np.complex128)
+    if name == "amplitudes" and arr.shape != (d,):
+        raise ValueError(f"expected {d} amplitudes, got shape {arr.shape}")
+    if name == "entries" and arr.shape != (d, d):
+        raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
+    check(arr)
+    arr = arr.copy()
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+
+
 def check_unit_norm(amps: np.ndarray) -> None:
-    """Like every ``check_*``, this takes one object or a stack (leading axes)."""
-    norm = np.linalg.norm(amps, axis=-1)
-    if np.any(bad := np.abs(norm - 1.0) > NORM_TOL):
-        raise ValueError(f"state vector norm {norm[bad][0]} deviates from 1 beyond {NORM_TOL}")
+    """Like every ``check_*``, this takes one object or a stack (leading axes).
+    Each decision and message uses the row's 1-D ``np.linalg.norm``. The
+    stacked norm rounds differently, by far less than NORM_TOL / 2, so it
+    only picks the rows to look at."""
+    rows = np.reshape(amps, (-1, amps.shape[-1]))
+    for row in rows[np.abs(np.linalg.norm(rows, axis=-1) - 1.0) > 0.5 * NORM_TOL]:
+        norm = np.linalg.norm(row)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
 
 
 def check_density(mats: np.ndarray) -> None:

@@ -127,6 +127,14 @@ class _DensityOracle:
     def evaluate(self, candidate: DensityMatrix) -> float:
         return float(self.evaluate_batch(candidate.entries[None])[0])
 
+    def _counted(self, candidates) -> np.ndarray:
+        rhos = np.asarray(candidates)
+        if rhos.shape[1:] != self._target.entries.shape:
+            width = np.log2(rhos.shape[-1])
+            raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {width:g}")
+        self.evaluations += len(rhos)
+        return rhos
+
 
 class HilbertSchmidtOracle(_DensityOracle):
     """Tr(rho sigma) signal against a fixed target density matrix.
@@ -137,8 +145,7 @@ class HilbertSchmidtOracle(_DensityOracle):
     """
 
     def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
-        self.evaluations += len(candidates)
-        return np.trace(self._target.entries @ candidates, axis1=1, axis2=2).real
+        return np.trace(self._target.entries @ self._counted(candidates), axis1=1, axis2=2).real
 
 
 class UhlmannOracle(_DensityOracle):
@@ -150,8 +157,7 @@ class UhlmannOracle(_DensityOracle):
         self._sqrt_target = psd_sqrt(target.entries)
 
     def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
-        self.evaluations += len(candidates)
-        return uhlmann_fidelities(self._sqrt_target, candidates)
+        return uhlmann_fidelities(self._sqrt_target, self._counted(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +194,11 @@ def _decode_matrices(raws) -> np.ndarray:
     return z.reshape(-1, d, d)
 
 
-def decode_unitaries(raws: np.ndarray, rng: Rng | None = None, draws: int = 5) -> np.ndarray:
+def decode_unitaries(raws, rng: Rng | None = None) -> np.ndarray:
     """(batch, d, d) Q of a stacked QR, R's diagonal made real-positive. Given
     an rng, each rank-deficient row, in ascending order, is perturbed and
-    decoded again (up to ``draws`` times) before ``RankDeficientError``."""
+    decoded again, up to five draws, before ``RankDeficientError``."""
+    raws = np.asarray(raws, dtype=np.float64)
     m = _decode_matrices(raws)
     q, r = np.linalg.qr(m)
     diag = np.diagonal(r, axis1=1, axis2=2)
@@ -199,10 +206,16 @@ def decode_unitaries(raws: np.ndarray, rng: Rng | None = None, draws: int = 5) -
     q = q * (diag / np.where(deficient[:, None], 1.0, np.abs(diag)))[:, None, :]
     check_unitary(q[~deficient])
     for i in np.flatnonzero(deficient):
-        if rng is None or draws == 0:
+        raw = raws[i:i + 1]
+        for _ in range(5 if rng is not None else 0):
+            raw = raw + 1e-6 * rng.normal(raws.shape[1])
+            try:
+                q[i] = decode_unitaries(raw)[0]
+                break
+            except RankDeficientError:
+                pass
+        else:
             raise RankDeficientError("decoded matrix is numerically rank-deficient")
-        raw = raws[i] + 1e-6 * rng.normal(raws.shape[1])
-        q[i] = decode_unitaries(raw[None], rng, draws - 1)[0]
     return q
 
 

@@ -1,6 +1,7 @@
 """Tests for states, density matrices, fidelities, partial trace, entropy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qsnapshot.core import (
     Rng,
     StateVector,
     UnitaryMatrix,
+    check_unit_norm,
     half_chain_entropy,
     half_chain_keep,
     hilbert_schmidt_overlap,
@@ -55,6 +57,24 @@ class TestStateVector:
     def test_dimension_enforced(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    def test_shape_messages(self):
+        with pytest.raises(ValueError, match=re.escape("expected 4 amplitudes, got shape (2,)")):
+            StateVector(2, np.array([1.0, 0.0]))
+        for cls in (DensityMatrix, UnitaryMatrix):
+            with pytest.raises(ValueError, match=re.escape("expected shape (4, 4), got (2, 2)")):
+                cls(2, np.eye(2))
+
+    def test_norm_check_reports_the_1d_norm(self):
+        # the 1-D and the stacked (axis=-1) norm of this vector differ in the last bit
+        rng = Rng(2)
+        v = rng.normal(2) + 1j * rng.normal(2)
+        v = v / np.linalg.norm(v) * (1 + 1e-6)
+        message = re.escape(f"state vector norm {np.linalg.norm(v)} deviates")
+        with pytest.raises(ValueError, match=message):
+            StateVector(1, v)
+        with pytest.raises(ValueError, match=message):
+            check_unit_norm(np.stack([v / np.linalg.norm(v), v]))
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):

@@ -222,6 +222,12 @@ class TestBatchDecoders:
         assert _same_bytes(decode_unitaries(raws, batch_rng)[:, :, 0], expected)
         assert batch_rng.normal(4).tolist() == serial_rng.normal(4).tolist()
 
+    def test_retry_takes_a_list_of_rows(self):
+        raws = Rng(4).normal((3, 8))
+        raws[1] = 0.0
+        expected = decode_unitaries(raws, Rng(5))
+        assert _same_bytes(decode_unitaries([list(r) for r in raws], Rng(5)), expected)
+
     def test_retry_gives_up_after_five_draws(self):
         class ZeroRng:  # perturbations that never lift the rank
             draws = 0
@@ -277,6 +283,15 @@ class TestBatchedDensityOracles:
         assert batch[:50] == [oracle.evaluate(DensityMatrix(n, r)) for r in rhos[:50]]
         assert batch[:50] == [uhlmann_fidelity(target, DensityMatrix(n, r)) for r in rhos[:50]]
         assert oracle.evaluations == self.N_ROWS + 50
+
+    @pytest.mark.parametrize("oracle_cls", [HilbertSchmidtOracle, UhlmannOracle])
+    def test_width_mismatch(self, oracle_cls):
+        oracle = oracle_cls(DensityMatrix.maximally_mixed(2))
+        with pytest.raises(ValueError, match="qubit count mismatch: 2 vs 1"):
+            oracle.evaluate(DensityMatrix.maximally_mixed(1))
+        with pytest.raises(ValueError, match="qubit count mismatch: 2 vs 3"):
+            oracle.evaluate_batch(np.stack([np.eye(8) / 8] * 2))
+        assert oracle.evaluations == 0
 
 
 class TestOracles:
