@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -209,3 +210,52 @@ class TestOtherCommands:
                        "--max-iter", "150", "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / "mixed_diagnostic.json").read_text())
         assert payload["summary"]["n_targets"] == 1
+
+
+# SHA-256 of every file each fixed-seed run writes. Any change to the emitted
+# bytes (formatting, field order, float rendering, RNG draws) changes them.
+GOLDEN_OUTPUTS = {
+    "cohort": (("cohort", "--qubits", "2", "--trials", "2", "--max-iter", "10",
+                "--seed", "4"), {
+        "summary.json":
+            "fd1be368bb5855df9f53c7fd8128fd8a578489ea117b9529fd1ac0f8a8df26ce",
+        "trace.csv":
+            "544478c9bf363107915a93e3b6904ce1c88c118c4f151863f24e42e4cc54d450",
+        "trials.csv":
+            "bbd491da10a432968abff3272df03ba78cbd37eac8f42142b11bc3f0097a923f",
+    }),
+    "cohort-noisy": (("cohort", "--qubits", "1", "--trials", "1", "--max-iter", "3",
+                      "--noise", "paper", "--trajectories", "50", "--seed", "5"), {
+        "summary.json":
+            "5207ff53c54cd82ecca0d5736057048b848178dd82d51cae3842e4d1078cf3a5",
+        "trace.csv":
+            "40dd9dbf91a15dfad26c46cdba199ecdca0075b9d8f545e7897ab37cd506f317",
+        "trials.csv":
+            "8d9c137d7f10fdd668022fe9b73742ef26fd32cdb01067432ea9fa9efbd9cf08",
+    }),
+    "standard": (("standard", "--qubits", "2", "--max-iter", "10", "--seed", "6"), {
+        "standard.csv":
+            "0d5d5b3a2e46a5cf54b6a824b3b8bffe9102668d7e00cf0e42163883059cde1e",
+    }),
+    "entropy": (("entropy", "--qubits", "2", "--trials", "2", "--max-iter", "10",
+                 "--seed", "7"), {
+        "entropy.csv":
+            "67a9c83e7e23b80f04792753ae3ef226173ef63ef3af8ff10036d5877907f3ae",
+        "entropy.json":
+            "89f42455b669ed812ea04bd24600647ba57458d45a2a7e4d74d82d27e03afa5d",
+    }),
+    "mixed-diagnostic": (("mixed-diagnostic", "--qubits", "2", "--trials", "1",
+                          "--max-iter", "10", "--seed", "8"), {
+        "mixed_diagnostic.json":
+            "25bc567c9160bc6e7a59723d9fd95eaca936f27adc1cee687c472822ff88a7ed",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_OUTPUTS))
+def test_golden_outputs(case, tmp_path):
+    args, digests = GOLDEN_OUTPUTS[case]
+    assert run_cli(*args, "--out", str(tmp_path / "out")) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == digests

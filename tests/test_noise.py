@@ -4,6 +4,7 @@ The reference oracle here evolves a full density matrix through the same
 gate/channel sequence; trajectory averages must agree with it.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from qsnapshot.circuit import (
 )
 from qsnapshot.core import Rng, random_pure_state
 from qsnapshot.noise import (
+    ChannelApplication,
     KrausChannel,
+    NoiseModel,
     NoiseParams,
     UnsupportedRegimeError,
     _apply_channel_batch,
@@ -290,6 +293,22 @@ class TestCalibratedModel:
         noisy = execute_trajectories(test, model, 50, Rng(1))
         assert noisy == pytest.approx(exact, abs=1e-9)
 
+    def test_two_qubit_channel_on_one_qubit_kind_rejected(self):
+        with pytest.raises(ValueError):
+            NoiseModel({"X": [ChannelApplication(depolarizing_channel(0.1, 2))]})
+
+    def test_golden_trajectories_every_channel_kind(self):
+        # X, SX, RZ, CX (pair and operand channels), ID, DELAY and MEASURE:
+        # the digest pins the mean and how many draws the run consumed
+        circ = (QuantumCircuit(2).add("X", 1).add("SX", 0).add("RZ", 0, param=0.3)
+                .add("CX", 1, 0).add("ID", 1).add("DELAY", 0, param=500.0)
+                .add("SX", 1).add("CX", 0, 1).add("MEASURE", 0))
+        rng = Rng(12)
+        mean = execute_trajectories(circ, calibrated_noise_model(), 64, rng)
+        digest = hashlib.sha256(np.array([mean, *rng.uniform(4)], dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "2559c5ec3a6fb64f05ab0c1224c9e15279f5a9c9d9ddbd3df17301c8127f2ca7")
+
 
 class TestTrajectories:
     def test_identity_model_matches_analytic(self):
@@ -377,8 +396,6 @@ class TestTrajectories:
         h = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]])
         ch = KrausChannel((k0 @ h, k1 @ h), 1)
         assert ch._mix_weights is None and ch._effect_diagonals is None
-        from qsnapshot.noise import NoiseModel, ChannelApplication
-
         model = NoiseModel({"X": [ChannelApplication(ch)]})
         circ = QuantumCircuit(1).add("X", 0).add("MEASURE", 0)
         exact = dm_execute(circ, model)
