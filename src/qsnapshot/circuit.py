@@ -270,19 +270,18 @@ def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateV
     return StateVector.normalized(amps)
 
 
-def final_probabilities(circuit: QuantumCircuit, initial: StateVector | None = None):
-    """Final state of the unitary part and its basis probabilities."""
-    if initial is None:
-        initial = StateVector.computational_basis(circuit.n_qubits)
+def final_probabilities(circuit: QuantumCircuit) -> np.ndarray:
+    """Basis probabilities after the unitary part runs from |0...0>."""
+    initial = StateVector.computational_basis(circuit.n_qubits)
     state = execute_statevector(circuit.without_measurements(), initial)
-    return state, np.abs(state.amplitudes) ** 2
+    return np.abs(state.amplitudes) ** 2
 
 
 def ancilla_expectation(circuit: QuantumCircuit) -> float:
     """Exact <Z> on qubit 0 for a circuit measuring exactly that qubit."""
     if circuit.measured != (0,):
         raise ValueError(f"circuit must measure exactly qubit 0, measures {circuit.measured}")
-    _, probs = final_probabilities(circuit)
+    probs = final_probabilities(circuit)
     idx = np.arange(probs.size)
     p1 = float(np.sum(probs[(idx & 1) == 1]))
     return 1.0 - 2.0 * p1
@@ -295,7 +294,7 @@ def sample_shots(circuit: QuantumCircuit, shots: int, rng: Rng) -> ShotResult:
     measured = circuit.measured
     if not measured:
         raise ValueError("circuit has no measured qubits")
-    _, probs = final_probabilities(circuit)
+    probs = final_probabilities(circuit)
     outcomes = rng._gen.choice(probs.size, size=shots, p=probs / probs.sum())
     counts: dict = {}
     for outcome in outcomes:

@@ -27,8 +27,8 @@ from .harness import (
     run_midcircuit_snapshot,
     run_mixed_state_diagnostic,
     run_standard_states,
-    write_entropy_rows,
-    write_standard_rows,
+    write_json,
+    write_rows,
 )
 from .noise import NoiseParams
 from .store import SnapshotRecord, StoreError, deposit, list_snapshots, withdraw
@@ -116,9 +116,8 @@ def _cmd_cohort(args) -> int:
 def _cmd_standard(args) -> int:
     spec = _build_spec(args)
     rows = run_standard_states(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_standard_rows(rows, out / "standard.csv")
+    write_rows(Path(args.out) / "standard.csv", ["state", "n_qubits", "epochs_to_099",
+               "best_fidelity", "epochs", "error"], rows)
     for r in rows:
         fid = "NA" if r["best_fidelity"] is None else f"{r['best_fidelity']:.4f}"
         print(f"{r['state']}: fidelity {fid}")
@@ -136,12 +135,9 @@ def _cmd_entropy(args) -> int:
         raise UsageError("entropy analysis needs --qubits >= 2")
     summary = run_cohort(spec)
     analysis = run_entropy_analysis(summary)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_entropy_rows(analysis, out / "entropy.csv")
-    (out / "entropy.json").write_text(
-        json.dumps(analysis["summary"], indent=2, sort_keys=True) + "\n"
-    )
+    write_rows(Path(args.out) / "entropy.csv", ["trial", "entropy_target", "entropy_recon",
+               "abs_difference", "fidelity"], analysis["pairs"])
+    write_json(Path(args.out) / "entropy.json", analysis["summary"])
     print(f"entropy: {analysis['summary']['n_pairs']} pairs, mean |dS| "
           f"{analysis['summary']['mean_abs_difference']}")
     return EXIT_OK
@@ -173,11 +169,7 @@ def _cmd_mixed_diagnostic(args) -> int:
         n_qubits=args.n_qubits, n_targets=args.n_trials, seed=args.seed,
         max_iter=args.max_epochs or 300,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "mixed_diagnostic.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(Path(args.out) / "mixed_diagnostic.json", result)
     s = result["summary"]
     print(f"mixed diagnostic: {s['hs_driven_uhlmann_leq_095']}/{s['n_targets']} "
           f"Hilbert-Schmidt runs plateau <= 0.95; "

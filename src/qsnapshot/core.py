@@ -106,10 +106,6 @@ class DensityMatrix:
         d = 2**n_qubits
         return cls(n_qubits, np.eye(d, dtype=np.complex128) / d)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
@@ -148,6 +144,8 @@ def check_unit_norm(amps: np.ndarray) -> None:
     Each decision and message uses the row's 1-D ``np.linalg.norm``. The
     stacked norm rounds differently, by far less than NORM_TOL / 2, so it
     only picks the rows to look at."""
+    if not np.isfinite(amps).all():
+        raise ValueError("state vector has a non-finite amplitude")
     rows = np.reshape(amps, (-1, amps.shape[-1]))
     for row in rows[np.abs(np.linalg.norm(rows, axis=-1) - 1.0) > 0.5 * NORM_TOL]:
         norm = np.linalg.norm(row)
@@ -156,6 +154,8 @@ def check_unit_norm(amps: np.ndarray) -> None:
 
 
 def check_density(mats: np.ndarray) -> None:
+    if not np.isfinite(mats).all():
+        raise ValueError("density matrix has a non-finite entry")
     if np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2)), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     tr = np.trace(mats, axis1=-2, axis2=-1).real
@@ -167,6 +167,8 @@ def check_density(mats: np.ndarray) -> None:
 
 
 def check_unitary(mats: np.ndarray) -> None:
+    if not np.isfinite(mats).all():
+        raise ValueError("unitary matrix has a non-finite entry")
     gram = np.swapaxes(mats.conj(), -1, -2) @ mats
     if np.max(np.abs(gram - np.eye(mats.shape[-1])), initial=0.0) > UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
@@ -219,8 +221,10 @@ def uhlmann_fidelities(sqrt_rho: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     vals = np.clip(np.linalg.eigvalsh(sqrt_rho @ sigmas @ sqrt_rho), 0.0, None)
     vals[vals < 1e-14] = 0.0  # sqrt would amplify eigenvalue dust to ~1e-7
     # squared per row as a Python float: an array square rounds differently
-    fs = [s ** 2 for s in np.sqrt(vals).sum(axis=1).tolist()]
-    return np.array([min(f, 1.0) if f <= 1.0 + 1e-8 else f for f in fs])
+    fs = np.array([s ** 2 for s in np.sqrt(vals).sum(axis=1).tolist()])
+    if np.any(bad := fs > 1.0 + 1e-8):
+        raise ValueError(f"Uhlmann fidelity {fs[bad][0]} exceeds 1 beyond 1e-8")
+    return np.minimum(fs, 1.0)
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:

@@ -313,12 +313,10 @@ class GeneratorNetwork:
 class Adam:
     """Adam with canonical beta/epsilon constants; lr is the tunable."""
 
-    def __init__(self, shapes, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -327,13 +325,13 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            m_hat = m / (1 - self.BETA1**t)
+            v_hat = v / (1 - self.BETA2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import csv
 import datetime
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -510,8 +510,23 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
 # Emission
 
 
-def _json_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n"
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON with a trailing newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+
+
+def write_rows(path, fields, rows) -> None:
+    """Write dict ``rows`` as CSV under a ``fields`` header, creating the
+    parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def emit_report(cohort: CohortSummary, out_dir, include_timestamp: bool = False):
@@ -521,34 +536,22 @@ def emit_report(cohort: CohortSummary, out_dir, include_timestamp: bool = False)
     created_at timestamp is isolated to one metadata field of summary.json.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = cohort.to_json_dict()
     if include_timestamp:
         payload["meta"] = {
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat()
         }
-    (out / "summary.json").write_bytes(_json_bytes(payload))
-
-    trial_fields = ["trial", "seed", "best_fidelity", "validation_fidelity",
-                    "epochs", "oracle_evals", "entropy_target", "entropy_recon",
-                    "error"]
-    for thr in cohort.spec.thresholds:
-        trial_fields.append(f"epochs_to_{thr}")
-    with open(out / "trials.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=trial_fields)
-        writer.writeheader()
-        for t in cohort.trials:
-            row = {k: getattr(t, k) for k in trial_fields if hasattr(t, k)}
-            for thr in cohort.spec.thresholds:
-                row[f"epochs_to_{thr}"] = t.epochs_to_threshold[thr]
-            writer.writerow(row)
-
-    with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "epoch", "fidelity"])
-        for t in cohort.trials:
-            for epoch, fid in enumerate(t.validation_trace, 1):
-                writer.writerow([t.trial, epoch, fid])
+    write_json(out / "summary.json", payload)
+    fields = ["trial", "seed", "best_fidelity", "validation_fidelity", "epochs",
+              "oracle_evals", "entropy_target", "entropy_recon", "error"]
+    thresholds = cohort.spec.thresholds
+    write_rows(out / "trials.csv", fields + [f"epochs_to_{thr}" for thr in thresholds], (
+        {**{k: getattr(t, k) for k in fields},
+         **{f"epochs_to_{thr}": t.epochs_to_threshold[thr] for thr in thresholds}}
+        for t in cohort.trials))
+    write_rows(out / "trace.csv", ["trial", "epoch", "fidelity"], (
+        {"trial": t.trial, "epoch": epoch, "fidelity": fid}
+        for t in cohort.trials for epoch, fid in enumerate(t.validation_trace, 1)))
     return [out / "summary.json", out / "trials.csv", out / "trace.csv"]
 
 
@@ -565,19 +568,3 @@ def load_trace_csv(path) -> list:
              "fidelity": float(r["fidelity"])}
             for r in csv.DictReader(fh)
         ]
-
-
-def write_standard_rows(rows: list, out_path):
-    fields = ["state", "n_qubits", "epochs_to_099", "best_fidelity", "epochs", "error"]
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_entropy_rows(analysis: dict, out_path):
-    fields = ["trial", "entropy_target", "entropy_recon", "abs_difference", "fidelity"]
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(analysis["pairs"])

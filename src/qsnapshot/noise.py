@@ -2,12 +2,13 @@
 
 Channels are synthesized from scalar calibration parameters (bit-flip
 probability, depolarizing rates, T1/T2 relaxation over gate durations) and
-attached per gate kind. Trajectory execution is vectorized across
-trajectories; averaging reproduces the density-matrix evolution. Each channel
-step first chooses one operator per trajectory (static weights for unitary
-mixtures, local populations for diagonal effects, the local Gram matrix
-otherwise), then applies the chosen operators as one per-row stack through
-circuit.apply_matrix; rows that choose an identity are left untouched.
+attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
+on the CX pair. Trajectory execution is vectorized across trajectories;
+averaging reproduces the density-matrix evolution. Each channel step first
+chooses one operator per trajectory (static weights for unitary mixtures,
+local populations for diagonal effects, the local Gram matrix otherwise), then
+applies the chosen operators as one per-row stack through circuit.apply_matrix;
+rows that choose an identity are left untouched.
 """
 
 from __future__ import annotations
@@ -230,22 +231,15 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class ChannelApplication:
-    """One channel attached to a gate kind.
-
-    ``scope`` is "operands" (1-qubit channel applied to every operand in
-    turn) or "pair" (2-qubit channel applied to the gate's qubit pair).
-    """
+    """One channel attached to a gate kind."""
 
     channel: KrausChannel
-    scope: str = "operands"
 
-    def __post_init__(self):
-        if self.scope not in ("operands", "pair"):
-            raise ValueError(f"unknown scope {self.scope!r}")
-        if self.scope == "pair" and self.channel.arity != 2:
-            raise ValueError("pair scope requires a 2-qubit channel")
-        if self.scope == "operands" and self.channel.arity != 1:
-            raise ValueError("operands scope requires a 1-qubit channel")
+    @property
+    def scope(self) -> str:
+        """From the arity: "pair" (a 2-qubit channel on the gate's qubit pair)
+        or "operands" (a 1-qubit channel on every operand in turn)."""
+        return "pair" if self.channel.arity == 2 else "operands"
 
 
 @dataclass(frozen=True)
@@ -263,6 +257,8 @@ class NoiseModel:
             for app in apps:
                 if not isinstance(app, ChannelApplication):
                     raise ValueError("assignments must hold ChannelApplication entries")
+                if app.channel.arity == 2 and kind != "CX":  # only CX takes two qubits
+                    raise ValueError(f"2-qubit channel assigned to 1-qubit gate kind {kind!r}")
 
     def channels_for(self, gate) -> list:
         apps = list(self.assignments.get(gate.kind, ()))
@@ -289,7 +285,7 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
     flip = ChannelApplication(bit_flip_channel(params.bit_flip_p))
     single = [depol1, flip]
     cx = [
-        ChannelApplication(depolarizing_channel(params.depol_2q, 2), scope="pair"),
+        ChannelApplication(depolarizing_channel(params.depol_2q, 2)),
         ChannelApplication(
             thermal_relaxation_channel(params.t1, params.t2, params.gate_len_2q)
         ),
@@ -379,13 +375,9 @@ def execute_trajectories(
     amps = np.zeros((trajectories, 2**n), dtype=np.complex128)
     amps[:, 0] = 1.0
     for gate in circuit.gates:
-        apps = model.channels_for(gate)
-        if gate.kind == "MEASURE":
-            for app in apps:
-                amps = _apply_channel_batch(amps, app.channel, gate.qubits, n, rng)
-            continue
-        amps = apply_gate(amps, gate, n)
-        for app in apps:
+        if gate.kind != "MEASURE":
+            amps = apply_gate(amps, gate, n)
+        for app in model.channels_for(gate):
             if app.scope == "pair":
                 amps = _apply_channel_batch(amps, app.channel, gate.qubits, n, rng)
             else:

@@ -108,7 +108,8 @@ def _atomic_write(path: Path, data: bytes):
 
 
 def deposit(record: SnapshotRecord, store_path) -> str:
-    """Durably write a record; returns its content identifier (idempotent)."""
+    """Durably write a record; returns its content identifier (idempotent).
+    A stored body that differs from the record's (torn) is written again."""
     store = Path(store_path)
     try:
         store.mkdir(parents=True, exist_ok=True)
@@ -116,7 +117,7 @@ def deposit(record: SnapshotRecord, store_path) -> str:
         ident = hashlib.sha256(body).hexdigest()
         body_file = store / f"{ident}.qsnap"
         meta_file = store / f"{ident}.json"
-        if body_file.exists():
+        if body_file.exists() and body_file.read_bytes() == body:
             return ident
         # sidecar first: the body's existence marks the record complete
         _atomic_write(

@@ -194,6 +194,16 @@ class TestUhlmannFidelity:
             assert uhlmann_fidelity(ra, rb) == pytest.approx(f, abs=1e-7)
 
 
+@pytest.mark.parametrize("cls,entries", [
+    (StateVector, [np.nan, 0.0]),
+    (DensityMatrix, [[np.nan, 0.0], [0.0, 1.0]]),
+    (UnitaryMatrix, [[np.nan, 0.0], [0.0, 1.0]]),
+])
+def test_non_finite_entries_rejected(cls, entries):
+    with pytest.raises(ValueError, match="non-finite"):
+        cls(1, np.array(entries))
+
+
 class TestUnitaryMatrix:
     def test_unitarity_enforced(self):
         with pytest.raises(ValueError):

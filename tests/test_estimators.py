@@ -228,6 +228,13 @@ class TestBatchDecoders:
         expected = decode_unitaries(raws, Rng(5))
         assert _same_bytes(decode_unitaries([list(r) for r in raws], Rng(5)), expected)
 
+    @pytest.mark.parametrize("decode", [decode_states, decode_unitaries, decode_densities])
+    def test_non_finite_raws_rejected(self, decode):
+        raws = Rng(6).normal((2, 8))
+        raws[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(raws)
+
     def test_retry_gives_up_after_five_draws(self):
         class ZeroRng:  # perturbations that never lift the rank
             draws = 0
@@ -283,6 +290,13 @@ class TestBatchedDensityOracles:
         assert batch[:50] == [oracle.evaluate(DensityMatrix(n, r)) for r in rhos[:50]]
         assert batch[:50] == [uhlmann_fidelity(target, DensityMatrix(n, r)) for r in rhos[:50]]
         assert oracle.evaluations == self.N_ROWS + 50
+
+    def test_uhlmann_rejects_stack_that_is_not_unit_trace(self):
+        target = _random_rank2_density(2, Rng(43))
+        with pytest.raises(ValueError, match="exceeds 1 beyond 1e-8") as err:
+            UhlmannOracle(target).evaluate_batch(2 * target.entries[None])
+        # F(rho, 2 rho) = 2, and the message names it
+        assert float(str(err.value).split()[2]) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("oracle_cls", [HilbertSchmidtOracle, UhlmannOracle])
     def test_width_mismatch(self, oracle_cls):

@@ -124,6 +124,14 @@ class TestDepositWithdraw:
         assert meta["method"] == "qeswap"
         assert meta["label"] == "crash"
 
+    def test_torn_body_is_repaired(self, tmp_path):
+        record = SnapshotRecord.from_state(random_pure_state(2, Rng(9)), label="torn")
+        ident = deposit(record, tmp_path)
+        (tmp_path / f"{ident}.qsnap").write_bytes(b"")
+        assert deposit(record, tmp_path) == ident
+        state, _ = withdraw(ident, tmp_path)
+        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+
     def test_corruption_detected(self, tmp_path):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(2, Rng(3))), tmp_path)
         body_file = tmp_path / f"{ident}.qsnap"
