@@ -169,6 +169,8 @@ def _complex_rows(raws) -> np.ndarray:
     raws = np.asarray(raws, dtype=np.float64)
     if raws.ndim != 2 or raws.shape[1] % 2 != 0:
         raise ValueError(f"raw vector must have even length, got shape {raws.shape[1:]}")
+    if not np.isfinite(raws).all():  # before any division can warn on it
+        raise ValueError("raw vector has a non-finite entry")
     return raws[:, 0::2] + 1j * raws[:, 1::2]
 
 
@@ -311,27 +313,46 @@ class GeneratorNetwork:
 
 
 class Adam:
-    """Adam with canonical beta/epsilon constants; lr is the tunable."""
+    """Adam with canonical beta/epsilon constants; lr is the tunable. ``step``
+    updates m, v and the parameters in place, BLOCK elements at a time through
+    two scratch arrays, in the whole-array formula's order: the same bits."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    BLOCK = 2**15  # float64 elements, 256 KiB; 2**17 and up ran slower on the n = 1 network
 
     def __init__(self, shapes, lr: float = 1e-4):
         self.lr = lr
         self.step_count = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._scratch = np.empty((2, self.BLOCK))
 
     def step(self, params, grads):
+        if any(not p.flags.c_contiguous or np.shape(g) != p.shape  # else reshape copies
+               for p, g, _ in zip(params, grads, self.m, strict=True)):
+            raise ValueError("Adam needs C-contiguous parameters and same-shape gradients")
         self.step_count += 1
         t = self.step_count
+        c1, c2 = 1 - self.BETA1**t, 1 - self.BETA2**t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.BETA1
-            m += (1 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1 - self.BETA2) * g * g
-            m_hat = m / (1 - self.BETA1**t)
-            v_hat = v / (1 - self.BETA2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
+            for i in range(0, p.size, self.BLOCK):
+                pb, gb, mb, vb = (x[i:i + self.BLOCK] for x in (p, g, m, v))
+                a, b = self._scratch[:, :pb.size]
+                mb *= self.BETA1
+                np.multiply(1 - self.BETA1, gb, out=a)
+                mb += a
+                vb *= self.BETA2
+                np.multiply(1 - self.BETA2, gb, out=a)
+                a *= gb
+                vb += a
+                np.divide(mb, c1, out=a)  # m_hat
+                np.divide(vb, c2, out=b)  # v_hat
+                np.sqrt(b, out=b)
+                b += self.EPS
+                a *= self.lr
+                a /= b
+                pb -= a
 
 
 # ---------------------------------------------------------------------------

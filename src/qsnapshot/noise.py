@@ -7,8 +7,8 @@ on the CX pair. Trajectory execution is vectorized across trajectories;
 averaging reproduces the density-matrix evolution. Each channel step first
 chooses one operator per trajectory (static weights for unitary mixtures,
 local populations for diagonal effects, the local Gram matrix otherwise), then
-applies the chosen operators as one per-row stack through circuit.apply_matrix;
-rows that choose an identity are left untouched.
+applies the most frequent choice as one shared matrix and the others as a
+per-row stack through circuit.apply_matrix; identity rows are left untouched.
 """
 
 from __future__ import annotations
@@ -319,15 +319,17 @@ def _apply_channel_batch(
     amps: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int, rng: Rng
 ) -> np.ndarray:
     """Stochastically apply one Kraus channel to a (trajectories, dim) batch:
-    choose one operator per row, then apply the chosen operators as one
-    per-row stack."""
+    choose one operator per row, then apply the chosen operators: the most
+    frequent one as a shared matrix, the rest as a per-row stack. Rows that
+    draw an identity keep their bytes."""
     if channel.is_identity:
         return amps
     batch = amps.shape[0]
     u = rng.uniform(batch)
-    if channel._mix_weights is not None:
+    weights = channel._mix_weights
+    if weights is not None:
         # operators proportional to unitaries: static probabilities
-        probs = channel._mix_weights[:, None]
+        probs = weights[:, None]
     else:
         views = [v.reshape(batch, -1) for v in _local_views(amps, qubits, n_qubits)]
         if channel._effect_diagonals is not None:
@@ -343,14 +345,22 @@ def _apply_channel_batch(
         probs /= probs.sum(axis=0, keepdims=True)
     choice = (u[None, :] > np.cumsum(probs, axis=0)).sum(axis=0)
     choice = np.minimum(choice, len(channel.operators) - 1)
-    rows = np.flatnonzero(~channel._skip[choice])
-    if rows.size == 0:
-        return amps
-    sub = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
-    if channel._mix_weights is None:
-        sub /= np.linalg.norm(sub, axis=1, keepdims=True)
-    out = amps.copy()
-    out[rows] = sub
+    skipped = channel._skip[choice]
+    # the usual draw: a mixture's is known in advance, any other's is counted
+    common = np.argmax(weights if weights is not None else np.bincount(choice))
+    if channel._skip[common]:  # a mixture whose usual draw is the identity
+        rows = np.flatnonzero(~skipped)
+        if rows.size == 0:
+            return amps
+        out = amps.copy()
+    else:  # the usual draw as one shared matrix; identity draws keep their rows
+        rows = np.flatnonzero((choice != common) & ~skipped)
+        out = apply_matrix(amps, channel._stack[common], qubits, n_qubits)
+        out[skipped] = amps[skipped]
+    if rows.size:  # the other draws as a per-row stack
+        out[rows] = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
+    if weights is None:  # only mixtures have identity draws
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
     return out
 
 

@@ -7,6 +7,7 @@ and its preparation circuit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -109,7 +110,8 @@ def _atomic_write(path: Path, data: bytes):
 
 def deposit(record: SnapshotRecord, store_path) -> str:
     """Durably write a record; returns its content identifier (idempotent).
-    A stored body that differs from the record's (torn) is written again."""
+    A stored body that differs from the record's, or a sidecar that does not
+    parse to its metadata (torn), is written again."""
     store = Path(store_path)
     try:
         store.mkdir(parents=True, exist_ok=True)
@@ -118,7 +120,9 @@ def deposit(record: SnapshotRecord, store_path) -> str:
         body_file = store / f"{ident}.qsnap"
         meta_file = store / f"{ident}.json"
         if body_file.exists() and body_file.read_bytes() == body:
-            return ident
+            with contextlib.suppress(OSError, ValueError):  # a missing or torn sidecar
+                if json.loads(meta_file.read_bytes()) == record.metadata:
+                    return ident
         # sidecar first: the body's existence marks the record complete
         _atomic_write(
             meta_file,

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,16 @@ class TestBatchDecoders:
         raws[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             decode(raws)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("decode", [decode_states, decode_unitaries, decode_densities])
+    def test_non_finite_raws_rejected_before_any_warning(self, decode, bad):
+        raws = Rng(6).normal((2, 8))
+        raws[1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            with pytest.raises(ValueError, match="non-finite"):
+                decode(raws)
 
     def test_retry_gives_up_after_five_draws(self):
         class ZeroRng:  # perturbations that never lift the rank
@@ -534,6 +545,30 @@ class TestGeneratorNetwork:
             assert grads_w[0][i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
 
+class _WholeArrayAdam:
+    """The whole-array Adam update the blocked in-place one must reproduce."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes, lr):
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads):
+        self.step_count += 1
+        t = self.step_count
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            m_hat = m / (1 - self.BETA1**t)
+            v_hat = v / (1 - self.BETA2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
 class TestAdam:
     def test_minimizes_quadratic(self):
         p = np.array([5.0])
@@ -541,6 +576,42 @@ class TestAdam:
         for _ in range(500):
             adam.step([p], [2 * p])
         assert abs(p[0]) < 1e-3
+
+    @pytest.mark.parametrize("size", [1, Adam.BLOCK - 1, Adam.BLOCK, Adam.BLOCK + 1,
+                                      2 * Adam.BLOCK + 7])
+    def test_blocked_update_matches_whole_array_bit_for_bit(self, size):
+        shapes = [(size,), (37, 1500), (3,)]  # a 2-D parameter spans two blocks
+        gen = np.random.default_rng(size)
+        params = [gen.normal(size=s) for s in shapes]
+        expected = [p.copy() for p in params]
+        adam, reference = Adam(shapes, lr=1e-3), _WholeArrayAdam(shapes, lr=1e-3)
+        for step in range(4):
+            # magnitudes from 1e-9 to 1e3: the eps term and the large steps both matter
+            grads = [gen.normal(size=s) * 10.0 ** gen.integers(-9, 4, size=s) for s in shapes]
+            before = [g.copy() for g in grads]
+            adam.step(params, grads)
+            reference.step(expected, before)
+            assert all(g.tobytes() == b.tobytes() for g, b in zip(grads, before))
+        for got, want in [(params, expected), (adam.m, reference.m), (adam.v, reference.v)]:
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("view", [lambda a: a[:, ::2], np.asfortranarray])
+    def test_non_contiguous_parameter_rejected(self, view):
+        p = view(np.zeros((4, 6)))
+        adam = Adam([p.shape], lr=0.1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam.step([p], [np.ones(p.shape)])
+
+    @pytest.mark.parametrize("grads", [[np.ones(3)], [np.ones(5), np.ones(2)],
+                                       [np.ones((3, 1)), np.ones(2)], [1.0, np.ones(2)]])
+    def test_gradients_must_match_parameters(self, grads):
+        params = [np.zeros(3), np.zeros(2)]
+        adam = Adam([p.shape for p in params], lr=0.1)
+        with pytest.raises(ValueError):
+            adam.step(params, grads)
+        assert not any(p.any() for p in params) and adam.step_count == 0
 
 
 class TestReport:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qsnapshot.circuit import (
     Gate,
     QuantumCircuit,
+    _local_views,
     ancilla_expectation,
     apply_gate,
     apply_matrix,
@@ -113,10 +114,79 @@ def dm_execute(circuit, model):
 
 
 # ---------------------------------------------------------------------------
+# Channel-step reference and channels that exercise each of its paths
+
+
+def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
+    """The channel step with every chosen operator in one per-row stack; the
+    step with a shared matrix for the most frequent choice must match it."""
+    if channel.is_identity:
+        return amps
+    batch = amps.shape[0]
+    u = rng.uniform(batch)
+    if channel._mix_weights is not None:
+        probs = channel._mix_weights[:, None]
+    else:
+        views = [v.reshape(batch, -1) for v in _local_views(amps, qubits, n_qubits)]
+        if channel._effect_diagonals is not None:
+            populations = np.array([np.sum(np.abs(v) ** 2, axis=1) for v in views])
+            probs = channel._effect_diagonals @ populations
+        else:
+            m = np.stack(views, axis=1)
+            gram = np.einsum("bir,bjr->bij", m, m.conj())
+            probs = np.einsum("kij,bji->kb", channel._effects, gram).real
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum(axis=0, keepdims=True)
+    choice = (u[None, :] > np.cumsum(probs, axis=0)).sum(axis=0)
+    choice = np.minimum(choice, len(channel.operators) - 1)
+    rows = np.flatnonzero(~channel._skip[choice])
+    if rows.size == 0:
+        return amps
+    sub = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
+    if channel._mix_weights is None:
+        sub /= np.linalg.norm(sub, axis=1, keepdims=True)
+    out = amps.copy()
+    out[rows] = sub
+    return out
+
+
+def _damping_in_x_basis():
+    """Amplitude damping conjugated by H: non-diagonal effects, not a mixture."""
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+    return KrausChannel(tuple(h @ k @ h for k in
+                              thermal_relaxation_channel(100.0, 100.0, 30000.0).operators), 1)
+
+
+_CALIBRATED = {id(app.channel): app.channel
+               for apps in calibrated_noise_model().assignments.values() for app in apps}
+_STEP_CHANNELS = {
+    **{f"calibrated {i}": channel for i, channel in enumerate(_CALIBRATED.values())},
+    "flip 0.8": bit_flip_channel(0.8),  # the usual draw is X, not the identity
+    "depolarizing 0.9": depolarizing_channel(0.9, 2),
+    "relaxation 200 us": thermal_relaxation_channel(100.0, 80.0, 200000.0),
+    "general": _damping_in_x_basis(),
+}
 
 
 class TestGateKernel:
     """apply_matrix, RESET and the channel step against dense references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(_STEP_CHANNELS)))
+    def test_channel_step_matches_per_row_stack_bit_for_bit(self, data, name):
+        channel = _STEP_CHANNELS[name]
+        n = data.draw(st.integers(channel.arity, 3))
+        qubits = tuple(data.draw(st.permutations(range(n)))[:channel.arity])
+        batch = data.draw(st.sampled_from([1, 2, 7, 300]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        gen = np.random.default_rng(seed)
+        amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        rng, reference_rng = Rng(seed), Rng(seed)
+        got = _apply_channel_batch(amps.copy(), channel, qubits, n, rng)
+        want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), form=st.sampled_from(["flat", "batched", "stack"]))

@@ -132,6 +132,24 @@ class TestDepositWithdraw:
         state, _ = withdraw(ident, tmp_path)
         assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
 
+    @pytest.mark.parametrize("sidecar", [b"", b'{"method": "qes', b"[]", b'{"label": "other"}'])
+    def test_torn_sidecar_is_repaired(self, tmp_path, sidecar):
+        record = SnapshotRecord.from_state(random_pure_state(2, Rng(9)),
+                                           method="qeswap", label="torn")
+        ident = deposit(record, tmp_path)
+        (tmp_path / f"{ident}.json").write_bytes(sidecar)
+        assert deposit(record, tmp_path) == ident
+        state, _ = withdraw(ident, tmp_path)
+        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        assert json.loads((tmp_path / f"{ident}.json").read_text()) == record.metadata
+
+    def test_missing_sidecar_is_repaired(self, tmp_path):
+        record = SnapshotRecord.from_state(random_pure_state(1, Rng(9)), label="gone")
+        ident = deposit(record, tmp_path)
+        (tmp_path / f"{ident}.json").unlink()
+        assert deposit(record, tmp_path) == ident
+        assert json.loads((tmp_path / f"{ident}.json").read_text())["label"] == "gone"
+
     def test_corruption_detected(self, tmp_path):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(2, Rng(3))), tmp_path)
         body_file = tmp_path / f"{ident}.qsnap"
