@@ -585,7 +585,7 @@ class TestAdam:
         params = [gen.normal(size=s) for s in shapes]
         expected = [p.copy() for p in params]
         adam, reference = Adam(shapes, lr=1e-3), _WholeArrayAdam(shapes, lr=1e-3)
-        for step in range(4):
+        for _ in range(4):
             # magnitudes from 1e-9 to 1e3: the eps term and the large steps both matter
             grads = [gen.normal(size=s) * 10.0 ** gen.integers(-9, 4, size=s) for s in shapes]
             before = [g.copy() for g in grads]
