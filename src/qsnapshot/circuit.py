@@ -306,6 +306,10 @@ def sample_shots(circuit: QuantumCircuit, shots: int, rng: Rng) -> ShotResult:
 # ---------------------------------------------------------------------------
 # Mottonen state preparation (uniformly controlled rotations, Gray-code CX)
 
+# A rotation angle, or every phase of a state, at most this far from 0 is
+# left out of the preparation (the batched kernel applies it as an exact 0).
+SKIP_TOL = 1e-15
+
 
 @functools.lru_cache(maxsize=None)
 def _gray_signs(k: int) -> np.ndarray:
@@ -339,7 +343,7 @@ def _mottonen_thetas(amps: np.ndarray) -> tuple:
         blocks = phases.reshape(batch, -1, 2 * half)
         rz.append(_multiplexor_thetas(
             np.sum(blocks[..., half:] - blocks[..., :half], axis=-1) / half))
-    phased = np.max(np.abs(phases), axis=1) > 1e-15
+    phased = np.max(np.abs(phases), axis=1) > SKIP_TOL
     return np.concatenate(ry, axis=1), np.concatenate(rz, axis=1), phased
 
 
@@ -368,7 +372,7 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
     Uniformly controlled RY cascade for magnitudes, then a uniformly
     controlled RZ cascade for phases; multiplexors reduce to rotations
     interleaved with Gray-code CX ladders. Emits only RY, RZ, CX, leaving out
-    rotations with |theta| <= 1e-15 and the RZ cascade if no phase exceeds that.
+    rotations with |theta| <= SKIP_TOL and the RZ cascade if no phase exceeds it.
     """
     n = target.n_qubits
     ry, rz, phased = _mottonen_thetas(target.amplitudes[None, :])
@@ -377,7 +381,7 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
         for slot, a, b in _mottonen_template(n):
             if slot == "CX":
                 gates.append(Gate("CX", (a, b)))
-            elif abs(thetas[b]) > 1e-15:
+            elif abs(thetas[b]) > SKIP_TOL:
                 gates.append(Gate(kind, (a,), float(thetas[b])))
     return QuantumCircuit(n, gates)
 
@@ -505,8 +509,8 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
     if candidates.shape[1] != 2**n or head.shape != (2**width,):
         raise ValueError(f"{candidates.shape[1]} amplitudes do not fit a head of {head.size}")
     ry, rz, phased = _mottonen_thetas(candidates)
-    ry[np.abs(ry) <= 1e-15] = 0.0
-    rz[(np.abs(rz) <= 1e-15) | ~phased[:, None]] = 0.0
+    ry[np.abs(ry) <= SKIP_TOL] = 0.0
+    rz[(np.abs(rz) <= SKIP_TOL) | ~phased[:, None]] = 0.0
     amps = np.repeat(head[None, :], len(candidates), axis=0)
     for mats in (ry_matrix(ry), rz_matrix(rz))[: 1 + int(phased.any())]:
         for slot, a, b in _mottonen_template(n):

@@ -65,12 +65,19 @@ def _parse_shots(text: str) -> int | None:
     return shots
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given: the library owns every default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _build_spec(args) -> ExperimentSpec:
-    # a spec or noise file the library rejects is a runtime failure (exit 2);
-    # a field whose flag the subcommand does not take keeps its default
-    given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)
-             if getattr(args, f.name, None) is not None}
-    given.update(noise=_parse_noise(args.noise), shots=_parse_shots(args.shots))
+    # a spec or noise file the library rejects is a runtime failure (exit 2)
+    given = _given(args, [f.name for f in fields(ExperimentSpec)])
+    if "noise" in given:
+        given["noise"] = _parse_noise(given["noise"])
+    if "shots" in given:
+        given["shots"] = _parse_shots(given["shots"])
     return ExperimentSpec(**given)
 
 
@@ -165,10 +172,10 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_mixed_diagnostic(args) -> int:
+    names = {"n_qubits": "n_qubits", "n_trials": "n_targets", "seed": "seed",
+             "max_epochs": "max_iter"}
     result = run_mixed_state_diagnostic(
-        n_qubits=args.n_qubits, n_targets=args.n_trials, seed=args.seed,
-        max_iter=args.max_epochs or 300,
-    )
+        **{names[k]: v for k, v in _given(args, names).items()})
     write_json(Path(args.out) / "mixed_diagnostic.json", result)
     s = result["summary"]
     print(f"mixed diagnostic: {s['hs_driven_uhlmann_leq_095']}/{s['n_targets']} "
@@ -223,24 +230,24 @@ def _cmd_list(args) -> int:
 
 
 # Every flag, defined once; a flag that sets an ExperimentSpec field is stored
-# under the field's name. A subcommand takes exactly the flags _COMMANDS names
+# under the field's name and defaults to None, so that a flag left out keeps
+# the library's default. A subcommand takes exactly the flags _COMMANDS names
 # for it; a bracketed name there is optional where this table requires it.
 _FLAGS = {
-    "--method": {"choices": ("gradient", "qeswap"), "default": "qeswap"},
-    "--repr": {"dest": "representation", "default": "statevector",
+    "--method": {"choices": ("gradient", "qeswap")},
+    "--repr": {"dest": "representation",
                "choices": ("statevector", "unitary", "density")},
-    "--qubits": {"dest": "n_qubits", "type": int, "default": 1},
-    "--trials": {"dest": "n_trials", "type": int, "default": 20},
-    "--noise": {"default": "off",
-                "help": "off, paper, or file:<path> (key=value overrides)"},
-    "--trajectories": {"type": int, "default": 2000},
-    "--shots": {"default": "analytic",
-                "help": "shot count for sampled oracles, or 'analytic'"},
-    "--seed": {"type": int, "default": 0},
+    "--qubits": {"dest": "n_qubits", "type": int},
+    "--trials": {"dest": "n_trials", "type": int},
+    "--noise": {"help": "off, paper, or file:<path> (key=value overrides); "
+                        "cannot be combined with --shots"},
+    "--trajectories": {"type": int},
+    "--shots": {"help": "shot count for sampled oracles, or 'analytic'"},
+    "--seed": {"type": int},
     "--out": {"default": "out"},
     "--threshold": {"dest": "thresholds", "type": float, "action": "append",
                     "help": "fidelity threshold to track (repeatable)"},
-    "--max-iter": {"dest": "max_epochs", "type": int, "default": None},
+    "--max-iter": {"dest": "max_epochs", "type": int, "help": "iteration budget, >= 1"},
     "--gate": {"type": float, "default": None,
                "help": "exit 3 unless the pass rate at the top threshold "
                        "meets this fraction"},

@@ -58,33 +58,31 @@ class FidelityOracle:
     """SWAP-test fidelity signal against an opaque target preparation.
 
     Estimators never see the target's amplitudes; the only access paths are
-    :meth:`evaluate` and :meth:`evaluate_batch`. Modes: "analytic" (exact
-    ancilla <Z>), "shots" (finite-sample estimate), "noisy" (trajectory
-    average under a noise model on the lowered circuit of each candidate).
-    Analytic and shots batches are simulated as one (batch, 2^(2n+1)) array.
+    :meth:`evaluate` and :meth:`evaluate_batch`. Without ``shots`` or
+    ``noise_model`` the signal is the exact ancilla <Z>; ``shots`` gives a
+    finite-sample estimate, ``noise_model`` a trajectory average on each
+    candidate's lowered circuit, both drawn from ``rng``. Exact and shot
+    batches are simulated as one (batch, 2^(2n+1)) array.
     """
 
     def __init__(
         self,
         target_prep: QuantumCircuit,
-        mode: str = "analytic",
         shots: int | None = None,
         noise_model: NoiseModel | None = None,
         trajectories: int = 2000,
         rng: Rng | None = None,
     ):
-        if mode not in ("analytic", "shots", "noisy"):
-            raise ValueError(f"unknown oracle mode {mode!r}")
-        if mode == "shots" and (shots is None or shots < 1):
-            raise ValueError("shots mode requires a positive shot count")
-        if mode == "noisy" and noise_model is None:
-            raise ValueError("noisy mode requires a noise model")
-        if mode in ("shots", "noisy") and rng is None:
-            raise ValueError(f"{mode} mode requires an rng")
+        if shots is not None and noise_model is not None:
+            raise ValueError("give shots or a noise model, not both: the noisy "
+                             "oracle averages trajectories and draws no shots")
+        if shots is not None and shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        if (shots is not None or noise_model is not None) and rng is None:
+            raise ValueError("a shot or noisy oracle requires an rng")
         self._target_prep = target_prep
-        self._head = None if mode == "noisy" else swap_test_head(target_prep)
+        self._head = None if noise_model is not None else swap_test_head(target_prep)
         self.n_qubits = target_prep.n_qubits
-        self.mode = mode
         self._shots = shots
         self._model = noise_model
         self._trajectories = trajectories
@@ -93,7 +91,7 @@ class FidelityOracle:
 
     def evaluate(self, candidate: StateVector) -> float:
         """One SWAP test of the candidate against the target."""
-        if self.mode != "noisy":
+        if self._model is None:
             return float(self.evaluate_batch([candidate])[0])
         self.evaluations += 1
         test = build_swap_test(self.n_qubits, self._target_prep, mottonen_prepare(candidate))
@@ -103,11 +101,11 @@ class FidelityOracle:
     def evaluate_batch(self, candidates) -> np.ndarray:
         """One SWAP test per candidate (``StateVector`` or amplitude row), in order."""
         amps = np.stack([getattr(c, "amplitudes", c) for c in candidates])
-        if self.mode == "noisy":
+        if self._model is not None:
             return np.array([self.evaluate(StateVector.from_amplitudes(a)) for a in amps])
         self.evaluations += len(amps)
         probs = swap_test_probabilities(self._head, amps)
-        if self.mode == "analytic":
+        if self._shots is None:
             # summed from a contiguous copy: a strided row sum rounds differently
             return 1.0 - 2.0 * np.ascontiguousarray(probs[:, 1::2]).sum(axis=1)
         # ancilla-0 counts, drawn row by row from the one generator
@@ -406,12 +404,16 @@ class ReconstructionReport:
 class GradientConfig:
     epochs: int = 200
     lr: float = 1e-4
-    fd_epsilon: float = 1e-3
-    scaling_factor: float = 100.0
     seed: int = 0
     stop_threshold: float = 0.999
     probe: object = None  # optional callable(candidate) -> float, instrumentation
     stop_on_probe: bool = False  # early-stop on the probe value (simulation-side)
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass
@@ -430,6 +432,8 @@ class EsConfig:
             raise ValueError("population must be >= 2")
         if self.sigma <= 0 or self.alpha <= 0:
             raise ValueError("sigma and alpha must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +445,11 @@ class EsConfig:
 class _GradientEngine:
     """Generator network trained by central differences across the oracle."""
 
+    FD_EPSILON = 1e-3  # central-difference step on each raw entry
+    SCALING = 100.0  # factor on the raw-output gradient before backpropagation
+
     def __init__(self, raw_dim: int, config: GradientConfig, rng: Rng):
         self.budget = config.epochs
-        self._config = config
         self._rng = rng
         self._net = GeneratorNetwork(raw_dim, rng)
         self._params = self._net.weights + self._net.biases
@@ -456,14 +462,12 @@ class _GradientEngine:
     def tell(self, rewards: np.ndarray, score):
         # central differences across the oracle boundary only, probed in the
         # order +e0, -e0, +e1, -e1, ...
-        eps, dim = self._config.fd_epsilon, self._raw.size
+        eps, dim = self.FD_EPSILON, self._raw.size
         bumps = eps * np.eye(dim)
         probes = np.stack([self._raw + bumps, self._raw - bumps], axis=1)
         f = score(probes.reshape(2 * dim, dim)).reshape(dim, 2)
         grad_raw = -(f[:, 0] - f[:, 1]) / (2.0 * eps)
-        grads_w, grads_b = self._net.backward(
-            self._cache, grad_raw * self._config.scaling_factor
-        )
+        grads_w, grads_b = self._net.backward(self._cache, grad_raw * self.SCALING)
         self._adam.step(self._params, grads_w + grads_b)
 
 

@@ -3,14 +3,13 @@
 Cohorts over random targets, standard-state benchmarks, entropy matching,
 mid-circuit snapshots, the mixed-state limitation diagnostic, and plot-ready
 CSV/JSON emission. Every entry point is deterministic in (spec, seed); wall
-times and timestamps never enter the emitted data (an optional created_at
-metadata field is the single exception, off by default).
+times and timestamps never enter the emitted data. Budgets and ES settings
+left unset take the estimator configs' defaults.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -122,9 +121,9 @@ class ExperimentSpec:
     seed: int = 0
     max_epochs: int | None = None
     stop_threshold: float | None = None
-    population: int = 50
-    sigma: float = 0.1
-    alpha: float = 0.05
+    population: int = EsConfig.population
+    sigma: float = EsConfig.sigma
+    alpha: float = EsConfig.alpha
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -133,6 +132,11 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 1")
         if self.trajectories < 1:
             raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        if self.max_epochs is not None and self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.noise is not None and self.shots is not None:
+            raise ValueError("noise and shots cannot be combined: the noisy oracle "
+                             "averages trajectories and draws no shots")
         if self.method not in ("gradient", "qeswap"):
             raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")
         if self.representation == "density":
@@ -165,44 +169,21 @@ class ExperimentSpec:
         # Under noise the raw SWAP signal is attenuated well below 1, so the
         # stopping rule watches the classical validation probe instead.
         on_probe = self.noise is not None and probe is not None
-        if self.method == "gradient":
-            return GradientConfig(
-                epochs=self.max_epochs or 200,
-                seed=seed,
-                stop_threshold=self.resolved_stop(),
-                probe=probe,
-                stop_on_probe=on_probe,
-            )
-        return EsConfig(
-            population=self.population,
-            sigma=self.sigma,
-            alpha=self.alpha,
-            max_iter=self.max_epochs or 100,
-            seed=seed,
-            stop_threshold=self.resolved_stop(),
-            probe=probe,
-            stop_on_probe=on_probe,
-        )
+        common = dict(seed=seed, stop_threshold=self.resolved_stop(), probe=probe,
+                      stop_on_probe=on_probe)
+        gradient = self.method == "gradient"
+        if self.max_epochs is not None:  # else the config's own budget
+            common["epochs" if gradient else "max_iter"] = self.max_epochs
+        if gradient:
+            return GradientConfig(**common)
+        return EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha,
+                        **common)
 
     def to_json_dict(self) -> dict:
         data = asdict(self)
         data["noise"] = None if self.noise is None else asdict(self.noise)
         data["thresholds"] = list(self.thresholds)
         return data
-
-
-def _make_oracle(spec: ExperimentSpec, target_prep: QuantumCircuit, rng: Rng):
-    if spec.noise is not None:
-        return FidelityOracle(
-            target_prep,
-            mode="noisy",
-            noise_model=calibrated_noise_model(spec.noise),
-            trajectories=spec.trajectories,
-            rng=rng,
-        )
-    if spec.shots is not None:
-        return FidelityOracle(target_prep, mode="shots", shots=spec.shots, rng=rng)
-    return FidelityOracle(target_prep)
 
 
 def _epochs_to(trace, threshold):
@@ -282,7 +263,9 @@ def _reconstruct_known(spec: ExperimentSpec, target: StateVector,
     def probe(candidate) -> float:
         return overlap_fidelity(candidate, target)
 
-    oracle = _make_oracle(spec, target_prep, rng.child(1))
+    model = None if spec.noise is None else calibrated_noise_model(spec.noise)
+    oracle = FidelityOracle(target_prep, shots=spec.shots, noise_model=model,
+                            trajectories=spec.trajectories, rng=rng.child(1))
     config = spec.estimator_config(rng.child(2).seed, probe=probe)
     return reconstruct(spec.method, spec.representation, oracle,
                        config, spec.n_qubits)
@@ -457,7 +440,7 @@ def _random_rank2_density(n_qubits: int, rng: Rng) -> DensityMatrix:
 
 def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
                                seed: int = 0, max_iter: int = 300,
-                               population: int = 50) -> dict:
+                               population: int = EsConfig.population) -> dict:
     """Optimize density candidates against (a) the Hilbert-Schmidt signal and
     (b) the Uhlmann oracle on the same rank-2 mixed targets.
 
@@ -469,6 +452,8 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     root = Rng(seed)
     rows = []
     for i in range(n_targets):
@@ -529,19 +514,11 @@ def write_rows(path, fields, rows) -> None:
         writer.writerows(rows)
 
 
-def emit_report(cohort: CohortSummary, out_dir, include_timestamp: bool = False):
-    """Write summary.json, trials.csv, and long-format trace.csv.
-
-    All files are byte-deterministic in (spec, seed); the optional
-    created_at timestamp is isolated to one metadata field of summary.json.
-    """
+def emit_report(cohort: CohortSummary, out_dir):
+    """Write summary.json, trials.csv, and long-format trace.csv, all
+    byte-deterministic in (spec, seed)."""
     out = Path(out_dir)
-    payload = cohort.to_json_dict()
-    if include_timestamp:
-        payload["meta"] = {
-            "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat()
-        }
-    write_json(out / "summary.json", payload)
+    write_json(out / "summary.json", cohort.to_json_dict())
     fields = ["trial", "seed", "best_fidelity", "validation_fidelity", "epochs",
               "oracle_evals", "entropy_target", "entropy_recon", "error"]
     thresholds = cohort.spec.thresholds

@@ -1,8 +1,10 @@
 """Classical persistence of reconstructed states: deposit and withdraw.
 
 Each record is a binary amplitude body plus a JSON metadata sidecar,
-content-addressed by the SHA-256 of the body. Withdrawal rebuilds the state
-and its preparation circuit.
+content-addressed by the SHA-256 of the body. The body's magic header
+carries the format version. Every file is written to a temporary name,
+fsynced, renamed into place, and the directory fsynced after the rename.
+Withdrawal rebuilds the state and its preparation circuit.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 from .circuit import mottonen_prepare
 from .core import StateVector
 
-MAGIC = b"QSNAP\x00\x00\x01"
-FORMAT_VERSION = 1
+MAGIC = b"QSNAP\x00\x00\x01"  # format version 1 in its last byte
 
 _IDENTIFIER = re.compile(r"[0-9a-f]{64}")
 
@@ -50,11 +51,8 @@ class SnapshotRecord:
     n_qubits: int
     amplitudes: np.ndarray = field(repr=False)  # 2^(n+1) float64, interleaved re/im
     metadata: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.format_version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {self.format_version}")
         values = np.asarray(self.amplitudes, dtype=np.float64)
         if values.shape != (2 ** (self.n_qubits + 1),):
             raise ValueError(
@@ -105,7 +103,14 @@ def _atomic_write(path: Path, data: bytes):
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def deposit(record: SnapshotRecord, store_path) -> str:

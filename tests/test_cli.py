@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from qsnapshot.cli import build_parser, main
+from qsnapshot.estimators import EsConfig
+from qsnapshot.harness import ExperimentSpec
 
 
 def run_cli(*args):
@@ -80,6 +83,21 @@ class TestExitCodes:
         assert run_cli(*args, "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["cohort", "--trials", "1", "--max-iter", "0"], "max_epochs must be >= 1, got 0"),
+        (["cohort", "--trials", "1", "--max-iter", "-3"], "max_epochs must be >= 1, got -3"),
+        (["cohort", "--trials", "1", "--noise", "paper", "--shots", "100"],
+         "noise and shots cannot be combined"),
+        (["standard", "--max-iter", "0"], "max_epochs must be >= 1, got 0"),
+        (["mixed-diagnostic", "--trials", "1", "--max-iter", "0"],
+         "max_iter must be >= 1, got 0"),
+    ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0"])
+    def test_runtime_error_spec_rejected(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o"
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_snapshot_width_mismatch(self, tmp_path, capsys):
         circ = tmp_path / "circ.txt"
         circ.write_text("H 0\nCX 0,1\n")
@@ -133,6 +151,23 @@ def test_flag_set(command):
     assert set(sub.choices) == set(FLAG_SETS)
     taken = {o for a in sub.choices[command]._actions for o in a.option_strings}
     assert taken - {"-h", "--help"} == set(FLAG_SETS[command].split())
+
+
+def test_library_owns_the_defaults():
+    # a flag left out must not restate a default: the spec's, or the
+    # diagnostic's, which the same dests feed
+    spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    checked = 0
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest in spec_fields:
+                assert action.default is None, (command, action.dest, action.default)
+                checked += 1
+    assert checked > 0
+    spec, es = ExperimentSpec(), EsConfig()
+    assert (spec.population, spec.sigma, spec.alpha) == (es.population, es.sigma, es.alpha)
 
 
 class TestCohortCommand:

@@ -335,14 +335,18 @@ class TestOracles:
 
     def test_shots_mode_needs_count_and_rng(self):
         prep = QuantumCircuit(1)
-        with pytest.raises(ValueError):
-            FidelityOracle(prep, mode="shots")
-        with pytest.raises(ValueError):
-            FidelityOracle(prep, mode="shots", shots=100)  # missing rng
+        with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
+            FidelityOracle(prep, shots=0, rng=Rng(0))
+        with pytest.raises(ValueError, match="requires an rng"):
+            FidelityOracle(prep, shots=100)  # missing rng
 
     def test_noisy_mode_needs_model(self):
-        with pytest.raises(ValueError):
-            FidelityOracle(QuantumCircuit(1), mode="noisy", rng=Rng(0))
+        prep = QuantumCircuit(1)
+        model = calibrated_noise_model(NoiseParams())
+        with pytest.raises(ValueError, match="requires an rng"):
+            FidelityOracle(prep, noise_model=model)  # missing rng
+        with pytest.raises(ValueError, match="not both"):
+            FidelityOracle(prep, shots=100, noise_model=model, rng=Rng(0))
 
     def test_hilbert_schmidt_oracle(self):
         rho = DensityMatrix.maximally_mixed(1)
@@ -438,7 +442,7 @@ class TestBatchedOracle:
         n, shots = 2, 200
         prep = mottonen_prepare(random_pure_state(n, Rng(21)))
         candidates = [random_pure_state(n, Rng(22 + i)) for i in range(5)]
-        oracle = FidelityOracle(prep, mode="shots", shots=shots, rng=Rng(9))
+        oracle = FidelityOracle(prep, shots=shots, rng=Rng(9))
         zeros = (oracle.evaluate_batch(candidates) + 1.0) / 2.0 * shots
         rng = Rng(9)
         counts = [
@@ -453,8 +457,7 @@ class TestBatchedOracle:
         candidates = [random_pure_state(1, Rng(24 + i)) for i in range(3)]
 
         def oracle():
-            return FidelityOracle(prep, mode="noisy", noise_model=model,
-                                  trajectories=16, rng=Rng(25))
+            return FidelityOracle(prep, noise_model=model, trajectories=16, rng=Rng(25))
 
         serial = oracle()
         expected = [serial.evaluate(c) for c in candidates]
@@ -693,6 +696,20 @@ class TestQESwap:
         with pytest.raises(ValueError):
             EsConfig(sigma=0.0)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: EsConfig(max_iter=0), "max_iter must be >= 1, got 0"),
+        (lambda: EsConfig(max_iter=-3), "max_iter must be >= 1, got -3"),
+        (lambda: GradientConfig(epochs=0), "epochs must be >= 1, got 0"),
+        (lambda: GradientConfig(lr=0.0), "lr must be finite and positive"),
+        (lambda: GradientConfig(lr=-1e-4), "lr must be finite and positive"),
+        (lambda: GradientConfig(lr=math.nan), "lr must be finite and positive"),
+        (lambda: GradientConfig(lr=math.inf), "lr must be finite and positive"),
+    ], ids=["es-0", "es-neg", "grad-0", "lr-0", "lr-neg", "lr-nan", "lr-inf"])
+    def test_rejects_empty_budget_or_bad_rate(self, make, message):
+        # an empty budget would report best_fidelity -inf with no candidate
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestGradient:
     def test_early_stop_on_degenerate_oracle(self):
@@ -817,13 +834,12 @@ def _golden_run(case):
                            EsConfig(population=8, max_iter=6, seed=5,
                                     stop_threshold=0.99))
     if case == "qeswap-shots":
-        oracle = FidelityOracle(prep, mode="shots", shots=64, rng=Rng(6))
+        oracle = FidelityOracle(prep, shots=64, rng=Rng(6))
         return reconstruct("qeswap", "statevector", oracle,
                            EsConfig(population=6, max_iter=4, seed=6,
                                     stop_threshold=2.0))
     if case == "qeswap-noisy":
-        oracle = FidelityOracle(prep, mode="noisy",
-                                noise_model=calibrated_noise_model(NoiseParams()),
+        oracle = FidelityOracle(prep, noise_model=calibrated_noise_model(NoiseParams()),
                                 trajectories=8, rng=Rng(7))
         return reconstruct("qeswap", "statevector", oracle,
                            EsConfig(population=4, max_iter=2, seed=7,

@@ -1,6 +1,5 @@
 """Tests for the experiment harness: catalog, cohorts, emission, diagnostics."""
 
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from qsnapshot.circuit import QuantumCircuit, execute_statevector, mottonen_prepare
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
+from qsnapshot.noise import NoiseParams
 from qsnapshot.harness import (
     ExperimentSpec,
     emit_report,
@@ -68,6 +68,7 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_qubits": 0}, {"n_qubits": -1}, {"trajectories": 0},
+        {"max_epochs": 0}, {"max_epochs": -3},
     ])
     def test_rejects_empty_register_or_trajectories(self, kwargs):
         with pytest.raises(ValueError, match="must be >= 1"):
@@ -77,6 +78,7 @@ class TestExperimentSpec:
         ({"method": "newton"}, "unknown method 'newton'"),
         ({"representation": "mps"}, "unknown representation 'mps'"),
         ({"representation": "density"}, "use mixed-diagnostic"),
+        ({"noise": NoiseParams(), "shots": 100}, "noise and shots cannot be combined"),
     ])
     def test_rejects_specs_that_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -237,7 +239,8 @@ class TestMixedDiagnostic:
         assert s["hs_driven_uhlmann_leq_095"] >= 2
         assert s["uhlmann_driven_geq_099"] == 3
 
-    @pytest.mark.parametrize("kwargs", [{"n_qubits": 0}, {"n_targets": 0}])
+    @pytest.mark.parametrize("kwargs", [{"n_qubits": 0}, {"n_targets": 0},
+                                        {"max_iter": 0}])
     def test_rejects_empty_register_or_cohort(self, kwargs):
         with pytest.raises(ValueError, match="must be >= 1, got 0"):
             run_mixed_state_diagnostic(**kwargs)
@@ -263,15 +266,6 @@ class TestEmission:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
-
-    def test_timestamp_isolated(self, tmp_path):
-        summary = run_cohort(small_spec())
-        emit_report(summary, tmp_path, include_timestamp=True)
-        payload = json.loads((tmp_path / "summary.json").read_text())
-        assert "created_at" in payload["meta"]
-        del payload["meta"]
-        bare = run_cohort(small_spec()).to_json_dict()
-        assert payload == json.loads(json.dumps(bare, sort_keys=True))
 
     def test_empty_trace_header_only(self, tmp_path):
         spec = small_spec(max_epochs=1, stop_threshold=2.0)

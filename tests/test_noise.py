@@ -25,6 +25,7 @@ from qsnapshot.circuit import (
 )
 from qsnapshot.core import Rng, random_pure_state
 from qsnapshot.noise import (
+    COMPLETENESS_TOL,
     ChannelApplication,
     KrausChannel,
     NoiseModel,
@@ -362,6 +363,22 @@ class TestCalibratedModel:
         exact = ancilla_expectation(test)
         noisy = execute_trajectories(test, model, 50, Rng(1))
         assert noisy == pytest.approx(exact, abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(t1=st.floats(1e-3, 1e6), t2_ratio=st.floats(1e-6, 1.0),
+           lengths=st.lists(st.floats(0.0, 1e5), min_size=4, max_size=4),
+           probs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_every_calibrated_channel_is_complete(self, t1, t2_ratio, lengths, probs):
+        params = NoiseParams(bit_flip_p=probs[0], depol_1q=probs[1], depol_2q=probs[2],
+                             t1=t1, t2=t1 * t2_ratio, readout_len=lengths[0],
+                             gate_len_1q=lengths[1], gate_len_2q=lengths[2])
+        model = calibrated_noise_model(params)
+        apps = [a for kind_apps in model.assignments.values() for a in kind_apps]
+        apps += model.channels_for(Gate("DELAY", (0,), lengths[3]))
+        for app in apps:
+            ops = np.array(app.channel.operators)
+            total = np.einsum("kji,kjl->il", ops.conj(), ops)
+            assert np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
 
     def test_two_qubit_channel_on_one_qubit_kind_rejected(self):
         with pytest.raises(ValueError):

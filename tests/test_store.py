@@ -1,10 +1,15 @@
 """Tests for the content-addressed snapshot store."""
 
+import hashlib
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsnapshot.circuit import execute_statevector
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
@@ -32,9 +37,14 @@ class TestSnapshotRecord:
         with pytest.raises(ValueError):
             SnapshotRecord(2, np.array([1.0, 0, 0, 0]))
 
-    def test_format_version(self):
-        with pytest.raises(ValueError):
-            SnapshotRecord(1, np.array([1.0, 0, 0, 0]), format_version=2)
+    def test_format_version(self, tmp_path):
+        # a well-hashed body whose magic says version 2
+        body = SnapshotRecord.from_state(StateVector.computational_basis(1)).body_bytes()
+        body = MAGIC[:-1] + b"\x02" + body[len(MAGIC):]
+        ident = hashlib.sha256(body).hexdigest()
+        (tmp_path / f"{ident}.qsnap").write_bytes(body)
+        with pytest.raises(SnapshotIntegrityError, match="bad magic header"):
+            withdraw(ident, tmp_path)
 
     def test_state_roundtrip(self):
         s = random_pure_state(2, Rng(0))
@@ -149,6 +159,42 @@ class TestDepositWithdraw:
         (tmp_path / f"{ident}.json").unlink()
         assert deposit(record, tmp_path) == ident
         assert json.loads((tmp_path / f"{ident}.json").read_text())["label"] == "gone"
+
+    def test_writes_sync_before_and_after_rename(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        ident = deposit(SnapshotRecord.from_state(random_pure_state(1, Rng(10))), tmp_path)
+        # per file: the temporary file, the rename, then the directory
+        assert calls == [("fsync", False), ("replace", f"{ident}.json"), ("fsync", True),
+                         ("fsync", False), ("replace", f"{ident}.qsnap"), ("fsync", True)]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_flipped_byte_is_detected_and_repaired(self, tmp_path, n, seed, data):
+        record = SnapshotRecord.from_state(random_pure_state(n, Rng(seed)))
+        ident = deposit(record, tmp_path)
+        body_file = tmp_path / f"{ident}.qsnap"
+        body = bytearray(body_file.read_bytes())
+        at = data.draw(st.integers(0, len(body) - 1), label="byte")
+        body[at] ^= data.draw(st.integers(1, 255), label="mask")
+        body_file.write_bytes(bytes(body))
+        with pytest.raises(SnapshotIntegrityError):
+            withdraw(ident, tmp_path)
+        assert deposit(record, tmp_path) == ident
+        state, _ = withdraw(ident, tmp_path)
+        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
 
     def test_corruption_detected(self, tmp_path):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(2, Rng(3))), tmp_path)
