@@ -70,10 +70,7 @@ class StateVector:
     def normalized(cls, amplitudes) -> "StateVector":
         """Build from an arbitrary nonzero amplitude sequence, normalizing it."""
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        norm = np.linalg.norm(amps)
-        if norm < 1e-300:
-            raise ValueError("cannot normalize a zero vector")
-        return cls.from_amplitudes(amps / norm)
+        return cls.from_amplitudes(normalize_rows(amps.reshape(1, -1))[0])
 
     @classmethod
     def computational_basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -137,6 +134,25 @@ def _freeze(obj, name: str, check) -> None:
     arr = arr.copy()
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
+
+
+def normalize_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of a (batch, d) complex stack divided by its 1-D norm.
+
+    A row far below unit scale is first scaled up by a power of two, which is
+    exact, so that no squared entry underflows in its norm; other rows are
+    divided as they are."""
+    peak = np.abs(z).max(axis=1, initial=0.0)
+    tiny = (peak > 0.0) & (peak < 2.0**-256)
+    if tiny.any():
+        shift = -np.frexp(peak[tiny])[1][:, None]
+        z = z.copy()
+        z[tiny] = np.ldexp(z[tiny].real, shift) + 1j * np.ldexp(z[tiny].imag, shift)
+    # one 1-D norm per row: no vectorized norm rounds like it at every width
+    norms = np.array([np.linalg.norm(row) for row in z])
+    if np.any(norms < 1e-300):
+        raise ValueError("cannot normalize a zero vector")
+    return z / norms[:, None]
 
 
 def check_unit_norm(amps: np.ndarray) -> None:

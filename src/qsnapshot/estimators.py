@@ -37,6 +37,7 @@ from .core import (
     check_density,
     check_unit_norm,
     check_unitary,
+    normalize_rows,
     psd_sqrt,
     uhlmann_fidelities,
 )
@@ -177,11 +178,7 @@ def decode_states(raws) -> np.ndarray:
     z = _complex_rows(raws)
     if 2 ** int(np.round(np.log2(z.shape[1]))) != z.shape[1]:
         raise ValueError(f"decoded dimension {z.shape[1]} is not a power of two")
-    # one 1-D norm per row: no vectorized norm rounds like it at every width
-    norms = np.array([np.linalg.norm(row) for row in z])
-    if np.any(norms < 1e-300):
-        raise ValueError("cannot normalize a zero vector")
-    amps = z / norms[:, None]
+    amps = normalize_rows(z)
     check_unit_norm(amps)
     return amps
 

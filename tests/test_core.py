@@ -88,6 +88,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.normalized([0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e-161, 1e-200, 5e-324])
+    def test_normalized_tiny_scale(self, scale):
+        # squared entries this small underflow; the norm must not
+        s = StateVector.normalized([scale, scale])
+        assert np.allclose(s.amplitudes, [SQ2, SQ2], atol=0, rtol=1e-15)
+
     def test_immutability(self):
         s = StateVector.computational_basis(1)
         with pytest.raises(ValueError):

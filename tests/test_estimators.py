@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -172,6 +172,8 @@ class TestBatchDecoders:
 
     @settings(max_examples=60, deadline=None)
     @given(raws=_raw_stacks(matrix=False))
+    # a row whose squared entries underflow, then a zero row
+    @example(raws=np.array([[1.12278462e-161] * 4, [0.0] * 4]))
     def test_states(self, raws):
         expected = _one_row_results(decode_candidate_state, raws)
         if isinstance(expected, Exception):
