@@ -74,11 +74,7 @@ class FidelityOracle:
         trajectories: int = 2000,
         rng: Rng | None = None,
     ):
-        if shots is not None and noise_model is not None:
-            raise ValueError("give shots or a noise model, not both: the noisy "
-                             "oracle averages trajectories and draws no shots")
-        if shots is not None and shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        self.check_signal(shots, noise_model is not None, trajectories)
         if (shots is not None or noise_model is not None) and rng is None:
             raise ValueError("a shot or noisy oracle requires an rng")
         self._target_prep = target_prep
@@ -89,6 +85,18 @@ class FidelityOracle:
         self._trajectories = trajectories
         self._rng = rng
         self.evaluations = 0
+
+    @staticmethod
+    def check_signal(shots: int | None, noisy: bool, trajectories: int):
+        """Reject a signal no oracle can give; cohort specs are checked here too."""
+        if shots is not None and noisy:
+            raise ValueError("noise and shots cannot be combined: give shots or a noise "
+                             "model, not both (the noisy oracle averages trajectories "
+                             "and draws no shots)")
+        if shots is not None and shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        if trajectories < 1:
+            raise ValueError(f"trajectories must be >= 1, got {trajectories}")
 
     def evaluate(self, candidate: StateVector) -> float:
         """One SWAP test of the candidate against the target."""

@@ -130,13 +130,11 @@ class ExperimentSpec:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.trajectories < 1:
-            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
         if self.max_epochs is not None and self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.noise is not None and self.shots is not None:
-            raise ValueError("noise and shots cannot be combined: the noisy oracle "
-                             "averages trajectories and draws no shots")
+        # the oracle's and the ES engine's own checks, before any trial runs
+        FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
+        EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha)
         if self.method not in ("gradient", "qeswap"):
             raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")
         if self.representation == "density":

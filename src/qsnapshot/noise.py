@@ -3,12 +3,17 @@
 Channels are synthesized from scalar calibration parameters (bit-flip
 probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
-on the CX pair. Trajectory execution is vectorized across trajectories;
-averaging reproduces the density-matrix evolution. Each channel step first
-chooses one operator per trajectory (static weights for unitary mixtures,
-local populations for diagonal effects, the local Gram matrix otherwise), then
-applies the most frequent choice as one shared matrix and the others as a
-per-row stack through circuit.apply_matrix; identity rows are left untouched.
+on the CX pair. Averaging the trajectories reproduces the density-matrix
+evolution. Trajectories that hold the same state share one row: the state is
+one row per trajectory class plus each trajectory's class. Each channel step
+draws one number per trajectory and computes the selection probabilities
+once per class (static weights for unitary mixtures, local populations for
+diagonal effects, the local Gram matrix otherwise); trajectories that draw
+operator 0 stay in their class, whose row gets it as one shared matrix, and
+the others move to one new class per (class, operator) pair, whose rows get
+their operators as a per-row stack through circuit.apply_matrix. Every
+trajectory sees the same arithmetic as with one row per trajectory, bit for
+bit; identity draws keep their bytes.
 """
 
 from __future__ import annotations
@@ -312,56 +317,70 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory execution (vectorized across trajectories)
+# Trajectory execution (one row per trajectory class)
 
 
-def _apply_channel_batch(
-    amps: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int, rng: Rng
-) -> np.ndarray:
-    """Stochastically apply one Kraus channel to a (trajectories, dim) batch:
-    choose one operator per row, then apply the chosen operators: the most
-    frequent one as a shared matrix, the rest as a per-row stack. Rows that
-    draw an identity keep their bytes."""
+def _channel_step(
+    rows: np.ndarray, cls: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int,
+    rng: Rng,
+) -> tuple:
+    """Stochastically apply one Kraus channel to trajectory classes: ``rows``
+    holds one state per class and ``cls`` each trajectory's class. Every
+    trajectory draws one operator; those drawing operator 0 stay in their
+    class, whose row gets it once, and the others move to one new class per
+    (class, operator) pair. Classes left empty are dropped. Rows that draw an
+    identity keep their bytes."""
     if channel.is_identity:
-        return amps
-    batch = amps.shape[0]
-    u = rng.uniform(batch)
+        return rows, cls
+    u = rng.uniform(len(cls))
+    k = len(channel.operators)
     weights = channel._mix_weights
     if weights is not None:
         # operators proportional to unitaries: static probabilities
         probs = weights[:, None]
     else:
-        views = [v.reshape(batch, -1) for v in _local_views(amps, qubits, n_qubits)]
+        views = [v.reshape(len(rows), -1) for v in _local_views(rows, qubits, n_qubits)]
         if channel._effect_diagonals is not None:
             # diagonal effects: probabilities from local basis populations
             populations = np.array([np.sum(np.abs(v) ** 2, axis=1) for v in views])
             probs = channel._effect_diagonals @ populations
         else:
-            # general channel: local reduced Gram matrix per trajectory
+            # general channel: local reduced Gram matrix per class
             m = np.stack(views, axis=1)
             gram = np.einsum("bir,bjr->bij", m, m.conj())
             probs = np.einsum("kij,bji->kb", channel._effects, gram).real
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=0, keepdims=True)
-    choice = (u[None, :] > np.cumsum(probs, axis=0)).sum(axis=0)
-    choice = np.minimum(choice, len(channel.operators) - 1)
-    skipped = channel._skip[choice]
-    # the usual draw: a mixture's is known in advance, any other's is counted
-    common = np.argmax(weights if weights is not None else np.bincount(choice))
-    if channel._skip[common]:  # a mixture whose usual draw is the identity
-        rows = np.flatnonzero(~skipped)
-        if rows.size == 0:
-            return amps
-        out = amps.copy()
-    else:  # the usual draw as one shared matrix; identity draws keep their rows
-        rows = np.flatnonzero((choice != common) & ~skipped)
-        out = apply_matrix(amps, channel._stack[common], qubits, n_qubits)
-        out[skipped] = amps[skipped]
-    if rows.size:  # the other draws as a per-row stack
-        out[rows] = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
+    # a trajectory draws operator i when cum[i - 1] < u <= cum[i]; mode="clip"
+    # lets a mixture's one column serve every class
+    cum = np.cumsum(probs, axis=0)
+    movers = np.flatnonzero(u > cum[0].take(cls, mode="clip"))
+    choice = (u[movers] > cum.take(cls[movers], axis=1, mode="clip")).sum(axis=0)
+    choice = np.minimum(choice, k - 1)
+    pairs, moved = np.unique(cls[movers] * k + choice, return_inverse=True)
+    cls = cls.copy()
+    cls[movers] = len(rows) + moved
+    live = np.bincount(cls, minlength=len(rows) + len(pairs)) > 0
+    kept = np.flatnonzero(live[:len(rows)])  # every new class is live
+    cls = (np.cumsum(live) - 1).take(cls)
+    out = rows.take(np.concatenate([kept, pairs // k]), axis=0)  # kept classes first
+    ops, stay = pairs % k, len(kept)
+    if stay and not channel._skip[0]:  # operator 0 as one shared matrix on the kept classes
+        out[:stay] = apply_matrix(out[:stay], channel._stack[0], qubits, n_qubits)
+    new = stay + np.flatnonzero(~channel._skip[ops])
+    if new.size:  # the other draws as a per-row stack
+        out[new] = apply_matrix(out[new], channel._stack[ops[new - stay]], qubits, n_qubits)
     if weights is None:  # only mixtures have identity draws
         out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return out
+    return out, cls
+
+
+def _apply_channel_batch(
+    amps: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int, rng: Rng
+) -> np.ndarray:
+    """The channel step on a (trajectories, dim) batch, every row its own class."""
+    rows, cls = _channel_step(amps, np.arange(len(amps)), channel, qubits, n_qubits, rng)
+    return rows[cls]
 
 
 def execute_trajectories(
@@ -372,7 +391,9 @@ def execute_trajectories(
     After every gate the assigned channels are applied with operator i chosen
     with probability ||K_i psi||^2 and the state renormalized. MEASURE
     channels fire before the measurement; the ancilla expectation itself is
-    computed exactly from each trajectory's final state.
+    computed exactly from each trajectory's final state. Trajectories with
+    equal states share one row: the gates act on the class rows and each
+    class's <Z> is gathered back to its trajectories.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
@@ -382,18 +403,16 @@ def execute_trajectories(
     if circuit.measured != (0,):
         raise ValueError(f"circuit must measure exactly qubit 0, measures {circuit.measured}")
     n = circuit.n_qubits
-    amps = np.zeros((trajectories, 2**n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    rows = np.zeros((1, 2**n), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    cls = np.zeros(trajectories, dtype=np.intp)
     for gate in circuit.gates:
         if gate.kind != "MEASURE":
-            amps = apply_gate(amps, gate, n)
+            rows = apply_gate(rows, gate, n)
         for app in model.channels_for(gate):
-            if app.scope == "pair":
-                amps = _apply_channel_batch(amps, app.channel, gate.qubits, n, rng)
-            else:
-                for q in gate.qubits:
-                    amps = _apply_channel_batch(amps, app.channel, (q,), n, rng)
+            for qubits in [gate.qubits] if app.scope == "pair" else [(q,) for q in gate.qubits]:
+                rows, cls = _channel_step(rows, cls, app.channel, qubits, n, rng)
     idx = np.arange(2**n)
-    p1 = np.sum(np.abs(amps[:, (idx & 1) == 1]) ** 2, axis=1)
-    z_per_traj = 1.0 - 2.0 * p1
-    return float(np.mean(z_per_traj))
+    p1 = np.sum(np.abs(rows[:, (idx & 1) == 1]) ** 2, axis=1)
+    z_per_class = 1.0 - 2.0 * p1
+    return float(np.mean(z_per_class[cls]))

@@ -350,6 +350,14 @@ class TestOracles:
         with pytest.raises(ValueError, match="not both"):
             FidelityOracle(prep, shots=100, noise_model=model, rng=Rng(0))
 
+    @pytest.mark.parametrize("trajectories", [0, -1])
+    def test_noisy_mode_needs_trajectories(self, trajectories):
+        # rejected when built, not at the first evaluate
+        model = calibrated_noise_model(NoiseParams())
+        with pytest.raises(ValueError, match=f"trajectories must be >= 1, got {trajectories}"):
+            FidelityOracle(QuantumCircuit(1), noise_model=model, trajectories=trajectories,
+                           rng=Rng(0))
+
     def test_hilbert_schmidt_oracle(self):
         rho = DensityMatrix.maximally_mixed(1)
         assert HilbertSchmidtOracle(rho).evaluate(rho) == pytest.approx(0.5)

@@ -84,6 +84,23 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"shots": 0}, "shots must be >= 1, got 0"),
+        ({"shots": -5}, "shots must be >= 1, got -5"),
+        ({"population": 1}, "population must be >= 2"),
+        ({"sigma": 0.0}, "sigma and alpha must be positive"),
+        ({"alpha": -0.05}, "sigma and alpha must be positive"),
+        ({"method": "gradient", "population": 0}, "population must be >= 2"),
+    ])
+    def test_rejects_what_every_trial_would_reject(self, kwargs, message):
+        # these used to be accepted, and every trial then recorded the error
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(n_trials=1, max_epochs=2, **kwargs)
+
+    def test_bad_shots_raise_before_any_trial(self):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            run_cohort(ExperimentSpec(n_trials=1, max_epochs=2, shots=0))
+
     def test_width_cap_names_width_and_bytes(self):
         # 50 population rows x 2^31 amplitudes x 16 B
         with pytest.raises(ValueError, match=r"width 31: .* 1717986918400 bytes"):

@@ -6,6 +6,7 @@ gate/channel sequence; trajectory averages must agree with it.
 
 import hashlib
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -149,6 +150,41 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
     out = amps.copy()
     out[rows] = sub
     return out
+
+
+def _per_row_trajectories(circuit, model, trajectories, rng):
+    """execute_trajectories with one row per trajectory: the full
+    (trajectories, 2^n) array, every channel step by _per_row_channel_step."""
+    n = circuit.n_qubits
+    amps = np.zeros((trajectories, 2**n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    for gate in circuit.gates:
+        if gate.kind != "MEASURE":
+            amps = apply_gate(amps, gate, n)
+        for app in model.channels_for(gate):
+            for qubits in [gate.qubits] if app.scope == "pair" else [(q,) for q in gate.qubits]:
+                amps = _per_row_channel_step(amps, app.channel, qubits, n, rng)
+    idx = np.arange(2**n)
+    p1 = np.sum(np.abs(amps[:, (idx & 1) == 1]) ** 2, axis=1)
+    return float(np.mean(1.0 - 2.0 * p1))
+
+
+@st.composite
+def _lowered_circuits(draw):
+    """A small lowered circuit of X, SX, RZ, CX, ID, DELAY and RESET gates
+    that measures qubit 0."""
+    n = draw(st.integers(1, 3))
+    circ = QuantumCircuit(n)
+    kinds = ["X", "SX", "RZ", "ID", "DELAY", "RESET"] + (["CX"] if n > 1 else [])
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CX":
+            circ.add("CX", *draw(st.permutations(range(n)))[:2])
+            continue
+        param = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}.get(kind)
+        circ.add(kind, draw(st.integers(0, n - 1)),
+                 param=None if param is None else draw(param))
+    return circ.add("MEASURE", 0)
 
 
 def _damping_in_x_basis():
@@ -397,7 +433,51 @@ class TestCalibratedModel:
             "2559c5ec3a6fb64f05ab0c1224c9e15279f5a9c9d9ddbd3df17301c8127f2ca7")
 
 
+_SATURATED = NoiseParams(depol_1q=0.5, depol_2q=0.5, bit_flip_p=0.3, t1=20.0, t2=10.0)
+_NOISE_PARAMS = st.one_of(
+    st.just(_SATURATED),
+    st.builds(lambda probs, t1, t2_ratio, lengths: NoiseParams(
+        bit_flip_p=probs[0], depol_1q=probs[1], depol_2q=probs[2], t1=t1, t2=t1 * t2_ratio,
+        readout_len=lengths[0], gate_len_1q=lengths[1], gate_len_2q=lengths[2]),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.floats(1.0, 1e3),
+        st.floats(1e-3, 1.0), st.lists(st.floats(0.0, 5e3), min_size=3, max_size=3)),
+)
+
+# Two-sided false-alarm rate of each sigma-bounded comparison below, under the
+# normal approximation to a mean of T >= 2000 bounded terms.
+FALSE_ALARM = 1e-6
+K_SIGMA = NormalDist().inv_cdf(1.0 - FALSE_ALARM / 2.0)  # 4.89
+
+
 class TestTrajectories:
+    @settings(max_examples=60, deadline=None)
+    @given(circ=_lowered_circuits(), params=_NOISE_PARAMS,
+           trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1))
+    def test_classes_match_one_row_per_trajectory_bit_for_bit(self, circ, params,
+                                                              trajectories, seed):
+        model = calibrated_noise_model(params)
+        rng, reference_rng = Rng(seed), Rng(seed)
+        got = execute_trajectories(circ, model, trajectories, rng)
+        want = _per_row_trajectories(circ, model, trajectories, reference_rng)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_swap_test_mean_within_k_sigma_of_density_matrix(self, n):
+        # z per trajectory lies in [-1, 1] with mean mu = exact, so its standard
+        # deviation is at most sqrt(1 - mu^2); the mean of T has sigma / sqrt(T)
+        model = calibrated_noise_model()
+        rng = Rng(40 + n)
+        trajectories = 2000
+        for same in (False, True):
+            a = random_pure_state(n, rng)
+            b = a if same else random_pure_state(n, rng)
+            test = lower_to_basis(build_swap_test(n, mottonen_prepare(a), mottonen_prepare(b)))
+            exact = dm_execute(test, model)
+            est = execute_trajectories(test, model, trajectories, rng)
+            sigma = math.sqrt(1.0 - exact**2)
+            assert abs(est - exact) <= K_SIGMA * sigma / math.sqrt(trajectories)
+
     def test_identity_model_matches_analytic(self):
         rng = Rng(2)
         a = random_pure_state(2, rng)
