@@ -403,9 +403,13 @@ def execute_trajectories(
     if circuit.measured != (0,):
         raise ValueError(f"circuit must measure exactly qubit 0, measures {circuit.measured}")
     n = circuit.n_qubits
-    rows = np.zeros((1, 2**n), dtype=np.complex128)
-    rows[0, 0] = 1.0
-    cls = np.zeros(trajectories, dtype=np.intp)
+    # two equal classes (the first trajectory, the rest) when there are two
+    # trajectories: classes never merge, so no step sees a one-row array, on
+    # which numpy multiplies complex numbers by another kernel that rounds
+    # differently from the kernel for the full (trajectories, 2^n) array
+    rows = np.zeros((min(trajectories, 2), 2**n), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    cls = np.minimum(np.arange(trajectories), 1)
     for gate in circuit.gates:
         if gate.kind != "MEASURE":
             rows = apply_gate(rows, gate, n)

@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsnapshot.circuit import (
@@ -449,8 +449,22 @@ FALSE_ALARM = 1e-6
 K_SIGMA = NormalDist().inv_cdf(1.0 - FALSE_ALARM / 2.0)  # 4.89
 
 
+def _one_qubit_counterexample():
+    """Found by the property below: one class, an RZ on a generic state."""
+    circ = QuantumCircuit(1)
+    for kind, param in [("X", None), ("SX", None), ("ID", None), ("RZ", 0.8557572005151188),
+                        ("ID", None), ("RESET", None), ("SX", None), ("ID", None),
+                        ("RESET", None), ("DELAY", 1.0), ("X", None), ("SX", None),
+                        ("RZ", 2.625), ("X", None), ("MEASURE", None)]:
+        circ.add(kind, 0, param=param)
+    return circ
+
+
 class TestTrajectories:
     @settings(max_examples=60, deadline=None)
+    @example(circ=_one_qubit_counterexample(), trajectories=2, seed=0,
+             params=NoiseParams(bit_flip_p=0.0, depol_1q=0.0, depol_2q=0.0, t1=1.0, t2=1.0,
+                                readout_len=0.0, gate_len_1q=0.0, gate_len_2q=0.0))
     @given(circ=_lowered_circuits(), params=_NOISE_PARAMS,
            trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1))
     def test_classes_match_one_row_per_trajectory_bit_for_bit(self, circ, params,
