@@ -355,6 +355,8 @@ def _channel_step(
     # lets a mixture's one column serve every class
     cum = np.cumsum(probs, axis=0)
     movers = np.flatnonzero(u > cum[0].take(cls, mode="clip"))
+    if movers.size == 0 and channel._skip[0]:  # nobody moves and operator 0 is the identity
+        return rows, cls
     choice = (u[movers] > cum.take(cls[movers], axis=1, mode="clip")).sum(axis=0)
     choice = np.minimum(choice, k - 1)
     pairs, moved = np.unique(cls[movers] * k + choice, return_inverse=True)
@@ -403,10 +405,8 @@ def execute_trajectories(
     if circuit.measured != (0,):
         raise ValueError(f"circuit must measure exactly qubit 0, measures {circuit.measured}")
     n = circuit.n_qubits
-    # two equal classes (the first trajectory, the rest) when there are two
-    # trajectories: classes never merge, so no step sees a one-row array, on
-    # which numpy multiplies complex numbers by another kernel that rounds
-    # differently from the kernel for the full (trajectories, 2^n) array
+    # two equal classes (trajectory 0, the rest): classes never merge, so no
+    # array has one row, where numpy's complex product rounds differently
     rows = np.zeros((min(trajectories, 2), 2**n), dtype=np.complex128)
     rows[:, 0] = 1.0
     cls = np.minimum(np.arange(trajectories), 1)
