@@ -31,12 +31,11 @@ from .core import (
     von_neumann_entropy,
 )
 from .estimators import (
+    DensityOracle,
     EsConfig,
     FidelityOracle,
     GradientConfig,
-    HilbertSchmidtOracle,
     ReconstructionReport,
-    UhlmannOracle,
     decode_candidate_density,
     decode_candidate_state,
     decode_candidate_unitary,

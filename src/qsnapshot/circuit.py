@@ -339,7 +339,11 @@ def _mottonen_thetas(amps: np.ndarray) -> tuple:
         total = np.sum(blocks**2, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(total > 0, upper / np.where(total > 0, total, 1.0), 0.0)
-        ry.append(_multiplexor_thetas(2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0)))))
+            low = np.sum(blocks[..., :half] ** 2, axis=-1) / total
+            # near pi, the arcsin of a ratio near 1 would lose a small lower half
+            ry.append(_multiplexor_thetas(np.where(
+                low < 1e-6, np.pi - 2.0 * np.arcsin(np.sqrt(low)),
+                2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0))))))
         blocks = phases.reshape(batch, -1, 2 * half)
         rz.append(_multiplexor_thetas(
             np.sum(blocks[..., half:] - blocks[..., :half], axis=-1) / half))

@@ -98,11 +98,6 @@ class DensityMatrix:
         psi = state.amplitudes
         return cls(state.n_qubits, np.outer(psi, psi.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        d = 2**n_qubits
-        return cls(n_qubits, np.eye(d, dtype=np.complex128) / d)
-
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
@@ -113,10 +108,6 @@ class UnitaryMatrix:
 
     def __post_init__(self):
         _freeze(self, "entries", check_unitary)
-
-    def apply_to_zero(self) -> StateVector:
-        """The state this unitary prepares from |0...0>."""
-        return StateVector(self.n_qubits, self.entries[:, 0])
 
 
 def _freeze(obj, name: str, check) -> None:

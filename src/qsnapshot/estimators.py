@@ -123,48 +123,39 @@ class FidelityOracle:
         return 2.0 * (np.array(zeros) / self._shots) - 1.0
 
 
-class _DensityOracle:
-    """``evaluate`` is a one-row call of ``evaluate_batch`` on a (batch, d, d) stack."""
+class DensityOracle:
+    """Fidelity signal against a fixed target density matrix, scored on a
+    (batch, d, d) stack; ``evaluate`` is a one-row call of ``evaluate_batch``.
 
-    def __init__(self, target: DensityMatrix):
+    ``signal`` is ``"hilbert_schmidt"``, Tr(rho sigma): what a SWAP test
+    actually measures on mixed inputs, which exhibits the mixed-state plateau.
+    Or it is ``"uhlmann"``, the true mixed-state fidelity: it needs target
+    access, so it is a diagnostic oracle only, never a hardware-realizable
+    signal.
+    """
+
+    def __init__(self, target: DensityMatrix, signal: str):
+        if signal not in ("hilbert_schmidt", "uhlmann"):
+            raise ValueError(f"unknown density signal {signal!r}; "
+                             f"expected hilbert_schmidt or uhlmann")
         self._target = target
+        self.signal = signal
+        self._sqrt_target = psd_sqrt(target.entries) if signal == "uhlmann" else None
         self.n_qubits = target.n_qubits
         self.evaluations = 0
 
     def evaluate(self, candidate: DensityMatrix) -> float:
         return float(self.evaluate_batch(candidate.entries[None])[0])
 
-    def _counted(self, candidates) -> np.ndarray:
+    def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
         rhos = np.asarray(candidates)
         if rhos.shape[1:] != self._target.entries.shape:
             width = np.log2(rhos.shape[-1])
             raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {width:g}")
         self.evaluations += len(rhos)
-        return rhos
-
-
-class HilbertSchmidtOracle(_DensityOracle):
-    """Tr(rho sigma) signal against a fixed target density matrix.
-
-    This is what a SWAP test actually measures on mixed inputs; it drives the
-    density-representation reconstruction and exhibits the mixed-state
-    plateau.
-    """
-
-    def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
-        return np.trace(self._target.entries @ self._counted(candidates), axis1=1, axis2=2).real
-
-
-class UhlmannOracle(_DensityOracle):
-    """True mixed-state fidelity signal; needs target access, so it is a
-    validation/diagnostic oracle only, never a hardware-realizable signal."""
-
-    def __init__(self, target: DensityMatrix):
-        super().__init__(target)
-        self._sqrt_target = psd_sqrt(target.entries)
-
-    def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
-        return uhlmann_fidelities(self._sqrt_target, self._counted(candidates))
+        if self.signal == "uhlmann":
+            return uhlmann_fidelities(self._sqrt_target, rhos)
+        return np.trace(self._target.entries @ rhos, axis1=1, axis2=2).real
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +359,7 @@ class ReconstructionReport:
 
     ``fidelity_trace`` holds the oracle-reported fidelity per epoch (gradient)
     or the population-best per iteration (QESwap); ``validation_trace`` is
-    optional instrumentation recorded by a harness-supplied probe and is not
-    part of the serialized schema.
+    optional instrumentation recorded by a harness-supplied probe.
     """
 
     method: str
@@ -389,20 +379,6 @@ class ReconstructionReport:
     def __post_init__(self):
         if self.fidelity_trace and abs(self.best_fidelity - max(self.fidelity_trace)) > 1e-12:
             raise ValueError("best_fidelity must equal the trace maximum")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "representation": self.representation,
-            "n_qubits": self.n_qubits,
-            "best_fidelity": self.best_fidelity,
-            "epochs": self.epochs,
-            "oracle_evals": self.oracle_evals,
-            "fidelity_trace": self.fidelity_trace,
-            "wall_time_s": self.wall_time_s,
-            "mixed_state_flag": self.mixed_state_flag,
-            "seed": self.seed,
-        }
 
 
 @dataclass

@@ -28,12 +28,11 @@ from .core import (
     uhlmann_fidelity,
 )
 from .estimators import (
+    DensityOracle,
     EsConfig,
     FidelityOracle,
     GradientConfig,
-    HilbertSchmidtOracle,
     ReconstructionReport,
-    UhlmannOracle,
     reconstruct,
 )
 from .noise import NoiseParams, calibrated_noise_model
@@ -458,14 +457,14 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
         rng = root.child(i)
         target = _random_rank2_density(n_qubits, rng)
         results = {}
-        for tag, oracle in (("hilbert_schmidt", HilbertSchmidtOracle(target)),
-                            ("uhlmann", UhlmannOracle(target))):
+        for tag in ("hilbert_schmidt", "uhlmann"):
             config = EsConfig(
                 population=population, max_iter=max_iter,
                 seed=rng.child(1 if tag == "hilbert_schmidt" else 2).seed,
                 stop_threshold=0.995,
             )
-            report = reconstruct("qeswap", "density", oracle, config, n_qubits)
+            report = reconstruct("qeswap", "density", DensityOracle(target, tag), config,
+                                 n_qubits)
             results[tag] = {
                 "signal_best": report.best_fidelity,
                 "uhlmann_final": uhlmann_fidelity(target, report.final_candidate),
@@ -528,18 +527,3 @@ def emit_report(cohort: CohortSummary, out_dir):
         {"trial": t.trial, "epoch": epoch, "fidelity": fid}
         for t in cohort.trials for epoch, fid in enumerate(t.validation_trace, 1)))
     return [out / "summary.json", out / "trials.csv", out / "trace.csv"]
-
-
-def load_trials_csv(path) -> list:
-    """Round-trip loader for trials.csv (strings preserved as written)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def load_trace_csv(path) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [
-            {"trial": int(r["trial"]), "epoch": int(r["epoch"]),
-             "fidelity": float(r["fidelity"])}
-            for r in csv.DictReader(fh)
-        ]

@@ -216,7 +216,8 @@ class NoiseParams:
 
     @classmethod
     def from_file(cls, path) -> "NoiseParams":
-        """Load key=value text config; unknown keys are an error."""
+        """Load key=value text config; an unknown or repeated key, or a value
+        that is not a number, is an error naming its line."""
         known = {f.name for f in fields(cls)}
         values = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -227,10 +228,15 @@ class NoiseParams:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                key = key.strip()
+                key, value = key.strip(), value.strip()
                 if key not in known:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = float(value.strip())
+                if key in values:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                try:
+                    values[key] = float(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not a number")
         return cls(**values)
 
 
@@ -274,10 +280,6 @@ class NoiseModel:
                 )
             )
         return apps
-
-
-def identity_noise_model() -> NoiseModel:
-    return NoiseModel({})
 
 
 def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
@@ -375,14 +377,6 @@ def _channel_step(
     if weights is None:  # only mixtures have identity draws
         out /= np.linalg.norm(out, axis=1, keepdims=True)
     return out, cls
-
-
-def _apply_channel_batch(
-    amps: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int, rng: Rng
-) -> np.ndarray:
-    """The channel step on a (trajectories, dim) batch, every row its own class."""
-    rows, cls = _channel_step(amps, np.arange(len(amps)), channel, qubits, n_qubits, rng)
-    return rows[cls]
 
 
 def execute_trajectories(

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsnapshot.circuit import (
     BASIS_KINDS,
@@ -25,6 +28,24 @@ def run_from_zero(circuit):
     return execute_statevector(
         circuit, StateVector.computational_basis(circuit.n_qubits)
     )
+
+
+@st.composite
+def pure_states(draw, max_qubits=4):
+    """Normalized states of 1..max_qubits qubits; amplitudes are often exactly
+    zero, so that preparations leave rotations out."""
+    n = draw(st.integers(1, max_qubits))
+    entries = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))
+    parts = draw(hnp.arrays(np.float64, (2, 2**n), elements=entries))
+    assume(parts.any())
+    return StateVector.normalized(parts[0] + 1j * parts[1])
+
+
+def unitary_of(circuit):
+    """The circuit's matrix, one column per computational basis input."""
+    n = circuit.n_qubits
+    return np.stack([execute_statevector(circuit, StateVector.computational_basis(n, i))
+                     .amplitudes for i in range(2**n)], axis=1)
 
 
 class TestGate:
@@ -157,6 +178,19 @@ class TestMottonen:
             out = run_from_zero(mottonen_prepare(target))
             assert overlap_fidelity(out, target) >= 1 - 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(target=pure_states())
+    @example(target=StateVector.computational_basis(3, 6))
+    @example(target=StateVector.normalized([1e-9 + 1e-9j, 1 + 1e-9j]))
+    def test_roundtrip_property(self, target):
+        out = run_from_zero(mottonen_prepare(target))
+        assert overlap_fidelity(out, target) >= 1 - 1e-12
+        # amplitude by amplitude up to one global phase, which a small
+        # amplitude's error (second order in the overlap) cannot pass
+        peak = np.argmax(np.abs(target.amplitudes))
+        phase = out.amplitudes[peak] / target.amplitudes[peak]
+        assert np.max(np.abs(out.amplitudes - phase * target.amplitudes)) <= 1e-12
+
 
 class TestLowering:
     def test_fixpoint(self):
@@ -217,6 +251,22 @@ class TestLowering:
                     execute_statevector(circ, s), execute_statevector(lowered, s)
                 )
                 assert f >= 1 - 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 4))
+    def test_lowering_equals_circuit_up_to_global_phase(self, data, n):
+        circ = QuantumCircuit(n)
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["H", "RY", "CSWAP"]))
+            qubits = data.draw(st.permutations(range(n)))[:3 if kind == "CSWAP" else 1]
+            param = data.draw(st.floats(-10.0, 10.0)) if kind == "RY" else None
+            circ.add(kind, *qubits, param=param)
+        want, got = unitary_of(circ), unitary_of(lower_to_basis(circ))
+        # one phase for every column: relative phases between inputs are not free
+        peak = np.unravel_index(np.argmax(np.abs(want)), want.shape)
+        phase = got[peak] / want[peak]
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.max(np.abs(got - phase * want)) <= 1e-12
 
 
 class TestSwapTest:

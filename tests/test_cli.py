@@ -91,7 +91,10 @@ class TestExitCodes:
         (["standard", "--max-iter", "0"], "max_epochs must be >= 1, got 0"),
         (["mixed-diagnostic", "--trials", "1", "--max-iter", "0"],
          "max_iter must be >= 1, got 0"),
-    ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0"])
+        (["cohort", "--trials", "1", "--shots", "0"], "shots must be >= 1, got 0"),
+        (["cohort", "--trials", "1", "--shots", "-2"], "shots must be >= 1, got -2"),
+    ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0", "shots-0",
+            "shots-neg"])
     def test_runtime_error_spec_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"
         assert run_cli(*args, "--out", str(out)) == 2
@@ -120,6 +123,20 @@ class TestExitCodes:
         (tmp_path / "st" / f"{ident}.json").write_text("")
         assert run_cli("withdraw", ident, "--store", str(tmp_path / "st")) == 2
         assert "error: metadata of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"label": "no amplitudes"},
+        [[1.0, 0.0], [0.0, 0.0]],
+        {"amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    ], ids=["no-amplitudes", "top-level-list", "three-entry-pair"])
+    def test_runtime_error_malformed_state_file(self, tmp_path, capsys, payload):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps(payload))
+        store = tmp_path / "st"
+        assert run_cli("deposit", "--state", str(state), "--store", str(store)) == 2
+        assert f'error: {state}: expected {{"amplitudes": [[re, im], ...]}}' in (
+            capsys.readouterr().err)
+        assert not store.exists()
 
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999

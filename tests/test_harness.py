@@ -1,5 +1,6 @@
 """Tests for the experiment harness: catalog, cohorts, emission, diagnostics."""
 
+import csv
 import math
 
 import numpy as np
@@ -11,8 +12,6 @@ from qsnapshot.noise import NoiseParams
 from qsnapshot.harness import (
     ExperimentSpec,
     emit_report,
-    load_trace_csv,
-    load_trials_csv,
     run_cohort,
     run_entropy_analysis,
     run_midcircuit_snapshot,
@@ -240,11 +239,11 @@ class TestMixedDiagnostic:
     def test_pure_target_no_plateau(self):
         # rank-1 target: the Hilbert-Schmidt signal is the true fidelity
         from qsnapshot.core import DensityMatrix
-        from qsnapshot.estimators import EsConfig, HilbertSchmidtOracle, reconstruct
+        from qsnapshot.estimators import DensityOracle, EsConfig, reconstruct
         from qsnapshot.core import uhlmann_fidelity
 
         target = DensityMatrix.from_state(random_pure_state(1, Rng(7)))
-        report = reconstruct("qeswap", "density", HilbertSchmidtOracle(target),
+        report = reconstruct("qeswap", "density", DensityOracle(target, "hilbert_schmidt"),
                              EsConfig(max_iter=150, seed=0, stop_threshold=0.995),
                              n_qubits=1)
         assert uhlmann_fidelity(target, report.final_candidate) >= 0.99
@@ -268,10 +267,12 @@ class TestEmission:
         summary = run_cohort(small_spec())
         paths = emit_report(summary, tmp_path)
         assert {p.name for p in paths} == {"summary.json", "trials.csv", "trace.csv"}
-        trials = load_trials_csv(tmp_path / "trials.csv")
+        with open(tmp_path / "trials.csv", newline="", encoding="utf-8") as fh:
+            trials = list(csv.DictReader(fh))
         assert len(trials) == 3
-        trace = load_trace_csv(tmp_path / "trace.csv")
-        assert all(row["epoch"] >= 1 for row in trace)
+        with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
+            trace = list(csv.DictReader(fh))
+        assert all(int(row["epoch"]) >= 1 for row in trace)
         # trace rows reproduce the recorded validation traces
         total = sum(len(t.validation_trace) for t in summary.trials)
         assert len(trace) == total

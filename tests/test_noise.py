@@ -6,6 +6,7 @@ gate/channel sequence; trajectory averages must agree with it.
 
 import hashlib
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -32,11 +33,10 @@ from qsnapshot.noise import (
     NoiseModel,
     NoiseParams,
     UnsupportedRegimeError,
-    _apply_channel_batch,
+    _channel_step,
     bit_flip_channel,
     depolarizing_channel,
     execute_trajectories,
-    identity_noise_model,
     calibrated_noise_model,
     thermal_relaxation_channel,
 )
@@ -220,7 +220,8 @@ class TestGateKernel:
         amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         rng, reference_rng = Rng(seed), Rng(seed)
-        got = _apply_channel_batch(amps.copy(), channel, qubits, n, rng)
+        rows, cls = _channel_step(amps.copy(), np.arange(batch), channel, qubits, n, rng)
+        got = rows[cls]
         want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
@@ -272,7 +273,8 @@ class TestGateKernel:
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         # operator 0 is the identity; a row draws it when u <= its weight
         identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_weights[0]
-        out = _apply_channel_batch(amps, ch, (2, 0), 3, Rng(9))
+        rows, cls = _channel_step(amps, np.arange(len(amps)), ch, (2, 0), 3, Rng(9))
+        out = rows[cls]
         assert 0 < identity_rows.sum() < len(amps)
         assert out[identity_rows].tobytes() == amps[identity_rows].tobytes()
         assert not np.any(np.all(out[~identity_rows] == amps[~identity_rows], axis=1))
@@ -371,6 +373,20 @@ class TestNoiseParams:
         cfg = tmp_path / "noise.cfg"
         cfg.write_text("bogus=1\n")
         with pytest.raises(ValueError):
+            NoiseParams.from_file(cfg)
+
+    def test_from_file_repeated_key(self, tmp_path):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("t1 = 100\nt1 = 50\nt2 = 80\n")
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: repeated key 't1'")):
+            NoiseParams.from_file(cfg)
+
+    @pytest.mark.parametrize("value", ["abc", "", "1e"])
+    def test_from_file_bad_value_names_its_line(self, tmp_path, value):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(f"# comment\nt2 = 80\nt1 = {value}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}:3: t1 = {value!r} is not a number")):
             NoiseParams.from_file(cfg)
 
 
@@ -498,7 +514,7 @@ class TestTrajectories:
         b = random_pure_state(2, rng)
         test = lower_to_basis(build_swap_test(2, mottonen_prepare(a), mottonen_prepare(b)))
         exact = ancilla_expectation(test)
-        est = execute_trajectories(test, identity_noise_model(), 10, Rng(3))
+        est = execute_trajectories(test, NoiseModel({}), 10, Rng(3))
         assert est == pytest.approx(exact, abs=1e-9)
 
     def test_deterministic_given_seed(self):
@@ -514,7 +530,7 @@ class TestTrajectories:
     def test_unlowered_circuit_rejected(self):
         circ = QuantumCircuit(1).add("H", 0).add("MEASURE", 0)
         with pytest.raises(ValueError):
-            execute_trajectories(circ, identity_noise_model(), 10, Rng(0))
+            execute_trajectories(circ, NoiseModel({}), 10, Rng(0))
 
     def test_agrees_with_density_matrix_oracle(self):
         # 1-qubit SWAP test (3 qubits) under the default model
