@@ -326,7 +326,9 @@ class TestBatchedDensityOracles:
         # F(rho, 2 rho) = 2, and the message names it
         assert float(str(err.value).split()[2]) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("signal", ["hilbert_schmidt", "uhlmann"])
+    # the ids are the names the two signals had as separate oracle classes
+    @pytest.mark.parametrize("signal", ["hilbert_schmidt", "uhlmann"],
+                             ids=["HilbertSchmidtOracle", "UhlmannOracle"])
     def test_width_mismatch(self, signal):
         oracle = DensityOracle(_maximally_mixed(2), signal)
         with pytest.raises(ValueError, match="qubit count mismatch: 2 vs 1"):
