@@ -182,7 +182,10 @@ def _cmd_mixed_diagnostic(args) -> int:
 
 
 def _load_state_json(path: str) -> tuple:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not text, or not JSON
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:

@@ -35,6 +35,18 @@ class Rng:
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
 
+    def ahead(self, k: int) -> "Rng":
+        """A new generator ``k`` uniform draws past this one, which stays put:
+        Philox block b holds draws 4b..4b+3, so it starts from a block."""
+        state = self._gen.bit_generator.state
+        words = state["state"]["counter"]
+        at = 4 * sum(int(w) << 64 * i for i, w in enumerate(words)) + state["buffer_pos"] - 4 + k
+        words[:], state["buffer_pos"] = [at // 4 >> 64 * i & 2**64 - 1 for i in range(4)], 4
+        out = Rng(self.seed)
+        out._gen.bit_generator.state = state
+        out._gen.bit_generator.random_raw(at % 4)
+        return out
+
     def child(self, index: int) -> "Rng":
         """Derive an independent generator; deterministic in (seed, index)."""
         derived = np.random.SeedSequence([self.seed, int(index)])

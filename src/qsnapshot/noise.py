@@ -4,16 +4,10 @@ Channels are synthesized from scalar calibration parameters (bit-flip
 probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
 on the CX pair. Averaging the trajectories reproduces the density-matrix
-evolution. Trajectories that hold the same state share one row: the state is
-one row per trajectory class plus each trajectory's class. Each channel step
-draws one number per trajectory and computes the selection probabilities
-once per class (static weights for unitary mixtures, local populations for
-diagonal effects, the local Gram matrix otherwise); trajectories that draw
-operator 0 stay in their class, whose row gets it as one shared matrix, and
-the others move to one new class per (class, operator) pair, whose rows get
-their operators as a per-row stack through circuit.apply_matrix. Every
-trajectory sees the same arithmetic as with one row per trajectory, bit for
-bit; identity draws keep their bytes.
+evolution. Trajectories that hold the same state share one row, a trajectory
+class (_channel_step), and circuits that differ only in RZ angles run as one
+batch whose class rows each carry their circuit (execute_trajectory_batch).
+Every trajectory gets the bits it would get alone, one row per trajectory.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .circuit import BASIS_KINDS, QuantumCircuit, _local_views, apply_gate, apply_matrix
+from .circuit import BASIS_KINDS, QuantumCircuit, _local_views, apply_gate, apply_matrix, rz_matrix
 from .core import Rng
 
 COMPLETENESS_TOL = 1e-9
@@ -322,19 +316,33 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
 # Trajectory execution (one row per trajectory class)
 
 
+def gate_structure(circuit: QuantumCircuit) -> tuple:
+    """Width, gate kinds, qubits and every parameter but RZ angles."""
+    return circuit.n_qubits, tuple((g.kind, g.qubits, None if g.kind == "RZ" else g.param)
+                                   for g in circuit.gates)
+
+
+def channel_steps(circuit: QuantumCircuit, model: NoiseModel):
+    """Each gate with its channel steps, a list of (channel, qubits) without
+    identity channels: each step draws one uniform number per trajectory."""
+    for gate in circuit.gates:
+        yield gate, [(app.channel, qubits) for app in model.channels_for(gate)
+                     if not app.channel.is_identity
+                     for qubits in ([gate.qubits] if app.scope == "pair"
+                                    else [(q,) for q in gate.qubits])]
+
+
 def _channel_step(
     rows: np.ndarray, cls: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int,
-    rng: Rng,
+    u: np.ndarray,
 ) -> tuple:
     """Stochastically apply one Kraus channel to trajectory classes: ``rows``
-    holds one state per class and ``cls`` each trajectory's class. Every
-    trajectory draws one operator; those drawing operator 0 stay in their
-    class, whose row gets it once, and the others move to one new class per
-    (class, operator) pair. Classes left empty are dropped. Rows that draw an
-    identity keep their bytes."""
-    if channel.is_identity:
-        return rows, cls
-    u = rng.uniform(len(cls))
+    holds one state per class, ``cls`` each trajectory's class and ``u`` its
+    draw. Every trajectory draws one operator; those drawing operator 0 stay
+    in their class, whose row gets it once, and the others move to one new
+    class per (class, operator) pair. Classes left empty are dropped. Rows
+    that draw an identity keep their bytes. Returns the new rows, classes and
+    the source row of each new row."""
     k = len(channel.operators)
     weights = channel._mix_weights
     if weights is not None:
@@ -358,7 +366,7 @@ def _channel_step(
     cum = np.cumsum(probs, axis=0)
     movers = np.flatnonzero(u > cum[0].take(cls, mode="clip"))
     if movers.size == 0 and channel._skip[0]:  # nobody moves and operator 0 is the identity
-        return rows, cls
+        return rows, cls, np.arange(len(rows))
     choice = (u[movers] > cum.take(cls[movers], axis=1, mode="clip")).sum(axis=0)
     choice = np.minimum(choice, k - 1)
     pairs, moved = np.unique(cls[movers] * k + choice, return_inverse=True)
@@ -367,7 +375,8 @@ def _channel_step(
     live = np.bincount(cls, minlength=len(rows) + len(pairs)) > 0
     kept = np.flatnonzero(live[:len(rows)])  # every new class is live
     cls = (np.cumsum(live) - 1).take(cls)
-    out = rows.take(np.concatenate([kept, pairs // k]), axis=0)  # kept classes first
+    src = np.concatenate([kept, pairs // k])  # kept classes first
+    out = rows.take(src, axis=0)
     ops, stay = pairs % k, len(kept)
     if stay and not channel._skip[0]:  # operator 0 as one shared matrix on the kept classes
         out[:stay] = apply_matrix(out[:stay], channel._stack[0], qubits, n_qubits)
@@ -376,41 +385,59 @@ def _channel_step(
         out[new] = apply_matrix(out[new], channel._stack[ops[new - stay]], qubits, n_qubits)
     if weights is None:  # only mixtures have identity draws
         out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return out, cls
+    return out, cls, src
+
+
+def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: int,
+                             rngs: list) -> np.ndarray:
+    """Mean ancilla <Z> of each lowered circuit over its own Kraus
+    trajectories, drawn from ``rngs[c]``: bit for bit each circuit run alone.
+
+    After every gate the assigned channels are applied with operator i chosen
+    with probability ||K_i psi||^2 and the state renormalized; MEASURE
+    channels fire before the measurement, whose <Z> is exact per trajectory.
+    The circuits share their :func:`gate_structure`: an RZ whose angles
+    differ is applied as a per-row stack, every other gate as one.
+    """
+    if trajectories < 1:
+        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
+    if not circuits or len(rngs) != len(circuits):
+        raise ValueError(f"need one rng per circuit and at least one circuit, "
+                         f"got {len(circuits)} circuits and {len(rngs)} rngs")
+    first, n = circuits[0], circuits[0].n_qubits
+    if any(gate_structure(c) != gate_structure(first) for c in circuits[1:]):
+        raise ValueError("batched circuits must share width, gate kinds, qubits and delays")
+    for g in first.gates:
+        if g.kind not in BASIS_KINDS:
+            raise ValueError(f"circuit is not lowered: contains {g.kind}")
+    if first.measured != (0,):
+        raise ValueError(f"circuit must measure exactly qubit 0, measures {first.measured}")
+    # two equal classes per circuit (trajectory 0, the rest): classes never merge,
+    # so no array has one row, where numpy's complex product rounds differently
+    per = min(trajectories, 2)
+    rows = np.zeros((per * len(circuits), 2**n), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    circuit_of = np.arange(len(rows)) // per  # each class row's circuit
+    cls = np.add.outer(per * np.arange(len(circuits)), np.minimum(np.arange(trajectories), 1))
+    cls = cls.ravel()
+    for i, (gate, steps) in enumerate(channel_steps(first, model)):
+        angles = [c.gates[i].param for c in circuits]
+        if gate.kind == "RZ" and len(set(angles)) > 1:
+            rows = apply_matrix(rows, rz_matrix(angles)[circuit_of], gate.qubits, n)
+        elif gate.kind != "MEASURE":
+            rows = apply_gate(rows, gate, n)
+        for channel, qubits in steps:
+            u = np.concatenate([rng.uniform(trajectories) for rng in rngs])
+            rows, cls, src = _channel_step(rows, cls, channel, qubits, n, u)
+            circuit_of = circuit_of[src]
+    idx = np.arange(2**n)
+    z_per_class = 1.0 - 2.0 * np.sum(np.abs(rows[:, (idx & 1) == 1]) ** 2, axis=1)
+    return z_per_class[cls].reshape(len(circuits), trajectories).mean(axis=1)
 
 
 def execute_trajectories(
     circuit: QuantumCircuit, model: NoiseModel, trajectories: int, rng: Rng
 ) -> float:
-    """Mean ancilla <Z> over stochastic Kraus trajectories of a lowered circuit.
-
-    After every gate the assigned channels are applied with operator i chosen
-    with probability ||K_i psi||^2 and the state renormalized. MEASURE
-    channels fire before the measurement; the ancilla expectation itself is
-    computed exactly from each trajectory's final state. Trajectories with
-    equal states share one row: the gates act on the class rows and each
-    class's <Z> is gathered back to its trajectories.
-    """
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
-    for g in circuit.gates:
-        if g.kind not in BASIS_KINDS:
-            raise ValueError(f"circuit is not lowered: contains {g.kind}")
-    if circuit.measured != (0,):
-        raise ValueError(f"circuit must measure exactly qubit 0, measures {circuit.measured}")
-    n = circuit.n_qubits
-    # two equal classes (trajectory 0, the rest): classes never merge, so no
-    # array has one row, where numpy's complex product rounds differently
-    rows = np.zeros((min(trajectories, 2), 2**n), dtype=np.complex128)
-    rows[:, 0] = 1.0
-    cls = np.minimum(np.arange(trajectories), 1)
-    for gate in circuit.gates:
-        if gate.kind != "MEASURE":
-            rows = apply_gate(rows, gate, n)
-        for app in model.channels_for(gate):
-            for qubits in [gate.qubits] if app.scope == "pair" else [(q,) for q in gate.qubits]:
-                rows, cls = _channel_step(rows, cls, app.channel, qubits, n, rng)
-    idx = np.arange(2**n)
-    p1 = np.sum(np.abs(rows[:, (idx & 1) == 1]) ** 2, axis=1)
-    z_per_class = 1.0 - 2.0 * p1
-    return float(np.mean(z_per_class[cls]))
+    """Mean ancilla <Z> over stochastic Kraus trajectories of a lowered
+    circuit: a one-circuit :func:`execute_trajectory_batch`."""
+    return float(execute_trajectory_batch([circuit], model, trajectories, [rng])[0])

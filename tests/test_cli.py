@@ -16,6 +16,9 @@ def run_cli(*args):
     return main(list(args))
 
 
+SHAPE_MESSAGE = 'expected {"amplitudes": [[re, im], ...]}'  # a state file of another shape
+
+
 class TestExitCodes:
     def test_usage_error_bad_noise(self, tmp_path):
         assert run_cli("cohort", "--noise", "bogus", "--out", str(tmp_path)) == 1
@@ -124,18 +127,18 @@ class TestExitCodes:
         assert run_cli("withdraw", ident, "--store", str(tmp_path / "st")) == 2
         assert "error: metadata of" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        {"label": "no amplitudes"},
-        [[1.0, 0.0], [0.0, 0.0]],
-        {"amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
-    ], ids=["no-amplitudes", "top-level-list", "three-entry-pair"])
-    def test_runtime_error_malformed_state_file(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"label": "no amplitudes"}), SHAPE_MESSAGE),
+        (json.dumps([[1.0, 0.0], [0.0, 0.0]]), SHAPE_MESSAGE),
+        (json.dumps({"amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}), SHAPE_MESSAGE),
+        ('{"amplitudes": [[1.0, 0.0], [0.0', "not valid JSON: Expecting"),
+    ], ids=["no-amplitudes", "top-level-list", "three-entry-pair", "truncated"])
+    def test_runtime_error_malformed_state_file(self, tmp_path, capsys, text, message):
         state = tmp_path / "s.json"
-        state.write_text(json.dumps(payload))
+        state.write_text(text)
         store = tmp_path / "st"
         assert run_cli("deposit", "--state", str(state), "--store", str(store)) == 2
-        assert f'error: {state}: expected {{"amplitudes": [[re, im], ...]}}' in (
-            capsys.readouterr().err)
+        assert f"error: {state}: {message}" in capsys.readouterr().err
         assert not store.exists()
 
     def test_gate_miss(self, tmp_path):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnapshot.core import (
     DensityMatrix,
@@ -52,6 +54,24 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(2**64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 9), k=st.integers(0, 40),
+           m=st.integers(1, 9), calls=st.sampled_from(["uniform", "normal"]))
+    def test_ahead_is_k_draws_later(self, seed, before, k, m, calls):
+        # any earlier draws leave a partly spent Philox block; normals draw a
+        # variable number of uniforms, so the generator may stand anywhere
+        r = Rng(seed)
+        getattr(r, calls)(before)
+        ahead = r.ahead(k)
+        assert ahead.uniform(m).tobytes() == r.uniform(k + m)[k:].tobytes()
+
+    def test_ahead_crosses_a_counter_word(self):
+        r = Rng(3)
+        state = r._gen.bit_generator.state
+        state["state"]["counter"] = np.array([2**64 - 2, 0, 0, 0], dtype=np.uint64)
+        r._gen.bit_generator.state = state
+        assert r.ahead(13).uniform(6).tobytes() == r.uniform(19)[13:].tobytes()
 
 
 class TestStateVector:

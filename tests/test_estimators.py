@@ -15,6 +15,7 @@ from qsnapshot.circuit import (
     QuantumCircuit,
     ancilla_expectation,
     build_swap_test,
+    lower_to_basis,
     mottonen_prepare,
     sample_shots,
 )
@@ -28,7 +29,7 @@ from qsnapshot.core import (
     uhlmann_fidelity,
 )
 from qsnapshot.harness import _random_rank2_density
-from qsnapshot.noise import NoiseParams, calibrated_noise_model
+from qsnapshot.noise import NoiseParams, calibrated_noise_model, execute_trajectories
 from qsnapshot.estimators import (
     Adam,
     DensityOracle,
@@ -425,6 +426,9 @@ class TestOracles:
         assert report.epochs == 3
 
 
+NOISE_SATURATED = NoiseParams(depol_1q=0.5, depol_2q=0.5, bit_flip_p=0.3, t1=20.0, t2=10.0)
+
+
 def _edge_state(kind: str, n: int, rng: Rng) -> StateVector:
     """A state whose Mottonen preparation hits one of the gate-skip rules."""
     d = 2**n
@@ -432,6 +436,8 @@ def _edge_state(kind: str, n: int, rng: Rng) -> StateVector:
         return StateVector.computational_basis(n, int(rng.integers(0, d)))
     if kind == "real":  # real-positive amplitudes: no RZ cascade
         return StateVector.normalized(np.abs(rng.normal(d)) + 0.1)
+    if kind == "uniform":  # equal real amplitudes: no RZ cascade, zero RY angles past n = 1
+        return StateVector.normalized(np.ones(d))
     if kind == "zeros":  # exact zeros, the upper half among them: zero RY angles
         amps = rng.normal(d) + 1j * rng.normal(d)
         amps[rng.uniform(d) < 0.3] = 0.0
@@ -507,6 +513,40 @@ class TestBatchedOracle:
         batched = oracle()
         assert batched.evaluate_batch(candidates).tolist() == expected
         assert batched.evaluations == serial.evaluations == 3
+
+    @settings(max_examples=20, deadline=None)
+    @example(n=1, saturated=False, trajectories=2000, seed=1, before=3,
+             kinds=["haar", "basis", "haar", "uniform", "haar", "real", "haar", "haar"])
+    @given(n=st.integers(1, 2), saturated=st.booleans(),
+           trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1),
+           before=st.integers(0, 3), kinds=st.lists(
+               st.sampled_from(["haar", "basis", "uniform", "real"]), min_size=1, max_size=7))
+    def test_noisy_batch_is_serial_bit_for_bit(self, n, saturated, trajectories, seed, before,
+                                               kinds):
+        # mixed kinds lower to several gate structures; 0-3 earlier draws start
+        # the oracle's generator inside a Philox block
+        params = NOISE_SATURATED if saturated else NoiseParams()
+        model = calibrated_noise_model(params)
+        rng = Rng(seed)
+        prep = mottonen_prepare(random_pure_state(n, rng))
+        candidates = [_edge_state(kind, n, rng) for kind in kinds]
+
+        def started():
+            gen = Rng(seed + 1)
+            gen.uniform(before)
+            return gen
+
+        batch_rng, loop_rng, serial_rng = started(), started(), started()
+        batch = FidelityOracle(prep, noise_model=model, trajectories=trajectories,
+                               rng=batch_rng).evaluate_batch(candidates)
+        one = FidelityOracle(prep, noise_model=model, trajectories=trajectories, rng=loop_rng)
+        loop = np.array([one.evaluate(c) for c in candidates])
+        serial = np.array([execute_trajectories(  # the candidate-by-candidate engine
+            lower_to_basis(build_swap_test(n, prep, mottonen_prepare(c))), model,
+            trajectories, serial_rng) for c in candidates])
+        assert batch.tobytes() == loop.tobytes() == serial.tobytes()
+        draws = {gen.uniform(4).tobytes() for gen in (batch_rng, loop_rng, serial_rng)}
+        assert len(draws) == 1  # each generator ends where the serial loop leaves it
 
     def test_candidate_width_must_match_target(self):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(34))))

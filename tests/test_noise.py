@@ -37,6 +37,7 @@ from qsnapshot.noise import (
     bit_flip_channel,
     depolarizing_channel,
     execute_trajectories,
+    execute_trajectory_batch,
     calibrated_noise_model,
     thermal_relaxation_channel,
 )
@@ -187,11 +188,11 @@ def _lowered_circuits(draw):
     return circ.add("MEASURE", 0)
 
 
-def _damping_in_x_basis():
+def _damping_in_x_basis(t1=100.0, t2=100.0, duration=30000.0):
     """Amplitude damping conjugated by H: non-diagonal effects, not a mixture."""
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
     return KrausChannel(tuple(h @ k @ h for k in
-                              thermal_relaxation_channel(100.0, 100.0, 30000.0).operators), 1)
+                              thermal_relaxation_channel(t1, t2, duration).operators), 1)
 
 
 _CALIBRATED = {id(app.channel): app.channel
@@ -220,7 +221,8 @@ class TestGateKernel:
         amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         rng, reference_rng = Rng(seed), Rng(seed)
-        rows, cls = _channel_step(amps.copy(), np.arange(batch), channel, qubits, n, rng)
+        rows, cls, _ = _channel_step(amps.copy(), np.arange(batch), channel, qubits, n,
+                                     rng.uniform(batch))
         got = rows[cls]
         want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -273,7 +275,8 @@ class TestGateKernel:
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         # operator 0 is the identity; a row draws it when u <= its weight
         identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_weights[0]
-        rows, cls = _channel_step(amps, np.arange(len(amps)), ch, (2, 0), 3, Rng(9))
+        rows, cls, _ = _channel_step(amps, np.arange(len(amps)), ch, (2, 0), 3,
+                                     Rng(9).uniform(len(amps)))
         out = rows[cls]
         assert 0 < identity_rows.sum() < len(amps)
         assert out[identity_rows].tobytes() == amps[identity_rows].tobytes()
@@ -507,6 +510,64 @@ class TestTrajectories:
             est = execute_trajectories(test, model, trajectories, rng)
             sigma = math.sqrt(1.0 - exact**2)
             assert abs(est - exact) <= K_SIGMA * sigma / math.sqrt(trajectories)
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["paper", "saturated"])
+    @pytest.mark.parametrize("path", ["unitary mixture", "diagonal effects", "general Gram"])
+    def test_each_step_path_batched_within_k_sigma(self, path, saturated):
+        # one channel path at a time, at the model's rates, on three SWAP tests
+        # run as one batch, each against the dense reference
+        p = _SATURATED if saturated else NoiseParams()
+        if path == "unitary mixture":
+            apps = {"SX": [depolarizing_channel(p.depol_1q), bit_flip_channel(p.bit_flip_p)],
+                    "CX": [depolarizing_channel(p.depol_2q, 2)]}
+        else:
+            relax = (thermal_relaxation_channel if path == "diagonal effects"
+                     else _damping_in_x_basis)
+            apps = {"CX": [relax(p.t1, p.t2, p.gate_len_2q)],
+                    "MEASURE": [relax(p.t1, p.t2, p.readout_len)]}
+        model = NoiseModel({kind: [ChannelApplication(ch) for ch in channels]
+                            for kind, channels in apps.items()})
+        channels = [ch for channels in apps.values() for ch in channels]
+        assert all((ch._mix_weights is not None) == (path == "unitary mixture") and
+                   (ch._effect_diagonals is not None) == (path != "general Gram")
+                   for ch in channels)
+        rng, trajectories = Rng(70 + len(path) + saturated), 2000
+        a = random_pure_state(1, rng)
+        tests = [lower_to_basis(build_swap_test(1, mottonen_prepare(a), mottonen_prepare(b)))
+                 for b in (a, random_pure_state(1, rng), random_pure_state(1, rng))]
+        means = execute_trajectory_batch(tests, model, trajectories,
+                                         [rng.child(i) for i in range(len(tests))])
+        for test, mean in zip(tests, means):
+            exact = dm_execute(test, model)
+            sigma = math.sqrt(1.0 - exact**2)
+            assert abs(mean - exact) <= K_SIGMA * sigma / math.sqrt(trajectories)
+
+    def test_batch_inputs_checked(self):
+        model, rng = calibrated_noise_model(), Rng(0)
+        x = QuantumCircuit(2).add("X", 1).add("RZ", 0, param=0.1).add("MEASURE", 0)
+        other_angle = QuantumCircuit(2).add("X", 1).add("RZ", 0, param=0.2).add("MEASURE", 0)
+        assert execute_trajectory_batch([x, other_angle], model, 4, [rng, rng]).shape == (2,)
+        for other in (QuantumCircuit(3).add("X", 1).add("RZ", 0, param=0.1).add("MEASURE", 0),
+                      QuantumCircuit(2).add("SX", 1).add("RZ", 0, param=0.1).add("MEASURE", 0),
+                      QuantumCircuit(2).add("X", 0).add("RZ", 0, param=0.1).add("MEASURE", 0),
+                      QuantumCircuit(2).add("X", 1).add("MEASURE", 0)):
+            with pytest.raises(ValueError, match="must share width, gate kinds, qubits"):
+                execute_trajectory_batch([x, other], model, 4, [rng, rng])
+        delays = [QuantumCircuit(1).add("DELAY", 0, param=t).add("MEASURE", 0) for t in (1, 2)]
+        with pytest.raises(ValueError, match="must share width, gate kinds, qubits and delays"):
+            execute_trajectory_batch(delays, model, 4, [rng, rng])
+        with pytest.raises(ValueError, match="need one rng per circuit"):
+            execute_trajectory_batch([x, x], model, 4, [rng])
+        with pytest.raises(ValueError, match="at least one circuit, got 0 circuits"):
+            execute_trajectory_batch([], model, 4, [])
+        with pytest.raises(ValueError, match="trajectories must be >= 1"):
+            execute_trajectory_batch([x], model, 0, [rng])
+        with pytest.raises(ValueError, match="not lowered"):
+            execute_trajectory_batch([QuantumCircuit(1).add("H", 0).add("MEASURE", 0)],
+                                     model, 4, [rng])
+        with pytest.raises(ValueError, match="must measure exactly qubit 0"):
+            execute_trajectory_batch([QuantumCircuit(2).add("X", 0).add("MEASURE", 1)],
+                                     model, 4, [rng])
 
     def test_identity_model_matches_analytic(self):
         rng = Rng(2)
