@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, StateVector
+from .core import Rng, StateVector, normalize_rows
 
 SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "RESET", "ID", "DELAY"})
 BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RESET", "RZ", "SX", "X"})
@@ -524,5 +524,4 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
                 amps = apply_matrix(amps, mats[:, b], (a + n + 1,), width)
     for gate in build_swap_test(n, QuantumCircuit(n), QuantumCircuit(n)).gates[1:-1]:
         amps = apply_gate(amps, gate, width)  # the CSWAPs and the last H
-    norms = np.array([np.linalg.norm(row) for row in amps])  # as StateVector.normalized
-    return np.abs(amps / norms[:, None]) ** 2
+    return np.abs(normalize_rows(amps)) ** 2

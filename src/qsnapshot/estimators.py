@@ -41,7 +41,7 @@ from .core import (
     psd_sqrt,
     uhlmann_fidelities,
 )
-from .noise import NoiseModel, channel_steps, execute_trajectory_batch, gate_structure
+from .noise import NoiseModel, execute_trajectory_batch
 
 LATENT_DIM = 256
 HIDDEN_SIZES = (512, 1024, 1024, 512, 256)
@@ -66,8 +66,6 @@ class FidelityOracle:
     Exact and shot batches are simulated as one (batch, 2^(2n+1)) array,
     noisy ones as a few trajectory batches, bit for bit a candidate loop.
     """
-
-    BUDGET = 2**16  # amplitudes per trajectory batch: 4 candidates at n = 1, T = 2000
 
     def __init__(
         self,
@@ -110,7 +108,10 @@ class FidelityOracle:
         amps = np.stack([getattr(c, "amplitudes", c) for c in candidates])
         self.evaluations += len(amps)
         if self._model is not None:
-            return self._trajectory_means(amps)
+            preps = [mottonen_prepare(StateVector.from_amplitudes(a)) for a in amps]
+            tests = [lower_to_basis(build_swap_test(self.n_qubits, self._target_prep, prep))
+                     for prep in preps]
+            return execute_trajectory_batch(tests, self._model, self._trajectories, self._rng)
         probs = swap_test_probabilities(self._head, amps)
         if self._shots is None:
             # summed from a contiguous copy: a strided row sum rounds differently
@@ -119,30 +120,6 @@ class FidelityOracle:
         zeros = [np.count_nonzero(self._rng._gen.choice(
             row.size, size=self._shots, p=row / row.sum()) % 2 == 0) for row in probs]
         return 2.0 * (np.array(zeros) / self._shots) - 1.0
-
-    def _trajectory_means(self, amps: np.ndarray) -> np.ndarray:
-        """Candidate c draws from a generator placed past candidates 0..c-1's
-        draws; candidates of one gate structure run BUDGET amplitudes at a time."""
-        t, model = self._trajectories, self._model
-        tests = [lower_to_basis(build_swap_test(self.n_qubits, self._target_prep,
-                                                mottonen_prepare(StateVector.from_amplitudes(a))))
-                 for a in amps]
-        groups: dict = {}  # Mottonen leaves rotations out, so gate lists differ
-        for i, test in enumerate(tests):
-            groups.setdefault(gate_structure(test), []).append(i)
-        draws = np.zeros(len(tests), dtype=np.int64)
-        for idx in groups.values():
-            draws[idx] = t * sum(len(steps) for _, steps in channel_steps(tests[idx[0]], model))
-        rngs = [self._rng.ahead(int(k)) for k in np.cumsum(np.r_[0, draws])]
-        # T = 1 runs alone: its serial run is a one-row array, which rounds apart
-        size = 1 if t == 1 else max(1, self.BUDGET // (t * 2 ** (2 * self.n_qubits + 1)))
-        means = np.empty(len(tests))
-        for idx in groups.values():
-            for chunk in (idx[j:j + size] for j in range(0, len(idx), size)):
-                means[chunk] = execute_trajectory_batch(
-                    [tests[i] for i in chunk], model, t, [rngs[i] for i in chunk])
-        self._rng._gen.bit_generator.state = rngs[-1]._gen.bit_generator.state  # in place
-        return means
 
 
 class DensityOracle:

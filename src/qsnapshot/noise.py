@@ -5,9 +5,10 @@ probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
 on the CX pair. Averaging the trajectories reproduces the density-matrix
 evolution. Trajectories that hold the same state share one row, a trajectory
-class (_channel_step), and circuits that differ only in RZ angles run as one
-batch whose class rows each carry their circuit (execute_trajectory_batch).
-Every trajectory gets the bits it would get alone, one row per trajectory.
+class (_channel_step). execute_trajectory_batch places each circuit's draws in
+the one generator's stream and runs circuits that differ only in RZ angles as
+one batch whose class rows each carry their circuit. Every trajectory gets the
+bits it would get alone, one row per trajectory.
 """
 
 from __future__ import annotations
@@ -235,45 +236,38 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
-class ChannelApplication:
-    """One channel attached to a gate kind."""
-
-    channel: KrausChannel
-
-    @property
-    def scope(self) -> str:
-        """From the arity: "pair" (a 2-qubit channel on the gate's qubit pair)
-        or "operands" (a 1-qubit channel on every operand in turn)."""
-        return "pair" if self.channel.arity == 2 else "operands"
-
-
-@dataclass(frozen=True)
 class NoiseModel:
-    """Per-gate-kind channel assignments plus relaxation parameters for delays."""
+    """Kraus channels per gate kind plus relaxation parameters for delays. A
+    2-qubit channel acts on the CX pair, a 1-qubit one on each operand."""
 
     assignments: dict = field(default_factory=dict)
     t1: float | None = None
     t2: float | None = None
+    _delays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for kind, apps in self.assignments.items():
+        for kind, channels in self.assignments.items():
             if kind not in BASIS_KINDS:
                 raise ValueError(f"channel assigned to non-basis gate kind {kind!r}")
-            for app in apps:
-                if not isinstance(app, ChannelApplication):
-                    raise ValueError("assignments must hold ChannelApplication entries")
-                if app.channel.arity == 2 and kind != "CX":  # only CX takes two qubits
+            for channel in channels:
+                if not isinstance(channel, KrausChannel):
+                    raise ValueError("assignments must hold KrausChannel entries")
+                if channel.arity == 2 and kind != "CX":  # only CX takes two qubits
                     raise ValueError(f"2-qubit channel assigned to 1-qubit gate kind {kind!r}")
 
-    def channels_for(self, gate) -> list:
-        apps = list(self.assignments.get(gate.kind, ()))
+    def steps(self, gate) -> list:
+        """The gate's (channel, qubits) steps without identity channels: each
+        draws one uniform number per trajectory. A DELAY's relaxation channel
+        is built once per duration."""
+        channels = list(self.assignments.get(gate.kind, ()))
         if gate.kind == "DELAY" and self.t1 is not None:
-            apps.append(
-                ChannelApplication(
-                    thermal_relaxation_channel(self.t1, self.t2, gate.param)
-                )
-            )
-        return apps
+            if gate.param not in self._delays:
+                self._delays[gate.param] = thermal_relaxation_channel(self.t1, self.t2,
+                                                                      gate.param)
+            channels.append(self._delays[gate.param])
+        return [(channel, qubits) for channel in channels if not channel.is_identity
+                for qubits in ([gate.qubits] if channel.arity == 2
+                               else [(q,) for q in gate.qubits])]
 
 
 def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
@@ -282,32 +276,18 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
     before measurement, relaxation over idle durations for ID/DELAY."""
     if params is None:
         params = NoiseParams()
-    depol1 = ChannelApplication(depolarizing_channel(params.depol_1q, 1))
-    flip = ChannelApplication(bit_flip_channel(params.bit_flip_p))
-    single = [depol1, flip]
+    single = [depolarizing_channel(params.depol_1q, 1), bit_flip_channel(params.bit_flip_p)]
     cx = [
-        ChannelApplication(depolarizing_channel(params.depol_2q, 2)),
-        ChannelApplication(
-            thermal_relaxation_channel(params.t1, params.t2, params.gate_len_2q)
-        ),
-    ]
-    measure = [
-        ChannelApplication(
-            thermal_relaxation_channel(params.t1, params.t2, params.readout_len)
-        )
-    ]
-    idle = [
-        ChannelApplication(
-            thermal_relaxation_channel(params.t1, params.t2, params.gate_len_1q)
-        )
+        depolarizing_channel(params.depol_2q, 2),
+        thermal_relaxation_channel(params.t1, params.t2, params.gate_len_2q),
     ]
     assignments = {
         "RZ": single,
         "SX": single,
         "X": single,
         "CX": cx,
-        "MEASURE": measure,
-        "ID": idle,
+        "MEASURE": [thermal_relaxation_channel(params.t1, params.t2, params.readout_len)],
+        "ID": [thermal_relaxation_channel(params.t1, params.t2, params.gate_len_1q)],
     }
     return NoiseModel(assignments, t1=params.t1, t2=params.t2)
 
@@ -316,20 +296,13 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
 # Trajectory execution (one row per trajectory class)
 
 
-def gate_structure(circuit: QuantumCircuit) -> tuple:
+BUDGET = 2**16  # amplitudes per trajectory chunk: 4 SWAP tests at n = 1, T = 2000
+
+
+def _gate_structure(circuit: QuantumCircuit) -> tuple:
     """Width, gate kinds, qubits and every parameter but RZ angles."""
     return circuit.n_qubits, tuple((g.kind, g.qubits, None if g.kind == "RZ" else g.param)
                                    for g in circuit.gates)
-
-
-def channel_steps(circuit: QuantumCircuit, model: NoiseModel):
-    """Each gate with its channel steps, a list of (channel, qubits) without
-    identity channels: each step draws one uniform number per trajectory."""
-    for gate in circuit.gates:
-        yield gate, [(app.channel, qubits) for app in model.channels_for(gate)
-                     if not app.channel.is_identity
-                     for qubits in ([gate.qubits] if app.scope == "pair"
-                                    else [(q,) for q in gate.qubits])]
 
 
 def _channel_step(
@@ -389,29 +362,52 @@ def _channel_step(
 
 
 def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: int,
-                             rngs: list) -> np.ndarray:
+                             rng: Rng) -> np.ndarray:
     """Mean ancilla <Z> of each lowered circuit over its own Kraus
-    trajectories, drawn from ``rngs[c]``: bit for bit each circuit run alone.
+    trajectories: bit for bit a loop of :func:`execute_trajectories` over
+    ``circuits`` with ``rng``, which ends where that loop leaves it.
 
     After every gate the assigned channels are applied with operator i chosen
     with probability ||K_i psi||^2 and the state renormalized; MEASURE
     channels fire before the measurement, whose <Z> is exact per trajectory.
-    The circuits share their :func:`gate_structure`: an RZ whose angles
-    differ is applied as a per-row stack, every other gate as one.
+    Circuit c draws from a generator placed past the draws of circuits
+    0..c-1. Circuits of one :func:`_gate_structure` run together, BUDGET
+    amplitudes at a time; at T = 1 each runs alone.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
-    if not circuits or len(rngs) != len(circuits):
-        raise ValueError(f"need one rng per circuit and at least one circuit, "
-                         f"got {len(circuits)} circuits and {len(rngs)} rngs")
+    if not circuits:
+        raise ValueError("need at least one circuit, got 0 circuits")
+    groups: dict = {}  # structure -> indices of its circuits
+    for i, circuit in enumerate(circuits):
+        groups.setdefault(_gate_structure(circuit), []).append(i)
+    steps, draws = {}, np.zeros(len(circuits), dtype=np.int64)
+    for key, idx in groups.items():
+        first = circuits[idx[0]]
+        for g in first.gates:
+            if g.kind not in BASIS_KINDS:
+                raise ValueError(f"circuit is not lowered: contains {g.kind}")
+        if first.measured != (0,):
+            raise ValueError(f"circuit must measure exactly qubit 0, measures {first.measured}")
+        steps[key] = [model.steps(g) for g in first.gates]
+        draws[idx] = trajectories * sum(map(len, steps[key]))
+    gens = [rng.ahead(int(k)) for k in np.cumsum(np.r_[0, draws])]
+    means = np.empty(len(circuits))
+    for key, idx in groups.items():
+        # T = 1 runs alone: its serial run is a one-row array, which rounds apart
+        size = 1 if trajectories == 1 else max(1, BUDGET // (trajectories * 2 ** key[0]))
+        for chunk in (idx[j:j + size] for j in range(0, len(idx), size)):
+            means[chunk] = _trajectory_chunk([circuits[i] for i in chunk], steps[key],
+                                             trajectories, [gens[i] for i in chunk])
+    rng._gen.bit_generator.state = gens[-1]._gen.bit_generator.state  # in place
+    return means
+
+
+def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list) -> np.ndarray:
+    """Circuits of one structure, whose gates have the channel ``steps``, as
+    one set of class rows, circuit c drawing from ``gens[c]``: an RZ whose
+    angles differ is applied as a per-row stack, every other gate as one."""
     first, n = circuits[0], circuits[0].n_qubits
-    if any(gate_structure(c) != gate_structure(first) for c in circuits[1:]):
-        raise ValueError("batched circuits must share width, gate kinds, qubits and delays")
-    for g in first.gates:
-        if g.kind not in BASIS_KINDS:
-            raise ValueError(f"circuit is not lowered: contains {g.kind}")
-    if first.measured != (0,):
-        raise ValueError(f"circuit must measure exactly qubit 0, measures {first.measured}")
     # two equal classes per circuit (trajectory 0, the rest): classes never merge,
     # so no array has one row, where numpy's complex product rounds differently
     per = min(trajectories, 2)
@@ -420,14 +416,14 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
     circuit_of = np.arange(len(rows)) // per  # each class row's circuit
     cls = np.add.outer(per * np.arange(len(circuits)), np.minimum(np.arange(trajectories), 1))
     cls = cls.ravel()
-    for i, (gate, steps) in enumerate(channel_steps(first, model)):
+    for i, (gate, gate_steps) in enumerate(zip(first.gates, steps)):
         angles = [c.gates[i].param for c in circuits]
         if gate.kind == "RZ" and len(set(angles)) > 1:
             rows = apply_matrix(rows, rz_matrix(angles)[circuit_of], gate.qubits, n)
         elif gate.kind != "MEASURE":
             rows = apply_gate(rows, gate, n)
-        for channel, qubits in steps:
-            u = np.concatenate([rng.uniform(trajectories) for rng in rngs])
+        for channel, qubits in gate_steps:
+            u = np.concatenate([gen.uniform(trajectories) for gen in gens])
             rows, cls, src = _channel_step(rows, cls, channel, qubits, n, u)
             circuit_of = circuit_of[src]
     idx = np.arange(2**n)
@@ -440,4 +436,4 @@ def execute_trajectories(
 ) -> float:
     """Mean ancilla <Z> over stochastic Kraus trajectories of a lowered
     circuit: a one-circuit :func:`execute_trajectory_batch`."""
-    return float(execute_trajectory_batch([circuit], model, trajectories, [rng])[0])
+    return float(execute_trajectory_batch([circuit], model, trajectories, rng)[0])

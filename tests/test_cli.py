@@ -111,6 +111,25 @@ class TestExitCodes:
                        "--qubits", "1", "--max-iter", "2") == 2
         assert "circuit has 2 qubits but the spec has n_qubits=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("RZ q0 abc", ":2: 'RZ q0 abc': could not convert string to float: 'abc'"),
+        ("CX q0", ":2: 'CX q0': CX expects 2 qubits"),
+        ("H qx", ":2: 'H qx': invalid literal for int()"),
+        ("RZ q0", ":2: 'RZ q0': RZ requires a parameter"),
+        ("H", ":2: 'H': expected KIND q0[,q1,...] [theta]"),
+        ("H q-1", ":2: qubit -1 outside circuit width 1"),
+        ("H q0\nMEASURE q0\nX q0", ":4: gate X follows MEASURE on qubit 0"),
+        ("# only a comment", ": no gate, only blank or comment lines"),
+    ], ids=["bad-angle", "cx-arity", "bad-qubit", "no-angle", "one-token", "negative-qubit",
+            "after-measure", "no-gate"])
+    def test_runtime_error_bad_circuit_file_names_its_line(self, tmp_path, capsys, line,
+                                                           message):
+        circ = tmp_path / "circ.txt"
+        circ.write_text(f"# a circuit\n{line}\n")
+        assert run_cli("snapshot", "--circuit", str(circ), "--cut", "1",
+                       "--max-iter", "2") == 2
+        assert f"error: {circ}{message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--gate", "1.0"]])
     def test_runtime_error_standard_width_without_catalog(self, tmp_path, capsys, extra):
         out = tmp_path / "o"

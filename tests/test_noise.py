@@ -28,7 +28,6 @@ from qsnapshot.circuit import (
 from qsnapshot.core import Rng, random_pure_state
 from qsnapshot.noise import (
     COMPLETENESS_TOL,
-    ChannelApplication,
     KrausChannel,
     NoiseModel,
     NoiseParams,
@@ -101,16 +100,11 @@ def dm_execute(circuit, model):
         return out
 
     for gate in circuit.gates:
-        apps = model.channels_for(gate)
         if gate.kind != "MEASURE":
             u = _gate_unitary(gate, n)
             rho = u @ rho @ u.conj().T
-        for app in apps:
-            if app.scope == "pair":
-                rho = apply_channel(rho, app.channel, gate.qubits)
-            else:
-                for q in gate.qubits:
-                    rho = apply_channel(rho, app.channel, (q,))
+        for channel, qubits in model.steps(gate):
+            rho = apply_channel(rho, channel, qubits)
     probs = np.diag(rho).real
     idx = np.arange(d)
     return float(np.sum(probs[(idx & 1) == 0]) - np.sum(probs[(idx & 1) == 1]))
@@ -162,18 +156,27 @@ def _per_row_trajectories(circuit, model, trajectories, rng):
     for gate in circuit.gates:
         if gate.kind != "MEASURE":
             amps = apply_gate(amps, gate, n)
-        for app in model.channels_for(gate):
-            for qubits in [gate.qubits] if app.scope == "pair" else [(q,) for q in gate.qubits]:
-                amps = _per_row_channel_step(amps, app.channel, qubits, n, rng)
+        for channel, qubits in model.steps(gate):
+            amps = _per_row_channel_step(amps, channel, qubits, n, rng)
     idx = np.arange(2**n)
     p1 = np.sum(np.abs(amps[:, (idx & 1) == 1]) ** 2, axis=1)
     return float(np.mean(1.0 - 2.0 * p1))
 
 
+_PARAMS = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}
+
+
 @st.composite
-def _lowered_circuits(draw):
+def _lowered_circuits(draw, like=None):
     """A small lowered circuit of X, SX, RZ, CX, ID, DELAY and RESET gates
-    that measures qubit 0."""
+    that measures qubit 0; given ``like``, its gates with some RZ angles and
+    DELAY durations drawn anew."""
+    if like is not None:
+        circ = QuantumCircuit(like.n_qubits)
+        for g in like.gates:
+            fresh = g.kind in _PARAMS and draw(st.booleans())
+            circ.add(g.kind, *g.qubits, param=draw(_PARAMS[g.kind]) if fresh else g.param)
+        return circ
     n = draw(st.integers(1, 3))
     circ = QuantumCircuit(n)
     kinds = ["X", "SX", "RZ", "ID", "DELAY", "RESET"] + (["CX"] if n > 1 else [])
@@ -182,10 +185,19 @@ def _lowered_circuits(draw):
         if kind == "CX":
             circ.add("CX", *draw(st.permutations(range(n)))[:2])
             continue
-        param = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}.get(kind)
+        param = _PARAMS.get(kind)
         circ.add(kind, draw(st.integers(0, n - 1)),
                  param=None if param is None else draw(param))
     return circ.add("MEASURE", 0)
+
+
+@st.composite
+def _circuit_batches(draw):
+    """1-6 lowered circuits of mixed widths, each a variant of one of up to
+    three drawn circuits: some share a gate structure, some do not."""
+    bases = draw(st.lists(_lowered_circuits(), min_size=1, max_size=3))
+    return [draw(_lowered_circuits(like=draw(st.sampled_from(bases))))
+            for _ in range(draw(st.integers(1, 6)))]
 
 
 def _damping_in_x_basis(t1=100.0, t2=100.0, duration=30000.0):
@@ -195,8 +207,9 @@ def _damping_in_x_basis(t1=100.0, t2=100.0, duration=30000.0):
                               thermal_relaxation_channel(t1, t2, duration).operators), 1)
 
 
-_CALIBRATED = {id(app.channel): app.channel
-               for apps in calibrated_noise_model().assignments.values() for app in apps}
+_CALIBRATED = {id(channel): channel
+               for channels in calibrated_noise_model().assignments.values()
+               for channel in channels}
 _STEP_CHANNELS = {
     **{f"calibrated {i}": channel for i, channel in enumerate(_CALIBRATED.values())},
     "flip 0.8": bit_flip_channel(0.8),  # the usual draw is X, not the identity
@@ -396,14 +409,15 @@ class TestNoiseParams:
 class TestCalibratedModel:
     def test_cx_has_16_operator_depolarizing(self):
         model = calibrated_noise_model()
-        apps = model.assignments["CX"]
-        assert len(apps[0].channel.operators) == 16
-        assert apps[0].scope == "pair"
+        depolarizing = model.assignments["CX"][0]
+        assert len(depolarizing.operators) == 16
+        channel, qubits = model.steps(Gate("CX", (1, 0)))[0]
+        assert channel is depolarizing and qubits == (1, 0)  # on the pair, not per operand
 
     def test_single_qubit_assignments(self):
         model = calibrated_noise_model()
         for kind in ("RZ", "SX", "X"):
-            kinds = [len(a.channel.operators) for a in model.assignments[kind]]
+            kinds = [len(channel.operators) for channel in model.assignments[kind]]
             assert kinds == [4, 2]  # depolarizing then bit flip
 
     def test_zeroed_params_match_noiseless(self):
@@ -428,16 +442,16 @@ class TestCalibratedModel:
                              t1=t1, t2=t1 * t2_ratio, readout_len=lengths[0],
                              gate_len_1q=lengths[1], gate_len_2q=lengths[2])
         model = calibrated_noise_model(params)
-        apps = [a for kind_apps in model.assignments.values() for a in kind_apps]
-        apps += model.channels_for(Gate("DELAY", (0,), lengths[3]))
-        for app in apps:
-            ops = np.array(app.channel.operators)
+        channels = [channel for assigned in model.assignments.values() for channel in assigned]
+        channels += [channel for channel, _ in model.steps(Gate("DELAY", (0,), lengths[3]))]
+        for channel in channels:
+            ops = np.array(channel.operators)
             total = np.einsum("kji,kjl->il", ops.conj(), ops)
             assert np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
 
     def test_two_qubit_channel_on_one_qubit_kind_rejected(self):
         with pytest.raises(ValueError):
-            NoiseModel({"X": [ChannelApplication(depolarizing_channel(0.1, 2))]})
+            NoiseModel({"X": [depolarizing_channel(0.1, 2)]})
 
     def test_golden_trajectories_every_channel_kind(self):
         # X, SX, RZ, CX (pair and operand channels), ID, DELAY and MEASURE:
@@ -477,6 +491,15 @@ def _one_qubit_counterexample():
                         ("RZ", 2.625), ("X", None), ("MEASURE", None)]:
         circ.add(kind, 0, param=param)
     return circ
+
+
+def _two_qubit_swap_tests():
+    """Two SWAP tests at n = 2 of one structure: at T = 1 each rounds apart
+    when the two run as one batch, so each must run alone."""
+    rng = Rng(0)
+    prep = mottonen_prepare(random_pure_state(2, rng))
+    return [lower_to_basis(build_swap_test(2, prep, mottonen_prepare(random_pure_state(2, rng))))
+            for _ in range(2)]
 
 
 class TestTrajectories:
@@ -525,8 +548,7 @@ class TestTrajectories:
                      else _damping_in_x_basis)
             apps = {"CX": [relax(p.t1, p.t2, p.gate_len_2q)],
                     "MEASURE": [relax(p.t1, p.t2, p.readout_len)]}
-        model = NoiseModel({kind: [ChannelApplication(ch) for ch in channels]
-                            for kind, channels in apps.items()})
+        model = NoiseModel(apps)
         channels = [ch for channels in apps.values() for ch in channels]
         assert all((ch._mix_weights is not None) == (path == "unitary mixture") and
                    (ch._effect_diagonals is not None) == (path != "general Gram")
@@ -535,39 +557,52 @@ class TestTrajectories:
         a = random_pure_state(1, rng)
         tests = [lower_to_basis(build_swap_test(1, mottonen_prepare(a), mottonen_prepare(b)))
                  for b in (a, random_pure_state(1, rng), random_pure_state(1, rng))]
-        means = execute_trajectory_batch(tests, model, trajectories,
-                                         [rng.child(i) for i in range(len(tests))])
+        means = execute_trajectory_batch(tests, model, trajectories, rng)
         for test, mean in zip(tests, means):
             exact = dm_execute(test, model)
             sigma = math.sqrt(1.0 - exact**2)
             assert abs(mean - exact) <= K_SIGMA * sigma / math.sqrt(trajectories)
 
+    @settings(max_examples=40, deadline=None)
+    @example(circuits=_two_qubit_swap_tests(), params=NoiseParams(), trajectories=1, seed=0,
+             before=0)
+    @given(circuits=_circuit_batches(), params=_NOISE_PARAMS,
+           trajectories=st.sampled_from([1, 2, 7]), seed=st.integers(0, 2**32 - 1),
+           before=st.integers(0, 3))
+    def test_mixed_batch_is_a_loop_bit_for_bit(self, circuits, params, trajectories, seed,
+                                               before):
+        # 0-3 earlier draws start the generator inside a Philox block
+        model = calibrated_noise_model(params)
+        rng, loop_rng, reference_rng = Rng(seed), Rng(seed), Rng(seed)
+        for gen in (rng, loop_rng, reference_rng):
+            gen.uniform(before)
+        got = execute_trajectory_batch(circuits, model, trajectories, rng)
+        loop = [execute_trajectories(c, model, trajectories, loop_rng) for c in circuits]
+        want = [_per_row_trajectories(c, model, trajectories, reference_rng) for c in circuits]
+        assert got.tobytes() == np.array(loop).tobytes() == np.array(want).tobytes()
+        draws = {gen.uniform(4).tobytes() for gen in (rng, loop_rng, reference_rng)}
+        assert len(draws) == 1  # each generator ends where the loop leaves it
+
     def test_batch_inputs_checked(self):
         model, rng = calibrated_noise_model(), Rng(0)
         x = QuantumCircuit(2).add("X", 1).add("RZ", 0, param=0.1).add("MEASURE", 0)
         other_angle = QuantumCircuit(2).add("X", 1).add("RZ", 0, param=0.2).add("MEASURE", 0)
-        assert execute_trajectory_batch([x, other_angle], model, 4, [rng, rng]).shape == (2,)
-        for other in (QuantumCircuit(3).add("X", 1).add("RZ", 0, param=0.1).add("MEASURE", 0),
-                      QuantumCircuit(2).add("SX", 1).add("RZ", 0, param=0.1).add("MEASURE", 0),
-                      QuantumCircuit(2).add("X", 0).add("RZ", 0, param=0.1).add("MEASURE", 0),
-                      QuantumCircuit(2).add("X", 1).add("MEASURE", 0)):
-            with pytest.raises(ValueError, match="must share width, gate kinds, qubits"):
-                execute_trajectory_batch([x, other], model, 4, [rng, rng])
-        delays = [QuantumCircuit(1).add("DELAY", 0, param=t).add("MEASURE", 0) for t in (1, 2)]
-        with pytest.raises(ValueError, match="must share width, gate kinds, qubits and delays"):
-            execute_trajectory_batch(delays, model, 4, [rng, rng])
-        with pytest.raises(ValueError, match="need one rng per circuit"):
-            execute_trajectory_batch([x, x], model, 4, [rng])
+        assert execute_trajectory_batch([x, other_angle], model, 4, rng).shape == (2,)
         with pytest.raises(ValueError, match="at least one circuit, got 0 circuits"):
-            execute_trajectory_batch([], model, 4, [])
+            execute_trajectory_batch([], model, 4, rng)
         with pytest.raises(ValueError, match="trajectories must be >= 1"):
-            execute_trajectory_batch([x], model, 0, [rng])
+            execute_trajectory_batch([x], model, 0, rng)
         with pytest.raises(ValueError, match="not lowered"):
-            execute_trajectory_batch([QuantumCircuit(1).add("H", 0).add("MEASURE", 0)],
-                                     model, 4, [rng])
+            execute_trajectory_batch([x, QuantumCircuit(1).add("H", 0).add("MEASURE", 0)],
+                                     model, 4, rng)
         with pytest.raises(ValueError, match="must measure exactly qubit 0"):
-            execute_trajectory_batch([QuantumCircuit(2).add("X", 0).add("MEASURE", 1)],
-                                     model, 4, [rng])
+            execute_trajectory_batch([x, QuantumCircuit(2).add("X", 0).add("MEASURE", 1)],
+                                     model, 4, rng)
+
+    def test_delay_channel_built_once_per_duration(self):
+        model, delay = calibrated_noise_model(), Gate("DELAY", (0,), 500.0)
+        assert model.steps(delay)[0][0] is model.steps(Gate("DELAY", (1,), 500.0))[0][0]
+        assert model.steps(delay)[0][0] is not model.steps(Gate("DELAY", (0,), 600.0))[0][0]
 
     def test_identity_model_matches_analytic(self):
         rng = Rng(2)
@@ -654,7 +689,7 @@ class TestTrajectories:
         h = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]])
         ch = KrausChannel((k0 @ h, k1 @ h), 1)
         assert ch._mix_weights is None and ch._effect_diagonals is None
-        model = NoiseModel({"X": [ChannelApplication(ch)]})
+        model = NoiseModel({"X": [ch]})
         circ = QuantumCircuit(1).add("X", 0).add("MEASURE", 0)
         exact = dm_execute(circ, model)
         est = execute_trajectories(circ, model, 4000, Rng(11))

@@ -238,6 +238,97 @@ class TestDepositWithdraw:
             assert overlap_fidelity(prepared, state) >= 1 - 1e-9
 
 
+def _inject_faults(monkeypatch, fail_at: int) -> list:
+    """Make the fail_at-th file write, os.replace or os.fsync of the store
+    raise OSError; a faulted write leaves the first half of its bytes.
+    Returns the fault points reached, in order."""
+    reached = []
+
+    def point(name):
+        reached.append(name)
+        if len(reached) == fail_at:
+            raise OSError(f"injected fault at {name} #{fail_at}")
+
+    class Writer:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            try:
+                point("write")
+            except OSError:
+                self.fh.write(data[: len(data) // 2])
+                raise
+            return self.fh.write(data)
+
+    real_open, replace, fsync = open, os.replace, os.fsync
+    monkeypatch.setattr(store_module, "open", lambda *a, **k: Writer(real_open(*a, **k)),
+                        raising=False)
+    monkeypatch.setattr(os, "replace", lambda *a: point("replace") or replace(*a))
+    monkeypatch.setattr(os, "fsync", lambda fd: point("fsync") or fsync(fd))
+    return reached
+
+
+class TestFaultInjection:
+    """Every fault point of a deposit, in process: real power loss, which can
+    reorder or drop writes the kernel acknowledged, is not covered."""
+
+    RECORD = SnapshotRecord.from_state(random_pure_state(2, Rng(13)), method="qeswap",
+                                       label="faulted")
+    OTHER = SnapshotRecord.from_state(random_pure_state(1, Rng(14)), label="bystander")
+
+    def _check_consistent(self, store):
+        """Listed records are complete; the faulted one is exact or a StoreError."""
+        for rec in (self.RECORD, self.OTHER):
+            ident = rec.identifier()
+            if ident in list_snapshots(store):
+                state, _ = withdraw(ident, store)
+                assert np.array_equal(state.amplitudes, rec.to_state().amplitudes)
+                assert json.loads((store / f"{ident}.json").read_bytes()) == rec.metadata
+            else:
+                with pytest.raises(StoreError):
+                    withdraw(ident, store)
+        assert set(list_snapshots(store)) <= {self.RECORD.identifier(), self.OTHER.identifier()}
+        assert self.OTHER.identifier() in list_snapshots(store)
+
+    def test_fault_points_of_one_deposit(self, tmp_path, monkeypatch):
+        reached = _inject_faults(monkeypatch, fail_at=0)
+        deposit(self.RECORD, tmp_path)
+        # per file: write the temporary, fsync it, rename it, fsync the directory
+        assert reached == ["write", "fsync", "replace", "fsync"] * 2
+
+    @pytest.mark.parametrize("second", range(9), ids=lambda j: f"then-{j or 'none'}")
+    def test_every_fault_point_leaves_a_repairable_store(self, tmp_path, monkeypatch, second):
+        # a fault at every k, then a fault at `second` in the repeat deposit
+        # (0: none), then one clean deposit
+        for k in range(1, 9):
+            store = tmp_path / f"k{k}"
+            deposit(self.OTHER, store)
+            for fail_at in filter(None, (k, second)):
+                reached, faulted = _inject_faults(monkeypatch, fail_at), False
+                try:
+                    deposit(self.RECORD, store)
+                except StoreError as exc:
+                    faulted = f"injected fault at {reached[-1]} #{fail_at}" in str(exc)
+                monkeypatch.undo()
+                # a repeat deposit of a complete record reaches no fault point
+                assert faulted == (len(reached) == fail_at)
+                self._check_consistent(store)
+            assert deposit(self.RECORD, store) == self.RECORD.identifier()
+            self._check_consistent(store)
+            assert list_snapshots(store) == sorted(
+                [self.RECORD.identifier(), self.OTHER.identifier()])
+
+
 class TestListing:
     def test_empty(self, tmp_path):
         assert list_snapshots(tmp_path / "missing") == []
