@@ -81,7 +81,7 @@ def _build_spec(args) -> ExperimentSpec:
 def _parse_circuit_file(path: str) -> QuantumCircuit:
     """One gate per line: KIND q0[,q1,...] [theta]. '#' starts a comment. A
     line that gives no valid gate is an error naming its FILE:LINE."""
-    gates = []  # (line number, gate)
+    gates = []  # (line number, line, gate)
     for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = raw_line.split("#", 1)[0].replace("(theta=", " ").replace(")", " ").split()
         if not parts:
@@ -90,18 +90,18 @@ def _parse_circuit_file(path: str) -> QuantumCircuit:
             if len(parts) not in (2, 3):
                 raise ValueError("expected KIND q0[,q1,...] [theta]")
             qubits = tuple(int(tok.lstrip("q")) for tok in parts[1].split(","))
-            gates.append((lineno, Gate(parts[0].upper(), qubits,
-                                       float(parts[2]) if len(parts) > 2 else None)))
+            gates.append((lineno, raw_line.strip(), Gate(
+                parts[0].upper(), qubits, float(parts[2]) if len(parts) > 2 else None)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {raw_line.strip()!r}: {exc}") from exc
     if not gates:
         raise ValueError(f"{path}: no gate, only blank or comment lines")
-    circuit = QuantumCircuit(max(1, *(q + 1 for _, g in gates for q in g.qubits)))
-    for lineno, g in gates:
+    circuit = QuantumCircuit(max(1, *(q + 1 for _, _, g in gates for q in g.qubits)))
+    for lineno, line, g in gates:
         try:
             circuit.add(g.kind, *g.qubits, param=g.param)
         except ValueError as exc:  # a negative qubit, or a gate after MEASURE on its qubit
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {line!r}: {exc}") from exc
     return circuit
 
 

@@ -47,6 +47,10 @@ class Rng:
         out._gen.bit_generator.random_raw(at % 4)
         return out
 
+    def skip(self, k: int) -> None:
+        """Move this generator ``k`` uniform draws ahead, in place."""
+        self._gen.bit_generator.state = self.ahead(k)._gen.bit_generator.state
+
     def child(self, index: int) -> "Rng":
         """Derive an independent generator; deterministic in (seed, index)."""
         derived = np.random.SeedSequence([self.seed, int(index)])

@@ -243,7 +243,6 @@ class NoiseModel:
     assignments: dict = field(default_factory=dict)
     t1: float | None = None
     t2: float | None = None
-    _delays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for kind, channels in self.assignments.items():
@@ -257,14 +256,10 @@ class NoiseModel:
 
     def steps(self, gate) -> list:
         """The gate's (channel, qubits) steps without identity channels: each
-        draws one uniform number per trajectory. A DELAY's relaxation channel
-        is built once per duration."""
+        draws one uniform number per trajectory."""
         channels = list(self.assignments.get(gate.kind, ()))
         if gate.kind == "DELAY" and self.t1 is not None:
-            if gate.param not in self._delays:
-                self._delays[gate.param] = thermal_relaxation_channel(self.t1, self.t2,
-                                                                      gate.param)
-            channels.append(self._delays[gate.param])
+            channels.append(thermal_relaxation_channel(self.t1, self.t2, gate.param))
         return [(channel, qubits) for channel in channels if not channel.is_identity
                 for qubits in ([gate.qubits] if channel.arity == 2
                                else [(q,) for q in gate.qubits])]
@@ -391,7 +386,7 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
             raise ValueError(f"circuit must measure exactly qubit 0, measures {first.measured}")
         steps[key] = [model.steps(g) for g in first.gates]
         draws[idx] = trajectories * sum(map(len, steps[key]))
-    gens = [rng.ahead(int(k)) for k in np.cumsum(np.r_[0, draws])]
+    gens = [rng.ahead(int(k)) for k in np.cumsum(np.r_[0, draws[:-1]])]
     means = np.empty(len(circuits))
     for key, idx in groups.items():
         # T = 1 runs alone: its serial run is a one-row array, which rounds apart
@@ -399,7 +394,7 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
         for chunk in (idx[j:j + size] for j in range(0, len(idx), size)):
             means[chunk] = _trajectory_chunk([circuits[i] for i in chunk], steps[key],
                                              trajectories, [gens[i] for i in chunk])
-    rng._gen.bit_generator.state = gens[-1]._gen.bit_generator.state  # in place
+    rng.skip(int(draws.sum()))
     return means
 
 

@@ -117,8 +117,8 @@ class TestExitCodes:
         ("H qx", ":2: 'H qx': invalid literal for int()"),
         ("RZ q0", ":2: 'RZ q0': RZ requires a parameter"),
         ("H", ":2: 'H': expected KIND q0[,q1,...] [theta]"),
-        ("H q-1", ":2: qubit -1 outside circuit width 1"),
-        ("H q0\nMEASURE q0\nX q0", ":4: gate X follows MEASURE on qubit 0"),
+        ("H q-1", ":2: 'H q-1': qubit -1 outside circuit width 1"),
+        ("H q0\nMEASURE q0\nX q0", ":4: 'X q0': gate X follows MEASURE on qubit 0"),
         ("# only a comment", ": no gate, only blank or comment lines"),
     ], ids=["bad-angle", "cx-arity", "bad-qubit", "no-angle", "one-token", "negative-qubit",
             "after-measure", "no-gate"])

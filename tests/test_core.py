@@ -63,8 +63,12 @@ class TestRng:
         # variable number of uniforms, so the generator may stand anywhere
         r = Rng(seed)
         getattr(r, calls)(before)
-        ahead = r.ahead(k)
-        assert ahead.uniform(m).tobytes() == r.uniform(k + m)[k:].tobytes()
+        ahead, skipped = r.ahead(k), Rng(seed)
+        getattr(skipped, calls)(before)
+        skipped.skip(k)
+        later = r.uniform(k + m)[k:].tobytes()
+        assert ahead.uniform(m).tobytes() == later
+        assert skipped.uniform(m).tobytes() == later
 
     def test_ahead_crosses_a_counter_word(self):
         r = Rng(3)

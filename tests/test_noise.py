@@ -599,11 +599,6 @@ class TestTrajectories:
             execute_trajectory_batch([x, QuantumCircuit(2).add("X", 0).add("MEASURE", 1)],
                                      model, 4, rng)
 
-    def test_delay_channel_built_once_per_duration(self):
-        model, delay = calibrated_noise_model(), Gate("DELAY", (0,), 500.0)
-        assert model.steps(delay)[0][0] is model.steps(Gate("DELAY", (1,), 500.0))[0][0]
-        assert model.steps(delay)[0][0] is not model.steps(Gate("DELAY", (0,), 600.0))[0][0]
-
     def test_identity_model_matches_analytic(self):
         rng = Rng(2)
         a = random_pure_state(2, rng)
