@@ -2,13 +2,19 @@
 
 Qubit 0 is the least-significant bit of the basis index throughout. The
 SWAP-test layout puts the ancilla at circuit position 0. Every amplitude
-update (gates, per-row gate stacks, RESET, and the Kraus steps in the noise
-module) goes through one kernel: strided views of the amplitudes reshaped to
-(batch, 2, ..., 2), one view per local basis index (_local_views,
-apply_matrix); CX and CSWAP are cached permutations. Next to the serial
-builders (mottonen_prepare, build_swap_test) sits a batched SWAP-test kernel
-(swap_test_head, swap_test_probabilities): many second states against one
-first state as one (batch, 2^(2n+1)) array, bit for bit the serial result.
+update (gates, per-column gate stacks, RESET, and the Kraus steps in the
+noise module) goes through one kernel on amplitudes with the batch axis last:
+a (2^n, batch) array, of which a flat (2^n,) vector is a batch of one.
+A gate gathers the rows of its local basis indices (_local_index, cached),
+forms every matrix-entry product in one broadcast and sums them in ascending
+order (apply_matrix): a few long loops over the batch, whatever its size. CX
+and CSWAP are cached row permutations.
+Sums over amplitudes follow numpy's pairwise order for one contiguous row
+(_column_sums), so every column rounds as that state would alone. Next to
+the serial builders (mottonen_prepare, build_swap_test) sits a batched
+SWAP-test kernel (swap_test_head, swap_test_probabilities): many second
+states against one first state as one (2^(2n+1), batch) array, bit for bit
+the serial result.
 """
 
 from __future__ import annotations
@@ -32,18 +38,18 @@ SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=np.comple
 
 
 def rz_matrix(theta) -> np.ndarray:
-    """RZ(theta); an array of angles gives a (..., 2, 2) stack, entry for entry."""
+    """RZ(theta); an array of angles gives a (2, 2, ...) stack, entry for entry."""
     t = np.asarray(theta, dtype=np.float64)
-    out = np.zeros(t.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0], out[..., 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+    out = np.zeros((2, 2) + t.shape, dtype=np.complex128)
+    out[0, 0], out[1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
     return out
 
 
 def ry_matrix(theta) -> np.ndarray:
-    """RY(theta); an array of angles gives a (..., 2, 2) stack, entry for entry."""
+    """RY(theta); an array of angles gives a (2, 2, ...) stack, entry for entry."""
     half = np.asarray(theta, dtype=np.float64) / 2
     c, s = np.vectorize(math.cos)(half), np.vectorize(math.sin)(half)
-    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(np.complex128)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -159,39 +165,59 @@ class ShotResult:
 # Statevector execution
 
 
-def _local_views(amps: np.ndarray, qubits: tuple, n_qubits: int) -> list:
-    """The 2^k strided views of ``amps.reshape(-1, 2, ..., 2)``, one per local
-    basis index with ``qubits[0]`` its most significant bit: view c holds every
-    amplitude whose bits on ``qubits`` spell c, in ascending basis order.
-    Writing into a view writes into ``amps`` when that array is contiguous."""
-    tensor = amps.reshape((-1,) + (2,) * n_qubits)  # axis 1 + j is qubit n-1-j
+@functools.lru_cache(maxsize=None)
+def _local_index(qubits: tuple, n_qubits: int) -> np.ndarray:
+    """(2^k, 2^(n-k)) basis indices: row c holds, in ascending order, every
+    index whose bits on ``qubits`` spell c, with ``qubits[0]`` its most
+    significant bit."""
+    idx = np.arange(2**n_qubits)
     k = len(qubits)
-    views = []
-    for c in range(2**k):
-        index = [slice(None)] * (1 + n_qubits)
-        for j, q in enumerate(qubits):
-            index[n_qubits - q] = (c >> (k - 1 - j)) & 1
-        views.append(tensor[tuple(index)])
-    return views
+    local = sum(((idx >> q) & 1) << (k - 1 - j) for j, q in enumerate(qubits))
+    index = np.argsort(local, kind="stable").reshape(2**k, -1)
+    index.flags.writeable = False
+    return index
 
 
 def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple, n_qubits: int) -> np.ndarray:
-    """Apply a k-qubit matrix to amplitudes (flat, or batched with a leading axis).
+    """Apply a k-qubit matrix to amplitudes, flat (2^n,) or batched (2^n, batch).
 
     ``qubits[0]`` is the most significant bit of the matrix's local basis
     index; the matrix is 2^k x 2^k, or for batched amplitudes a
-    (batch, 2^k, 2^k) stack holding one matrix per row. Local amplitude r
+    (2^k, 2^k, batch) stack holding one matrix per column. Local amplitude r
     becomes sum_c mat[r, c] * amplitude c, summed in ascending c.
     """
-    mat = mat[..., None, :, :]  # a per-row entry broadcasts along its row
-    # contiguous copies: arithmetic on views with short runs costs more than the copy
-    src = [v.reshape(len(v), -1) for v in _local_views(amps, qubits, n_qubits)]
-    out = np.empty(amps.shape, dtype=np.result_type(amps, mat))
-    for r, dst in enumerate(_local_views(out, qubits, n_qubits)):
-        acc = mat[..., r, 0] * src[0]
-        for c in range(1, len(src)):
-            acc += mat[..., r, c] * src[c]
-        dst[...] = acc.reshape(dst.shape)
+    index = _local_index(tuple(qubits), n_qubits)
+    d = len(index)
+    # every product mat[r, c] * amplitude c at once: (2^k, 2^k, 2^(n-k)[, batch])
+    mat = mat.reshape((d, d, 1) + (1,) * (amps.ndim + 1 - mat.ndim) + mat.shape[2:])
+    terms = mat * amps[index]
+    acc = terms[:, 0]
+    for c in range(1, d):
+        acc = acc + terms[:, c]
+    out = np.empty(amps.shape, dtype=acc.dtype)
+    out[index] = acc
+    return out
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of an (m, ...) array, each column in numpy's pairwise
+    order for one contiguous row of m: for an (m, batch) array, bit for bit
+    ``x.T.copy().sum(axis=1)``."""
+    m = len(x)
+    if m > 128:  # numpy halves a long row at a multiple of 8
+        half = m // 2 - m // 2 % 8
+        return _column_sums(x[:half]) + _column_sums(x[half:])
+    if m < 8:
+        out = x[0].copy()
+        for row in x[1:]:
+            out += row
+        return out
+    r = x[:8]  # eight running sums, each over every eighth entry
+    for i in range(8, m - m % 8, 8):
+        r = r + x[i:i + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[m - m % 8:]:
+        out += row
     return out
 
 
@@ -235,7 +261,7 @@ def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
         return apply_matrix(amps, mat, gate.qubits, n_qubits)
     if gate.kind in ("CX", "CSWAP"):
         perm = _cx_permutation if gate.kind == "CX" else _cswap_permutation
-        return amps[..., perm(n_qubits, *gate.qubits)]
+        return amps[perm(n_qubits, *gate.qubits)]
     if gate.kind in ("ID", "DELAY"):
         return amps
     if gate.kind == "RESET":
@@ -244,16 +270,15 @@ def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
 
 
 def _apply_reset(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.array(amps, copy=True, order="C")
-    zero, one = _local_views(out, (qubit,), n_qubits)
-    rows = out.reshape(len(zero), -1)
-    p0 = np.sum(np.abs(zero.reshape(len(zero), -1)) ** 2, axis=1)
+    cols = np.array(amps, copy=True, order="C").reshape(2**n_qubits, -1)
+    zero, one = _local_index((qubit,), n_qubits)
+    p0 = _column_sums(np.abs(cols[zero]) ** 2)
     kept = p0 > 1e-24
     # all weight on |1>: relocate it to |0> (projective reset)
-    zero[~kept] = one[~kept]
-    one[...] = 0.0
-    rows[kept] /= np.sqrt(p0[kept])[:, None]
-    return out
+    cols[zero] = np.where(kept, cols[zero], cols[one])
+    cols[one] = 0.0
+    cols[:, kept] /= np.sqrt(p0[kept])
+    return cols.reshape(amps.shape)
 
 
 def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateVector:
@@ -506,7 +531,8 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
     Each row of the (batch, 2^n) array is loaded onto qubits n+1..2n of a copy
     of ``head`` by the fixed Mottonen template with that row's angles, as an
     exact identity where :func:`mottonen_prepare` leaves a rotation out: bit
-    for bit the probabilities of the serially built and simulated SWAP test.
+    for bit the probabilities of the serially built and simulated SWAP test,
+    one row per candidate.
     """
     n = candidates.shape[1].bit_length() - 1
     width = 2 * n + 1
@@ -515,13 +541,13 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
     ry, rz, phased = _mottonen_thetas(candidates)
     ry[np.abs(ry) <= SKIP_TOL] = 0.0
     rz[(np.abs(rz) <= SKIP_TOL) | ~phased[:, None]] = 0.0
-    amps = np.repeat(head[None, :], len(candidates), axis=0)
-    for mats in (ry_matrix(ry), rz_matrix(rz))[: 1 + int(phased.any())]:
+    amps = np.repeat(head[:, None], len(candidates), axis=1)
+    for mats in (ry_matrix(ry.T), rz_matrix(rz.T))[: 1 + int(phased.any())]:
         for slot, a, b in _mottonen_template(n):
             if slot == "CX":
-                amps = amps[:, _cx_permutation(width, a + n + 1, b + n + 1)]
+                amps = amps[_cx_permutation(width, a + n + 1, b + n + 1)]
             else:
-                amps = apply_matrix(amps, mats[:, b], (a + n + 1,), width)
+                amps = apply_matrix(amps, mats[:, :, b], (a + n + 1,), width)
     for gate in build_swap_test(n, QuantumCircuit(n), QuantumCircuit(n)).gates[1:-1]:
         amps = apply_gate(amps, gate, width)  # the CSWAPs and the last H
-    return np.abs(normalize_rows(amps)) ** 2
+    return np.abs(normalize_rows(amps.T.copy())) ** 2

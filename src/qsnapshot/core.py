@@ -29,8 +29,10 @@ class Rng:
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
-    def uniform(self, size=None) -> np.ndarray:
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None) -> np.ndarray:
+        """Draws in [0, 1). Given ``out``, fills it with the draws a fresh call
+        of its size returns, and leaves the generator where that call would."""
+        return self._gen.random(size, out=out)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)

@@ -4,11 +4,14 @@ Channels are synthesized from scalar calibration parameters (bit-flip
 probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
 on the CX pair. Averaging the trajectories reproduces the density-matrix
-evolution. Trajectories that hold the same state share one row, a trajectory
-class (_channel_step). execute_trajectory_batch places each circuit's draws in
-the one generator's stream and runs circuits that differ only in RZ angles as
-one batch whose class rows each carry their circuit. Every trajectory gets the
-bits it would get alone, one row per trajectory.
+evolution. Trajectories that hold the same state share one column of a
+(2^n, classes) array, a trajectory class (_Classes, _channel_step). A
+trajectory keeps its class id until a draw moves it, so a channel step pays
+for its movers and its classes, not for every trajectory.
+execute_trajectory_batch places each circuit's draws in the one generator's
+stream and runs circuits that differ only in RZ angles as one batch whose
+class columns each carry their circuit. Every trajectory gets the bits it
+would get alone, one row per trajectory.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .circuit import BASIS_KINDS, QuantumCircuit, _local_views, apply_gate, apply_matrix, rz_matrix
+from .circuit import (BASIS_KINDS, QuantumCircuit, _column_sums, _local_index, apply_gate,
+                      apply_matrix, rz_matrix)
 from .core import Rng
 
 COMPLETENESS_TOL = 1e-9
@@ -63,11 +67,12 @@ class KrausChannel:
         """Precompute fast-path metadata for trajectory sampling.
 
         A channel whose operators are all proportional to unitaries has
-        state-independent selection probabilities (``_mix_weights``) and is
-        applied without renormalization; a channel whose POVM effects are all
-        diagonal needs only basis populations (``_effect_diagonals``).
-        ``_stack`` holds the operator each choice applies (the unitary for a
-        mixture) and ``_skip`` marks choices that leave the state as it is.
+        state-independent selection probabilities (``_mix_weights``, summed
+        in ``_mix_cum``) and is applied without renormalization; a channel
+        whose POVM effects are all diagonal needs only basis populations
+        (``_effect_diagonals``). ``_stack`` holds the operator each choice
+        applies (the unitary for a mixture), choice last, and ``_skip`` marks
+        choices that leave the state as it is.
         """
         d = self.operators[0].shape[0]
         effects = np.array([k.conj().T @ k for k in self.operators])
@@ -87,8 +92,10 @@ class KrausChannel:
                 phase = stack[i].flat[np.argmax(np.abs(stack[i]))]
                 skip[i] = bool(np.max(np.abs(stack[i] / phase - np.eye(d))) < 1e-12)
         w_arr = np.array(weights)
-        object.__setattr__(self, "_mix_weights", w_arr / w_arr.sum() if unitary_mix else None)
-        object.__setattr__(self, "_stack", np.array(stack))
+        mix = w_arr / w_arr.sum() if unitary_mix else None
+        object.__setattr__(self, "_mix_weights", mix)
+        object.__setattr__(self, "_mix_cum", None if mix is None else np.cumsum(mix))
+        object.__setattr__(self, "_stack", np.moveaxis(np.array(stack), 0, -1).copy())
         object.__setattr__(self, "_skip", np.array(skip))
         diag = all(np.max(np.abs(eff - np.diag(np.diag(eff)))) < 1e-14 for eff in effects)
         object.__setattr__(
@@ -288,10 +295,10 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory execution (one row per trajectory class)
+# Trajectory execution (one column per trajectory class)
 
 
-BUDGET = 2**16  # amplitudes per trajectory chunk: 4 SWAP tests at n = 1, T = 2000
+BUDGET = 2**17  # amplitudes per trajectory chunk: 8 SWAP tests at n = 1, T = 2000
 
 
 def _gate_structure(circuit: QuantumCircuit) -> tuple:
@@ -300,60 +307,83 @@ def _gate_structure(circuit: QuantumCircuit) -> tuple:
                                    for g in circuit.gates)
 
 
-def _channel_step(
-    rows: np.ndarray, cls: np.ndarray, channel: KrausChannel, qubits: tuple, n_qubits: int,
-    u: np.ndarray,
-) -> tuple:
-    """Stochastically apply one Kraus channel to trajectory classes: ``rows``
-    holds one state per class, ``cls`` each trajectory's class and ``u`` its
-    draw. Every trajectory draws one operator; those drawing operator 0 stay
-    in their class, whose row gets it once, and the others move to one new
-    class per (class, operator) pair. Classes left empty are dropped. Rows
-    that draw an identity keep their bytes. Returns the new rows, classes and
-    the source row of each new row."""
-    k = len(channel.operators)
-    weights = channel._mix_weights
-    if weights is not None:
-        # operators proportional to unitaries: static probabilities
-        probs = weights[:, None]
+class _Classes:
+    """Trajectory classes of one chunk. ``rows`` (2^n, classes) holds one state
+    per class and ``circuit`` each column's circuit. ``ids`` holds each
+    trajectory's class id, which stays until the ids are renumbered; ``col``
+    maps an id to its column (stale once the class is empty) and ``size``
+    counts each column's trajectories."""
+
+    def __init__(self, rows: np.ndarray, ids: np.ndarray, circuit: np.ndarray):
+        self.rows, self.ids, self.circuit = rows, ids, circuit
+        self.col = np.arange(rows.shape[1])
+        self.size = np.bincount(ids, minlength=rows.shape[1])
+
+
+def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qubits: int,
+                  u: np.ndarray) -> None:
+    """Stochastically apply one Kraus channel to trajectory classes, in place,
+    trajectory t drawing ``u[t]``. Every trajectory draws one operator; those
+    drawing operator 0 stay in their class, whose column gets it once, and the
+    others move to one new class per (class, operator) pair, under a new id.
+    Classes left empty lose their column; once dead ids outnumber live classes
+    4 to 1 the ids are renumbered to columns. Columns that draw an identity
+    keep their bytes."""
+    rows, k = classes.rows, len(channel.operators)
+    # a trajectory draws operator i when cum[i - 1] < u <= cum[i]
+    if channel._mix_cum is not None:
+        # operators proportional to unitaries: static probabilities, and a
+        # trajectory moves when its draw exceeds operator 0's weight
+        movers = np.flatnonzero(u > channel._mix_cum[0])
+        choice = np.searchsorted(channel._mix_cum, u[movers])
     else:
-        views = [v.reshape(len(rows), -1) for v in _local_views(rows, qubits, n_qubits)]
+        local = rows[_local_index(qubits, n_qubits)]  # (2^k, 2^(n-k), classes)
         if channel._effect_diagonals is not None:
             # diagonal effects: probabilities from local basis populations
-            populations = np.array([np.sum(np.abs(v) ** 2, axis=1) for v in views])
+            populations = _column_sums((np.abs(local) ** 2).transpose(1, 0, 2))
             probs = channel._effect_diagonals @ populations
         else:
-            # general channel: local reduced Gram matrix per class
-            m = np.stack(views, axis=1)
+            # general channel: local reduced Gram matrix per class, row-major
+            m = np.ascontiguousarray(local.transpose(2, 0, 1))
             gram = np.einsum("bir,bjr->bij", m, m.conj())
             probs = np.einsum("kij,bji->kb", channel._effects, gram).real
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=0, keepdims=True)
-    # a trajectory draws operator i when cum[i - 1] < u <= cum[i]; mode="clip"
-    # lets a mixture's one column serve every class
-    cum = np.cumsum(probs, axis=0)
-    movers = np.flatnonzero(u > cum[0].take(cls, mode="clip"))
+        cum = np.clip(probs, 0.0, None)
+        cum /= cum.sum(axis=0, keepdims=True)
+        for i in range(1, k):  # the running sum down the operators, as np.cumsum adds
+            cum[i] += cum[i - 1]
+        cum = cum.take(classes.col, axis=1)  # one column per class id
+        movers = np.flatnonzero(u > cum[0].take(classes.ids))
+        choice = (u[movers] > cum.take(classes.ids[movers], axis=1)).sum(axis=0)
     if movers.size == 0 and channel._skip[0]:  # nobody moves and operator 0 is the identity
-        return rows, cls, np.arange(len(rows))
-    choice = (u[movers] > cum.take(cls[movers], axis=1, mode="clip")).sum(axis=0)
+        return
+    at = classes.col.take(classes.ids[movers])
     choice = np.minimum(choice, k - 1)
-    pairs, moved = np.unique(cls[movers] * k + choice, return_inverse=True)
-    cls = cls.copy()
-    cls[movers] = len(rows) + moved
-    live = np.bincount(cls, minlength=len(rows) + len(pairs)) > 0
-    kept = np.flatnonzero(live[:len(rows)])  # every new class is live
-    cls = (np.cumsum(live) - 1).take(cls)
-    src = np.concatenate([kept, pairs // k])  # kept classes first
-    out = rows.take(src, axis=0)
+    pairs, moved, counts = np.unique(at * k + choice, return_inverse=True, return_counts=True)
+    left = classes.size - np.bincount(at, minlength=len(classes.size))
+    kept = np.flatnonzero(left)
     ops, stay = pairs % k, len(kept)
-    if stay and not channel._skip[0]:  # operator 0 as one shared matrix on the kept classes
-        out[:stay] = apply_matrix(out[:stay], channel._stack[0], qubits, n_qubits)
-    new = stay + np.flatnonzero(~channel._skip[ops])
-    if new.size:  # the other draws as a per-row stack
-        out[new] = apply_matrix(out[new], channel._stack[ops[new - stay]], qubits, n_qubits)
-    if weights is None:  # only mixtures have identity draws
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return out, cls, src
+    if not channel._skip[0]:  # operator 0 as one shared matrix on the classes
+        rows = apply_matrix(rows, channel._stack[..., 0], qubits, n_qubits)
+    moving = classes.rows.take(pairs // k, axis=1)
+    new = ~channel._skip[ops]
+    if new.all():  # the other draws as a per-column stack
+        moving = apply_matrix(moving, channel._stack[..., ops], qubits, n_qubits)
+    elif new.any():
+        moving[:, new] = apply_matrix(moving[:, new], channel._stack[..., ops[new]], qubits,
+                                      n_qubits)
+    out = np.concatenate([rows if stay == len(left) else rows.take(kept, axis=1), moving],
+                         axis=1)  # kept classes first
+    if channel._mix_cum is None:  # only mixtures have identity draws
+        out /= np.sqrt(_column_sums((out.conj() * out).real))
+    if stay < len(left):  # a dead id keeps some column, never read
+        classes.col = (np.cumsum(left > 0) - 1).take(classes.col)
+    classes.ids[movers] = len(classes.col) + moved
+    classes.col = np.concatenate([classes.col, stay + np.arange(len(pairs))])
+    classes.rows, classes.size = out, np.concatenate([left[kept], counts])
+    classes.circuit = classes.circuit.take(np.concatenate([kept, pairs // k]))
+    if len(classes.col) > 5 * out.shape[1]:
+        classes.ids = classes.col.take(classes.ids)
+        classes.col = np.arange(out.shape[1])
 
 
 def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: int,
@@ -400,30 +430,32 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
 
 def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list) -> np.ndarray:
     """Circuits of one structure, whose gates have the channel ``steps``, as
-    one set of class rows, circuit c drawing from ``gens[c]``: an RZ whose
-    angles differ is applied as a per-row stack, every other gate as one."""
+    one set of class columns, circuit c drawing from ``gens[c]``: an RZ whose
+    angles differ is applied as a per-column stack, every other gate as one."""
     first, n = circuits[0], circuits[0].n_qubits
     # two equal classes per circuit (trajectory 0, the rest): classes never merge,
-    # so no array has one row, where numpy's complex product rounds differently
+    # so no sum runs over a one-column array, which rounds differently
     per = min(trajectories, 2)
-    rows = np.zeros((per * len(circuits), 2**n), dtype=np.complex128)
-    rows[:, 0] = 1.0
-    circuit_of = np.arange(len(rows)) // per  # each class row's circuit
-    cls = np.add.outer(per * np.arange(len(circuits)), np.minimum(np.arange(trajectories), 1))
-    cls = cls.ravel()
+    rows = np.zeros((2**n, per * len(circuits)), dtype=np.complex128)
+    rows[0] = 1.0
+    ids = np.add.outer(per * np.arange(len(circuits)), np.minimum(np.arange(trajectories), 1))
+    classes = _Classes(rows, ids.ravel(), np.arange(rows.shape[1]) // per)
+    u = np.empty(len(classes.ids))  # each step's draws, circuit by circuit
+    draws = u.reshape(len(circuits), trajectories)
     for i, (gate, gate_steps) in enumerate(zip(first.gates, steps)):
         angles = [c.gates[i].param for c in circuits]
         if gate.kind == "RZ" and len(set(angles)) > 1:
-            rows = apply_matrix(rows, rz_matrix(angles)[circuit_of], gate.qubits, n)
+            classes.rows = apply_matrix(classes.rows, rz_matrix(angles)[..., classes.circuit],
+                                        gate.qubits, n)
         elif gate.kind != "MEASURE":
-            rows = apply_gate(rows, gate, n)
+            classes.rows = apply_gate(classes.rows, gate, n)
         for channel, qubits in gate_steps:
-            u = np.concatenate([gen.uniform(trajectories) for gen in gens])
-            rows, cls, src = _channel_step(rows, cls, channel, qubits, n, u)
-            circuit_of = circuit_of[src]
-    idx = np.arange(2**n)
-    z_per_class = 1.0 - 2.0 * np.sum(np.abs(rows[:, (idx & 1) == 1]) ** 2, axis=1)
-    return z_per_class[cls].reshape(len(circuits), trajectories).mean(axis=1)
+            for gen, out in zip(gens, draws):
+                gen.uniform(out=out)
+            _channel_step(classes, channel, qubits, n, u)
+    z_per_class = 1.0 - 2.0 * np.sum(np.abs(classes.rows[1::2]) ** 2, axis=0)
+    z = z_per_class.take(classes.col.take(classes.ids))
+    return z.reshape(len(circuits), trajectories).mean(axis=1)
 
 
 def execute_trajectories(

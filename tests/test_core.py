@@ -70,6 +70,19 @@ class TestRng:
         assert ahead.uniform(m).tobytes() == later
         assert skipped.uniform(m).tobytes() == later
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 9), size=st.integers(0, 40))
+    def test_uniform_into_a_buffer_is_a_fresh_call(self, seed, before, size):
+        # same bytes as a fresh call of the buffer's size, and the generator
+        # ends where that call leaves it
+        filled, fresh = Rng(seed), Rng(seed)
+        filled.uniform(before)
+        fresh.uniform(before)
+        buffer = np.full(size, np.nan)
+        assert filled.uniform(out=buffer) is buffer
+        assert buffer.tobytes() == fresh.uniform(size).tobytes()
+        assert filled.uniform(5).tobytes() == fresh.uniform(5).tobytes()
+
     def test_ahead_crosses_a_counter_word(self):
         r = Rng(3)
         state = r._gen.bit_generator.state

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsnapshot import noise
 from qsnapshot.circuit import (
     Gate,
     QuantumCircuit,
-    _local_views,
+    _column_sums,
     ancilla_expectation,
     apply_gate,
     apply_matrix,
@@ -32,6 +33,7 @@ from qsnapshot.noise import (
     NoiseModel,
     NoiseParams,
     UnsupportedRegimeError,
+    _Classes,
     _channel_step,
     bit_flip_channel,
     depolarizing_channel,
@@ -114,6 +116,26 @@ def dm_execute(circuit, model):
 # Channel-step reference and channels that exercise each of its paths
 
 
+def _row_views(amps, qubits, n_qubits):
+    """The local views of a row-major (batch, 2^n) array, each as a
+    (batch, 2^(n-k)) array: the references below reduce them row by row."""
+    tensor = amps.reshape((-1,) + (2,) * n_qubits)  # axis 1 + j is qubit n-1-j
+    k = len(qubits)
+    views = []
+    for c in range(2**k):
+        index = [slice(None)] * (1 + n_qubits)
+        for j, q in enumerate(qubits):
+            index[n_qubits - q] = (c >> (k - 1 - j)) & 1
+        views.append(tensor[tuple(index)].reshape(len(amps), -1))
+    return views
+
+
+def _rows_apply(amps, apply, *args):
+    """A kernel call on row-major amplitudes: the kernel takes the batch axis
+    last, and its result comes back as a C-ordered (batch, 2^n) array."""
+    return np.ascontiguousarray(apply(amps.T, *args).T)
+
+
 def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
     """The channel step with every chosen operator in one per-row stack; the
     step with a shared matrix for the most frequent choice must match it."""
@@ -124,7 +146,7 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
     if channel._mix_weights is not None:
         probs = channel._mix_weights[:, None]
     else:
-        views = [v.reshape(batch, -1) for v in _local_views(amps, qubits, n_qubits)]
+        views = _row_views(amps, qubits, n_qubits)
         if channel._effect_diagonals is not None:
             populations = np.array([np.sum(np.abs(v) ** 2, axis=1) for v in views])
             probs = channel._effect_diagonals @ populations
@@ -139,7 +161,8 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
     rows = np.flatnonzero(~channel._skip[choice])
     if rows.size == 0:
         return amps
-    sub = apply_matrix(amps[rows], channel._stack[choice[rows]], qubits, n_qubits)
+    sub = _rows_apply(amps[rows], apply_matrix, channel._stack[..., choice[rows]], qubits,
+                      n_qubits)
     if channel._mix_weights is None:
         sub /= np.linalg.norm(sub, axis=1, keepdims=True)
     out = amps.copy()
@@ -155,12 +178,20 @@ def _per_row_trajectories(circuit, model, trajectories, rng):
     amps[:, 0] = 1.0
     for gate in circuit.gates:
         if gate.kind != "MEASURE":
-            amps = apply_gate(amps, gate, n)
+            amps = _rows_apply(amps, apply_gate, gate, n)
         for channel, qubits in model.steps(gate):
             amps = _per_row_channel_step(amps, channel, qubits, n, rng)
     idx = np.arange(2**n)
     p1 = np.sum(np.abs(amps[:, (idx & 1) == 1]) ** 2, axis=1)
     return float(np.mean(1.0 - 2.0 * p1))
+
+
+def _class_states(amps, channel, qubits, n_qubits, u):
+    """One channel step on one class per row of ``amps``: each trajectory's
+    state afterwards, one row each."""
+    classes = _Classes(amps.T.copy(), np.arange(len(amps)), np.zeros(len(amps), dtype=int))
+    _channel_step(classes, channel, qubits, n_qubits, u)
+    return classes.rows[:, classes.col[classes.ids]].T
 
 
 _PARAMS = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}
@@ -177,7 +208,7 @@ def _lowered_circuits(draw, like=None):
             fresh = g.kind in _PARAMS and draw(st.booleans())
             circ.add(g.kind, *g.qubits, param=draw(_PARAMS[g.kind]) if fresh else g.param)
         return circ
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))  # from width 4 on, a row sum runs over 8 or more terms
     circ = QuantumCircuit(n)
     kinds = ["X", "SX", "RZ", "ID", "DELAY", "RESET"] + (["CX"] if n > 1 else [])
     for _ in range(draw(st.integers(0, 14))):
@@ -234,12 +265,18 @@ class TestGateKernel:
         amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         rng, reference_rng = Rng(seed), Rng(seed)
-        rows, cls, _ = _channel_step(amps.copy(), np.arange(batch), channel, qubits, n,
-                                     rng.uniform(batch))
-        got = rows[cls]
+        got = _class_states(amps, channel, qubits, n, rng.uniform(batch))
         want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 24, 31, 128, 129, 136, 256, 1000])
+    def test_column_sums_round_as_numpy_row_sums(self, m, batch):
+        # every column as numpy sums one contiguous row: pairwise from 8 terms
+        gen = np.random.default_rng(m * 10 + batch)
+        x = gen.normal(size=(m, batch)) * 10.0 ** gen.integers(-8, 8, size=(m, batch))
+        assert _column_sums(x).tobytes() == x.T.copy().sum(axis=1).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), form=st.sampled_from(["flat", "batched", "stack"]))
@@ -259,7 +296,8 @@ class TestGateKernel:
             assert got.shape == (2**n,)
             got = got[None]
         else:
-            got = apply_matrix(amps, mats if form == "stack" else mats[0], qubits, n)
+            stack = np.moveaxis(mats, 0, -1) if form == "stack" else mats[0]
+            got = apply_matrix(amps.T, stack, qubits, n).T
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -276,7 +314,7 @@ class TestGateKernel:
             kept = project @ row
             norm = np.linalg.norm(kept)
             expected.append(kept / norm if norm > 1e-12 else lower @ row)
-        got = apply_gate(amps, Gate("RESET", (q,)), n)
+        got = apply_gate(amps.T, Gate("RESET", (q,)), n).T
         assert np.max(np.abs(got - np.array(expected))) <= 1e-12
         for row, flat in zip(got, amps):
             assert np.array_equal(row, apply_gate(flat, Gate("RESET", (q,)), n))
@@ -288,9 +326,7 @@ class TestGateKernel:
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         # operator 0 is the identity; a row draws it when u <= its weight
         identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_weights[0]
-        rows, cls, _ = _channel_step(amps, np.arange(len(amps)), ch, (2, 0), 3,
-                                     Rng(9).uniform(len(amps)))
-        out = rows[cls]
+        out = _class_states(amps, ch, (2, 0), 3, Rng(9).uniform(len(amps)))
         assert 0 < identity_rows.sum() < len(amps)
         assert out[identity_rows].tobytes() == amps[identity_rows].tobytes()
         assert not np.any(np.all(out[~identity_rows] == amps[~identity_rows], axis=1))
@@ -466,6 +502,17 @@ class TestCalibratedModel:
             "2559c5ec3a6fb64f05ab0c1224c9e15279f5a9c9d9ddbd3df17301c8127f2ca7")
 
 
+    def test_golden_two_qubit_swap_tests(self):
+        # width 5: the population, norm and <Z> sums run over 16 or 32 terms;
+        # recorded before the kernel took the batch axis last
+        rng = Rng(15)
+        means = execute_trajectory_batch(_two_qubit_swap_tests(), calibrated_noise_model(), 300,
+                                         rng)
+        digest = hashlib.sha256(np.array([*means, *rng.uniform(4)], dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "a73be9b0f99ee15100a952eb06beea707b0d513822c3d70691cfc7901285606b")
+
+
 _SATURATED = NoiseParams(depol_1q=0.5, depol_2q=0.5, bit_flip_p=0.3, t1=20.0, t2=10.0)
 _NOISE_PARAMS = st.one_of(
     st.just(_SATURATED),
@@ -493,6 +540,29 @@ def _one_qubit_counterexample():
     return circ
 
 
+def _eight_term_circuit():
+    """Width 4 with no channel step, so no trajectory ever moves: a run with
+    one class for all T would sum its 8 <Z> terms pairwise, where one row per
+    trajectory sums them one after another."""
+    circ = QuantumCircuit(4)
+    for q in range(4):
+        circ.add("SX", q)
+    return circ.add("RZ", 0, param=0.5).add("SX", 0).add("MEASURE", 0)
+
+
+_QUIET = NoiseParams(bit_flip_p=0.0, depol_1q=0.0, depol_2q=0.0, t1=1.0, t2=1.0,
+                     readout_len=0.0, gate_len_1q=0.0, gate_len_2q=0.0)
+
+
+def _renumbering_circuit():
+    """Under the saturated model at T = 7, dead class ids come to outnumber
+    live classes 4 to 1, so the run renumbers its ids."""
+    circ = QuantumCircuit(2)
+    for _ in range(3):
+        circ.add("SX", 0).add("CX", 0, 1)
+    return circ.add("MEASURE", 0)
+
+
 def _two_qubit_swap_tests():
     """Two SWAP tests at n = 2 of one structure: at T = 1 each rounds apart
     when the two run as one batch, so each must run alone."""
@@ -504,9 +574,9 @@ def _two_qubit_swap_tests():
 
 class TestTrajectories:
     @settings(max_examples=60, deadline=None)
-    @example(circ=_one_qubit_counterexample(), trajectories=2, seed=0,
-             params=NoiseParams(bit_flip_p=0.0, depol_1q=0.0, depol_2q=0.0, t1=1.0, t2=1.0,
-                                readout_len=0.0, gate_len_1q=0.0, gate_len_2q=0.0))
+    @example(circ=_renumbering_circuit(), trajectories=7, seed=0, params=_SATURATED)
+    @example(circ=_eight_term_circuit(), trajectories=2, seed=0, params=_QUIET)
+    @example(circ=_one_qubit_counterexample(), trajectories=2, seed=0, params=_QUIET)
     @given(circ=_lowered_circuits(), params=_NOISE_PARAMS,
            trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1))
     def test_classes_match_one_row_per_trajectory_bit_for_bit(self, circ, params,
@@ -517,6 +587,20 @@ class TestTrajectories:
         want = _per_row_trajectories(circ, model, trajectories, reference_rng)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
+
+    def test_renumbering_example_crosses_the_threshold(self, monkeypatch):
+        renumbered = []
+
+        class Spy(_Classes):
+            def __setattr__(self, name, value):
+                if name == "ids" and hasattr(self, "ids"):  # only renumbering reassigns ids
+                    renumbered.append(len(value))
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(noise, "_Classes", Spy)
+        execute_trajectories(_renumbering_circuit(), calibrated_noise_model(_SATURATED), 7,
+                             Rng(0))
+        assert renumbered == [7]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_swap_test_mean_within_k_sigma_of_density_matrix(self, n):
