@@ -7,14 +7,13 @@ noise module) goes through one kernel on amplitudes with the batch axis last:
 a (2^n, batch) array, of which a flat (2^n,) vector is a batch of one.
 A gate gathers the rows of its local basis indices (_local_index, cached),
 forms every matrix-entry product in one broadcast and sums them in ascending
-order (apply_matrix): a few long loops over the batch, whatever its size. CX
-and CSWAP are cached row permutations.
-Sums over amplitudes follow numpy's pairwise order for one contiguous row
-(_column_sums), so every column rounds as that state would alone. Next to
-the serial builders (mottonen_prepare, build_swap_test) sits a batched
-SWAP-test kernel (swap_test_head, swap_test_probabilities): many second
-states against one first state as one (2^(2n+1), batch) array, bit for bit
-the serial result.
+order (apply_matrix): a few long loops over the batch, whatever its size.
+CX and CSWAP are cached row permutations. Sums over amplitudes follow
+numpy's pairwise order for one contiguous row (_column_sums), so every
+column rounds as that state would alone. Next to the serial builders
+(mottonen_prepare, build_swap_test) sits a batched SWAP-test kernel
+(swap_test_head, swap_test_probabilities): many second states against one
+first state as one (2^(2n+1), batch) array, bit for bit the serial result.
 """
 
 from __future__ import annotations

@@ -362,17 +362,19 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
     left = classes.size - np.bincount(at, minlength=len(classes.size))
     kept = np.flatnonzero(left)
     ops, stay = pairs % k, len(kept)
-    if not channel._skip[0]:  # operator 0 as one shared matrix on the classes
-        rows = apply_matrix(rows, channel._stack[..., 0], qubits, n_qubits)
-    moving = classes.rows.take(pairs // k, axis=1)
+    stayers = rows  # operator 0 as one shared matrix on the classes
+    if not channel._skip[0]:
+        stayers = apply_matrix(rows, channel._stack[..., 0], qubits, n_qubits)
+    moving = rows.take(pairs // k, axis=1)
     new = ~channel._skip[ops]
     if new.all():  # the other draws as a per-column stack
         moving = apply_matrix(moving, channel._stack[..., ops], qubits, n_qubits)
     elif new.any():
         moving[:, new] = apply_matrix(moving[:, new], channel._stack[..., ops[new]], qubits,
                                       n_qubits)
-    out = np.concatenate([rows if stay == len(left) else rows.take(kept, axis=1), moving],
-                         axis=1)  # kept classes first
+    if stay < len(left):
+        stayers = stayers.take(kept, axis=1)
+    out = np.concatenate([stayers, moving], axis=1)  # kept classes first
     if channel._mix_cum is None:  # only mixtures have identity draws
         out /= np.sqrt(_column_sums((out.conj() * out).real))
     if stay < len(left):  # a dead id keeps some column, never read
@@ -381,7 +383,7 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
     classes.col = np.concatenate([classes.col, stay + np.arange(len(pairs))])
     classes.rows, classes.size = out, np.concatenate([left[kept], counts])
     classes.circuit = classes.circuit.take(np.concatenate([kept, pairs // k]))
-    if len(classes.col) > 5 * out.shape[1]:
+    if len(classes.col) > 5 * out.shape[1]:  # dead ids outnumber live classes 4 to 1
         classes.ids = classes.col.take(classes.ids)
         classes.col = np.arange(out.shape[1])
 
@@ -450,8 +452,8 @@ def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list
         elif gate.kind != "MEASURE":
             classes.rows = apply_gate(classes.rows, gate, n)
         for channel, qubits in gate_steps:
-            for gen, out in zip(gens, draws):
-                gen.uniform(out=out)
+            for gen, row in zip(gens, draws):
+                gen.uniform(out=row)
             _channel_step(classes, channel, qubits, n, u)
     z_per_class = 1.0 - 2.0 * np.sum(np.abs(classes.rows[1::2]) ** 2, axis=0)
     z = z_per_class.take(classes.col.take(classes.ids))
