@@ -5,9 +5,9 @@ SWAP-test layout puts the ancilla at circuit position 0. Every amplitude
 update (gates, per-column gate stacks, RESET, and the Kraus steps in the
 noise module) goes through one kernel on amplitudes with the batch axis last:
 a (2^n, batch) array, of which a flat (2^n,) vector is a batch of one.
-A gate gathers the rows of its local basis indices (_local_index, cached),
-forms every matrix-entry product in one broadcast and sums them in ascending
-order (apply_matrix): a few long loops over the batch, whatever its size.
+A gate gathers the rows of its local basis indices (_local_index, cached)
+into one array and sums the matrix-entry products in ascending order
+(apply_matrix), so each operation is one long loop over the batch.
 CX and CSWAP are cached row permutations. Sums over amplitudes follow
 numpy's pairwise order for one contiguous row (_column_sums), so every
 column rounds as that state would alone. Next to the serial builders
@@ -186,15 +186,13 @@ def apply_matrix(amps: np.ndarray, mat: np.ndarray, qubits: tuple, n_qubits: int
     becomes sum_c mat[r, c] * amplitude c, summed in ascending c.
     """
     index = _local_index(tuple(qubits), n_qubits)
-    d = len(index)
-    # every product mat[r, c] * amplitude c at once: (2^k, 2^k, 2^(n-k)[, batch])
-    mat = mat.reshape((d, d, 1) + (1,) * (amps.ndim + 1 - mat.ndim) + mat.shape[2:])
-    terms = mat * amps[index]
-    acc = terms[:, 0]
-    for c in range(1, d):
-        acc = acc + terms[:, c]
-    out = np.empty(amps.shape, dtype=acc.dtype)
-    out[index] = acc
+    src = amps[index]  # (2^k, 2^(n-k)[, batch]): local amplitude c in row c
+    out = np.empty(amps.shape, dtype=np.result_type(amps, mat))
+    for r, dst in enumerate(index):
+        acc = mat[r, 0] * src[0]
+        for c in range(1, len(src)):
+            acc += mat[r, c] * src[c]
+        out[dst] = acc
     return out
 
 

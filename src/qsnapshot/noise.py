@@ -372,13 +372,12 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
     elif new.any():
         moving[:, new] = apply_matrix(moving[:, new], channel._stack[..., ops[new]], qubits,
                                       n_qubits)
-    if stay < len(left):
+    if stay < len(left):  # empty classes lose their column; a dead id keeps a stale one
         stayers = stayers.take(kept, axis=1)
+        classes.col = (np.cumsum(left > 0) - 1).take(classes.col)
     out = np.concatenate([stayers, moving], axis=1)  # kept classes first
     if channel._mix_cum is None:  # only mixtures have identity draws
         out /= np.sqrt(_column_sums((out.conj() * out).real))
-    if stay < len(left):  # a dead id keeps some column, never read
-        classes.col = (np.cumsum(left > 0) - 1).take(classes.col)
     classes.ids[movers] = len(classes.col) + moved
     classes.col = np.concatenate([classes.col, stay + np.arange(len(pairs))])
     classes.rows, classes.size = out, np.concatenate([left[kept], counts])
