@@ -501,7 +501,6 @@ class TestCalibratedModel:
         assert digest.hexdigest() == (
             "2559c5ec3a6fb64f05ab0c1224c9e15279f5a9c9d9ddbd3df17301c8127f2ca7")
 
-
     def test_golden_two_qubit_swap_tests(self):
         # width 5: the population, norm and <Z> sums run over 16 or 32 terms;
         # recorded before the kernel took the batch axis last
