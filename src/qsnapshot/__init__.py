@@ -9,19 +9,16 @@ classical snapshot store.
 from .circuit import (
     Gate,
     QuantumCircuit,
-    ShotResult,
     ancilla_expectation,
     build_swap_test,
     execute_statevector,
     lower_to_basis,
     mottonen_prepare,
-    sample_shots,
 )
 from .core import (
     DensityMatrix,
     Rng,
     StateVector,
-    UnitaryMatrix,
     half_chain_entropy,
     hilbert_schmidt_overlap,
     overlap_fidelity,
@@ -36,9 +33,6 @@ from .estimators import (
     FidelityOracle,
     GradientConfig,
     ReconstructionReport,
-    decode_candidate_density,
-    decode_candidate_state,
-    decode_candidate_unitary,
     reconstruct,
     train_gradient,
     train_qeswap,
@@ -60,7 +54,6 @@ from .noise import (
     NoiseParams,
     bit_flip_channel,
     depolarizing_channel,
-    execute_trajectories,
     calibrated_noise_model,
     thermal_relaxation_channel,
 )

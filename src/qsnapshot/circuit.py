@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, StateVector, normalize_rows
+from .core import StateVector, normalize_rows
 
 SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "RESET", "ID", "DELAY"})
 BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RESET", "RZ", "SX", "X"})
@@ -143,21 +143,6 @@ class QuantumCircuit:
                 line += f" (theta={g.param:.17g})"
             lines.append(line)
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """Measured-bitstring histogram; bitstring order is q0 leftmost."""
-
-    counts: dict
-    shots: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to the shot total")
-
-    def probability(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +270,7 @@ def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateV
             f"initial state has {initial.n_qubits} qubits, circuit {circuit.n_qubits}"
         )
     if any(g.kind == "MEASURE" for g in circuit.gates):
-        raise ValueError("circuit contains MEASURE; use sample_shots or ancilla_expectation")
+        raise ValueError("circuit contains MEASURE; use ancilla_expectation or a shot oracle")
     amps = np.array(initial.amplitudes, copy=True)
     for gate in circuit.gates:
         amps = apply_gate(amps, gate, circuit.n_qubits)
@@ -307,22 +292,6 @@ def ancilla_expectation(circuit: QuantumCircuit) -> float:
     idx = np.arange(probs.size)
     p1 = float(np.sum(probs[(idx & 1) == 1]))
     return 1.0 - 2.0 * p1
-
-
-def sample_shots(circuit: QuantumCircuit, shots: int, rng: Rng) -> ShotResult:
-    """Sample measured-qubit bitstrings from the exact final distribution."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    measured = circuit.measured
-    if not measured:
-        raise ValueError("circuit has no measured qubits")
-    probs = final_probabilities(circuit)
-    outcomes = rng._gen.choice(probs.size, size=shots, p=probs / probs.sum())
-    counts: dict = {}
-    for outcome in outcomes:
-        bits = "".join(str((int(outcome) >> q) & 1) for q in measured)
-        counts[bits] = counts.get(bits, 0) + 1
-    return ShotResult(dict(sorted(counts.items())), shots)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ class Rng:
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
+
+    def choice(self, n: int, size=None, p=None) -> np.ndarray:
+        return self._gen.choice(n, size=size, p=p)
 
     def ahead(self, k: int) -> "Rng":
         """A new generator ``k`` uniform draws past this one, which stays put:
@@ -117,17 +121,6 @@ class DensityMatrix:
         return cls(state.n_qubits, np.outer(psi, psi.conj()))
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Unitary operator over ``n_qubits``; U†U = I within tolerance."""
-
-    n_qubits: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _freeze(self, "entries", check_unitary)
-
-
 def _freeze(obj, name: str, check) -> None:
     """The value classes' shared constructor body: width and shape checks,
     ``check``, then a read-only complex128 copy stored as ``name``."""
@@ -162,6 +155,14 @@ def normalize_rows(z: np.ndarray) -> np.ndarray:
     if np.any(norms < 1e-300):
         raise ValueError("cannot normalize a zero vector")
     return z / norms[:, None]
+
+
+def check_finite(obj, *names) -> None:
+    """Reject a NaN or infinite value in any named float field (None is unset)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_unit_norm(amps: np.ndarray) -> None:

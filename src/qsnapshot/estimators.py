@@ -33,8 +33,8 @@ from .core import (
     DensityMatrix,
     Rng,
     StateVector,
-    UnitaryMatrix,
     check_density,
+    check_finite,
     check_unit_norm,
     check_unitary,
     normalize_rows,
@@ -117,8 +117,8 @@ class FidelityOracle:
             # summed from a contiguous copy: a strided row sum rounds differently
             return 1.0 - 2.0 * np.ascontiguousarray(probs[:, 1::2]).sum(axis=1)
         # ancilla-0 counts, drawn row by row from the one generator
-        zeros = [np.count_nonzero(self._rng._gen.choice(
-            row.size, size=self._shots, p=row / row.sum()) % 2 == 0) for row in probs]
+        zeros = [np.count_nonzero(self._rng.choice(
+            row.size, self._shots, row / row.sum()) % 2 == 0) for row in probs]
         return 2.0 * (np.array(zeros) / self._shots) - 1.0
 
 
@@ -158,8 +158,7 @@ class DensityOracle:
 
 
 # ---------------------------------------------------------------------------
-# Representation adapters: a batch decoder runs each check once over the stack;
-# ``decode_candidate_*`` are one-row calls of them.
+# Representation adapters: a batch decoder runs each check once over the stack.
 
 
 def _complex_rows(raws) -> np.ndarray:
@@ -225,23 +224,6 @@ def decode_densities(raws) -> np.ndarray:
     rho = 0.5 * (rho + np.swapaxes(rho.conj(), 1, 2))
     check_density(rho)
     return rho
-
-
-def decode_candidate_state(raw: np.ndarray) -> StateVector:
-    """Pair consecutive entries as (re, im) and normalize to a unit vector."""
-    return StateVector.from_amplitudes(decode_states([raw])[0])
-
-
-def decode_candidate_unitary(raw: np.ndarray) -> UnitaryMatrix:
-    """QR-orthogonalize the decoded matrix; R's diagonal made real-positive."""
-    q = decode_unitaries([raw])[0]
-    return UnitaryMatrix(q.shape[0].bit_length() - 1, q)
-
-
-def decode_candidate_density(raw: np.ndarray) -> DensityMatrix:
-    """rho = M M^dagger / Tr(M M^dagger) for the unconstrained decoded M."""
-    rho = decode_densities([raw])[0]
-    return DensityMatrix(rho.shape[0].bit_length() - 1, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +372,7 @@ class GradientConfig:
     stop_on_probe: bool = False  # early-stop on the probe value (simulation-side)
 
     def __post_init__(self):
+        check_finite(self, "stop_threshold")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -410,6 +393,7 @@ class EsConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        check_finite(self, "sigma", "alpha", "stop_threshold")
         if self.sigma <= 0 or self.alpha <= 0:
             raise ValueError("sigma and alpha must be positive")
         if self.max_iter < 1:

@@ -22,6 +22,7 @@ from .core import (
     DensityMatrix,
     Rng,
     StateVector,
+    check_finite,
     half_chain_entropy,
     overlap_fidelity,
     random_pure_state,
@@ -134,6 +135,7 @@ class ExperimentSpec:
         # the oracle's and the ES engine's own checks, before any trial runs
         FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
         EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha)
+        check_finite(self, "stop_threshold")
         if self.method not in ("gradient", "qeswap"):
             raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")
         if self.representation == "density":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import (BASIS_KINDS, QuantumCircuit, _column_sums, _local_index, apply_gate,
                       apply_matrix, rz_matrix)
-from .core import Rng
+from .core import Rng, check_finite
 
 COMPLETENESS_TOL = 1e-9
 
@@ -201,9 +201,7 @@ class NoiseParams:
     gate_len_2q: float = 660.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        check_finite(self, *(f.name for f in fields(self)))
         for name in ("bit_flip_p", "depol_1q", "depol_2q"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -390,8 +388,8 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
 def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: int,
                              rng: Rng) -> np.ndarray:
     """Mean ancilla <Z> of each lowered circuit over its own Kraus
-    trajectories: bit for bit a loop of :func:`execute_trajectories` over
-    ``circuits`` with ``rng``, which ends where that loop leaves it.
+    trajectories: bit for bit a loop of one-circuit calls over ``circuits``
+    with ``rng``, which ends where that loop leaves it.
 
     After every gate the assigned channels are applied with operator i chosen
     with probability ||K_i psi||^2 and the state renormalized; MEASURE
@@ -457,11 +455,3 @@ def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list
     z_per_class = 1.0 - 2.0 * np.sum(np.abs(classes.rows[1::2]) ** 2, axis=0)
     z = z_per_class.take(classes.col.take(classes.ids))
     return z.reshape(len(circuits), trajectories).mean(axis=1)
-
-
-def execute_trajectories(
-    circuit: QuantumCircuit, model: NoiseModel, trajectories: int, rng: Rng
-) -> float:
-    """Mean ancilla <Z> over stochastic Kraus trajectories of a lowered
-    circuit: a one-circuit :func:`execute_trajectory_batch`."""
-    return float(execute_trajectory_batch([circuit], model, trajectories, rng)[0])

@@ -40,8 +40,8 @@ class SnapshotNotFoundError(StoreError):
 
 
 class SnapshotIntegrityError(StoreError):
-    """Stored body does not hash to its identifier, or its sidecar is not a
-    JSON object."""
+    """Stored body does not hash to its identifier or decode to a state, or
+    its sidecar is not a JSON object."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SnapshotRecord:
                 f"got shape {values.shape}"
             )
         norm = np.linalg.norm(values)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects a NaN value
             raise ValueError(f"decoded amplitude norm {norm} deviates from 1 beyond 1e-9")
         values = values.copy()
         values.flags.writeable = False
@@ -91,12 +91,16 @@ class SnapshotRecord:
         return hashlib.sha256(self.body_bytes()).hexdigest()
 
 
-def _decode_body(body: bytes) -> SnapshotRecord:
+def _decode_body(body: bytes) -> StateVector:
+    """The state a body holds; a body that holds none is an integrity error."""
     if body[: len(MAGIC)] != MAGIC:
         raise SnapshotIntegrityError("bad magic header")
-    (n_qubits,) = struct.unpack("<I", body[len(MAGIC) : len(MAGIC) + 4])
-    values = np.frombuffer(body[len(MAGIC) + 4 :], dtype="<f8")
-    return SnapshotRecord(n_qubits, values, {})
+    try:
+        (n_qubits,) = struct.unpack_from("<I", body, len(MAGIC))
+        values = np.frombuffer(body[len(MAGIC) + 4 :], dtype="<f8")
+        return SnapshotRecord(n_qubits, values, {}).to_state()
+    except (struct.error, ValueError) as exc:  # short, wrong width or size, not a state
+        raise SnapshotIntegrityError(f"body does not decode: {exc}") from exc
 
 
 def _atomic_write(path: Path, data: bytes):
@@ -154,7 +158,7 @@ def withdraw(identifier: str, store_path) -> tuple:
     body = body_file.read_bytes()
     if hashlib.sha256(body).hexdigest() != identifier:
         raise SnapshotIntegrityError(f"body of {identifier} fails its hash check")
-    record = _decode_body(body)
+    state = _decode_body(body)
     meta_file = store / f"{identifier}.json"
     if meta_file.exists():
         try:
@@ -163,8 +167,6 @@ def withdraw(identifier: str, store_path) -> tuple:
                 raise ValueError("not an object")
         except ValueError as exc:
             raise SnapshotIntegrityError(f"metadata of {identifier}: {exc}") from exc
-        record = SnapshotRecord(record.n_qubits, record.amplitudes, metadata)
-    state = record.to_state()
     return state, mottonen_prepare(state)
 
 

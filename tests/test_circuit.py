@@ -17,9 +17,9 @@ from qsnapshot.circuit import (
     execute_statevector,
     lower_to_basis,
     mottonen_prepare,
-    sample_shots,
 )
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
+from qsnapshot.estimators import FidelityOracle
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -309,34 +309,33 @@ class TestSwapTest:
 
 
 class TestSampleShots:
+    """Shots of the SWAP test, drawn by the shot oracle: an estimate of the
+    ancilla <Z> = 2 P(0) - 1 with P(0) = (1 + F) / 2."""
+
+    ZERO, ONE = StateVector.computational_basis(1), StateVector.computational_basis(1, 1)
+
+    @staticmethod
+    def estimate(candidate, shots, seed):
+        return FidelityOracle(QuantumCircuit(1), shots=shots, rng=Rng(seed)).evaluate(candidate)
+
     def test_deterministic_circuit(self):
-        circ = QuantumCircuit(1).add("MEASURE", 0)
-        result = sample_shots(circ, 100, Rng(0))
-        assert result.counts == {"0": 100}
+        # identical states: the ancilla reads 0 on every shot
+        assert self.estimate(self.ZERO, 100, 0) == 1.0
 
     def test_fixed_seed_reproducible(self):
-        circ = QuantumCircuit(1).add("H", 0).add("MEASURE", 0)
-        assert sample_shots(circ, 500, Rng(9)).counts == sample_shots(circ, 500, Rng(9)).counts
+        plus = StateVector.normalized([1.0, 1.0])
+        assert self.estimate(plus, 500, 9) == self.estimate(plus, 500, 9)
 
     def test_orthogonal_swap_test_band(self):
-        test = build_swap_test(1, QuantumCircuit(1), QuantumCircuit(1).add("X", 0))
-        p0 = sample_shots(test, 10**5, Rng(10)).probability("0")
+        p0 = (self.estimate(self.ONE, 10**5, 10) + 1.0) / 2.0
         assert 0.494 <= p0 <= 0.506
 
     def test_shot_convergence_band(self):
-        # |P^(0) - P(0)| <= 3 sigma for >= 99% of seeded trials
-        circ = QuantumCircuit(1).add("H", 0).add("MEASURE", 0)
+        # |P^(0) - P(0)| <= 3 sigma for >= 99% of seeded trials; P(0) = 1/2
         shots = 400
         sigma = math.sqrt(0.25 / shots)
         hits = sum(
-            abs(sample_shots(circ, shots, Rng(5000 + t)).probability("0") - 0.5)
-            <= 3 * sigma
+            abs((self.estimate(self.ONE, shots, 5000 + t) + 1.0) / 2.0 - 0.5) <= 3 * sigma
             for t in range(1000)
         )
         assert hits >= 990
-
-    def test_counts_invariant(self):
-        with pytest.raises(ValueError):
-            from qsnapshot.circuit import ShotResult
-
-            ShotResult({"0": 3}, 5)

@@ -12,8 +12,8 @@ from qsnapshot.core import (
     DensityMatrix,
     Rng,
     StateVector,
-    UnitaryMatrix,
     check_unit_norm,
+    check_unitary,
     half_chain_entropy,
     half_chain_keep,
     hilbert_schmidt_overlap,
@@ -103,9 +103,8 @@ class TestStateVector:
     def test_shape_messages(self):
         with pytest.raises(ValueError, match=re.escape("expected 4 amplitudes, got shape (2,)")):
             StateVector(2, np.array([1.0, 0.0]))
-        for cls in (DensityMatrix, UnitaryMatrix):
-            with pytest.raises(ValueError, match=re.escape("expected shape (4, 4), got (2, 2)")):
-                cls(2, np.eye(2))
+        with pytest.raises(ValueError, match=re.escape("expected shape (4, 4), got (2, 2)")):
+            DensityMatrix(2, np.eye(2))
 
     def test_norm_check_reports_the_1d_norm(self):
         # the 1-D and the stacked (axis=-1) norm of this vector differ in the last bit
@@ -245,7 +244,6 @@ class TestUhlmannFidelity:
 @pytest.mark.parametrize("cls,entries", [
     (StateVector, [np.nan, 0.0]),
     (DensityMatrix, [[np.nan, 0.0], [0.0, 1.0]]),
-    (UnitaryMatrix, [[np.nan, 0.0], [0.0, 1.0]]),
 ])
 def test_non_finite_entries_rejected(cls, entries):
     with pytest.raises(ValueError, match="non-finite"):
@@ -253,14 +251,15 @@ def test_non_finite_entries_rejected(cls, entries):
 
 
 class TestUnitaryMatrix:
+    """``check_unitary``, which every decoded unitary passes."""
+
     def test_unitarity_enforced(self):
         with pytest.raises(ValueError):
-            UnitaryMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
+            check_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_apply_to_zero(self):
-        h = SQ2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)
-        # the state the unitary prepares from |0>
-        assert np.allclose(UnitaryMatrix(1, h).entries[:, 0], [SQ2, SQ2])
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestPartialTrace:

@@ -3,8 +3,11 @@
 A module-level function or class, or a method of a class that ``__init__``
 does not export, must be used as a ``Name`` or an ``Attribute`` somewhere in
 the package, or be exported by ``__init__``. Dunders are exempt, and so are
-the methods of exported classes, which are public API. Code that only tests
-use belongs in the tests.
+the methods of exported classes, which are public API. An export, in turn,
+must have a caller in the package outside ``__init__`` or in the benchmark
+(``perfbench/*.py``), or be one of the ``ENTRY_POINTS`` below. Code that only
+tests use belongs in the tests. Only ``core`` reads the Philox generator
+behind ``Rng`` (``._gen``); every other module draws through ``Rng``.
 """
 
 import ast
@@ -13,6 +16,15 @@ from pathlib import Path
 import qsnapshot
 
 PACKAGE = Path(qsnapshot.__file__).parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Exports that nothing in the package or the benchmark calls, kept on purpose.
+ENTRY_POINTS = {
+    "train_gradient",  # acceptance gates 4 and 10 call the engines by name
+    "train_qeswap",
+    "ancilla_expectation",  # acceptance gate 1: the exact SWAP-test <Z>
+    "hilbert_schmidt_overlap",  # the reference the DensityOracle tests compare against
+}
 
 
 def _trees() -> dict:
@@ -20,14 +32,19 @@ def _trees() -> dict:
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _benchmark_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(BENCHMARK.glob("*.py"))}
+
+
 def _exported(init: ast.Module) -> set:
     return {alias.asname or alias.name for node in init.body
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _used(trees: dict) -> set:
+def _used(trees) -> set:
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -52,7 +69,7 @@ def _definitions(tree: ast.Module, exported: set):
 
 def dead_symbols(trees: dict) -> list:
     exported = _exported(trees["__init__.py"])
-    used = _used(trees)
+    used = _used(trees.values())
     return [f"{module[:-3]}.{qualified}"
             for module, tree in trees.items()
             for qualified, name in _definitions(tree, exported)
@@ -60,8 +77,30 @@ def dead_symbols(trees: dict) -> list:
             and name not in used and name not in exported]
 
 
+def uncalled_exports(trees: dict, benchmark: dict) -> list:
+    """Exports with no use outside ``__init__`` that are not entry points."""
+    callers = [tree for module, tree in trees.items() if module != "__init__.py"]
+    used = _used(callers + list(benchmark.values()))
+    return sorted(_exported(trees["__init__.py"]) - used - ENTRY_POINTS)
+
+
+def generator_readers(trees: dict) -> list:
+    """Modules other than ``core`` that read ``._gen``."""
+    return sorted(module for module, tree in trees.items() if module != "core.py"
+                  and any(isinstance(node, ast.Attribute) and node.attr == "_gen"
+                          for node in ast.walk(tree)))
+
+
 def test_every_definition_has_a_caller_in_src():
     assert dead_symbols(_trees()) == []
+
+
+def test_every_export_has_a_caller_or_is_an_entry_point():
+    assert uncalled_exports(_trees(), _benchmark_trees()) == []
+
+
+def test_only_core_reads_the_generator():
+    assert generator_readers(_trees()) == []
 
 
 def test_guard_sees_planted_dead_definitions():
@@ -70,3 +109,18 @@ def test_guard_sees_planted_dead_definitions():
     trees = {"__init__.py": _trees()["__init__.py"], "planted.py": planted}
     assert dead_symbols(trees) == ["planted._orphan", "planted._Hidden",
                                    "planted._Hidden.unused"]
+
+
+def test_guard_sees_planted_uncalled_export():
+    trees = _trees()
+    trees["__init__.py"] = ast.parse(ast.unparse(trees["__init__.py"])
+                                     + "\nfrom .core import _planted_export\n")
+    assert uncalled_exports(trees, _benchmark_trees()) == ["_planted_export"]
+    # a benchmark caller is enough
+    benchmark = {**_benchmark_trees(), "planted.py": ast.parse("qsnapshot._planted_export()")}
+    assert uncalled_exports(trees, benchmark) == []
+
+
+def test_guard_sees_planted_generator_reader():
+    trees = {**_trees(), "planted.py": ast.parse("def draw(rng):\n    return rng._gen.random()\n")}
+    assert generator_readers(trees) == ["planted.py"]

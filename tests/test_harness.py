@@ -1,13 +1,17 @@
 """Tests for the experiment harness: catalog, cohorts, emission, diagnostics."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsnapshot.circuit import QuantumCircuit, execute_statevector, mottonen_prepare
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
+from qsnapshot.estimators import EsConfig, GradientConfig
 from qsnapshot.noise import NoiseParams
 from qsnapshot.harness import (
     ExperimentSpec,
@@ -95,6 +99,20 @@ class TestExperimentSpec:
         # these used to be accepted, and every trial then recorded the error
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(n_trials=1, max_epochs=2, **kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from([(cls, f.name)
+                                 for cls in (GradientConfig, EsConfig, ExperimentSpec)
+                                 for f in dataclasses.fields(cls) if "float" in str(f.type)]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_hyperparameters_rejected(self, case, value):
+        cls, name = case
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            cls(**{name: value})
+
+    def test_finite_stop_threshold_above_one_is_legal(self):
+        for cls in (GradientConfig, EsConfig, ExperimentSpec):
+            assert cls(stop_threshold=2.0).stop_threshold == 2.0
 
     def test_bad_shots_raise_before_any_trial(self):
         with pytest.raises(ValueError, match="shots must be >= 1"):

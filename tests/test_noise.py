@@ -37,7 +37,6 @@ from qsnapshot.noise import (
     _channel_step,
     bit_flip_channel,
     depolarizing_channel,
-    execute_trajectories,
     execute_trajectory_batch,
     calibrated_noise_model,
     thermal_relaxation_channel,
@@ -168,6 +167,12 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
     out = amps.copy()
     out[rows] = sub
     return out
+
+
+def execute_trajectories(circuit, model, trajectories, rng):
+    """Mean ancilla <Z> of one lowered circuit: a one-circuit batch, the loop
+    reference of the multi-circuit properties."""
+    return float(execute_trajectory_batch([circuit], model, trajectories, rng)[0])
 
 
 def _per_row_trajectories(circuit, model, trajectories, rng):

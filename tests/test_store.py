@@ -4,14 +4,20 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import stat
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from qsnapshot.circuit import execute_statevector
+from qsnapshot.cli import main
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
 from qsnapshot import store as store_module
 from qsnapshot.store import (
@@ -32,6 +38,10 @@ class TestSnapshotRecord:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             SnapshotRecord(1, np.array([0.5, 0, 0, 0]))
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            SnapshotRecord(1, np.array([math.nan, 0.0, 0.0, 0.0]))
 
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -205,6 +215,22 @@ class TestDepositWithdraw:
         with pytest.raises(SnapshotIntegrityError):
             withdraw(ident, tmp_path)
 
+    @pytest.mark.parametrize("values", [
+        None,  # the magic header alone: no width
+        (0, [1.0, 0.0]),  # zero qubits
+        (1, [1.0, 0.0]),  # two values where one qubit needs four
+        (1, [math.nan, 0.0, 0.0, 0.0]),
+    ], ids=["magic-only", "zero-qubits", "short-for-width", "nan"])
+    def test_undecodable_body_is_an_integrity_error(self, tmp_path, capsys, values):
+        body = MAGIC if values is None else (
+            MAGIC + struct.pack("<I", values[0]) + np.array(values[1], "<f8").tobytes())
+        ident = hashlib.sha256(body).hexdigest()  # hashes to its own name
+        (tmp_path / f"{ident}.qsnap").write_bytes(body)
+        with pytest.raises(SnapshotIntegrityError, match="body does not decode"):
+            withdraw(ident, tmp_path)
+        assert main(["withdraw", ident, "--store", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: body does not decode")
+
     @pytest.mark.parametrize("sidecar", [b"", b'{"method": "qes', b"\xff\xfe{", b"[]"])
     def test_bad_sidecar_is_a_store_error(self, tmp_path, sidecar):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(1, Rng(6))), tmp_path)
@@ -327,6 +353,78 @@ class TestFaultInjection:
             self._check_consistent(store)
             assert list_snapshots(store) == sorted(
                 [self.RECORD.identifier(), self.OTHER.identifier()])
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Deposits, withdrawals, one-byte corruptions and deposits that crash at
+    fault point k, in any order. After every step the store holds
+    TestFaultInjection's invariant: listing names only complete records, and
+    ``withdraw`` returns exact amplitudes or raises StoreError. In process
+    only: real power loss is not covered."""
+
+    RECORDS = [SnapshotRecord.from_state(random_pure_state(1 + i % 2, Rng(40 + i)),
+                                         label=f"machine-{i}") for i in range(3)]
+    record = st.sampled_from(RECORDS)
+
+    def __init__(self):
+        super().__init__()
+        self.store = Path(tempfile.mkdtemp(prefix="qsnap-machine-"))
+        self.damaged = set()  # identifiers whose files may differ from their record
+
+    def teardown(self):
+        shutil.rmtree(self.store)
+
+    @rule(rec=record)
+    def deposit_record(self, rec):
+        assert deposit(rec, self.store) == rec.identifier()
+        self.damaged.discard(rec.identifier())
+
+    @rule(rec=record)
+    def withdraw_record(self, rec):
+        self._check(rec, list_snapshots(self.store))
+
+    @rule(rec=record, suffix=st.sampled_from([".qsnap", ".json"]),
+          at=st.integers(0, 2**16), mask=st.integers(1, 255))
+    def corrupt_byte(self, rec, suffix, at, mask):
+        path = self.store / f"{rec.identifier()}{suffix}"
+        if path.exists() and path.stat().st_size:
+            data = bytearray(path.read_bytes())
+            data[at % len(data)] ^= mask
+            path.write_bytes(bytes(data))
+            self.damaged.add(rec.identifier())
+
+    @rule(rec=record, k=st.integers(1, 8))
+    def crash_deposit(self, rec, k):
+        with pytest.MonkeyPatch.context() as mp:
+            reached = _inject_faults(mp, k)
+            try:
+                deposit(rec, self.store)
+            except StoreError:
+                assert len(reached) == k
+                return  # a damaged record may stay damaged
+        self.damaged.discard(rec.identifier())
+
+    @invariant()
+    def listing_names_only_complete_records(self):
+        listed = list_snapshots(self.store)
+        assert set(listed) <= {rec.identifier() for rec in self.RECORDS}
+        for rec in self.RECORDS:
+            self._check(rec, listed)
+
+    def _check(self, rec, listed):
+        ident = rec.identifier()
+        try:
+            state, _ = withdraw(ident, self.store)
+        except StoreError:
+            assert ident not in listed or ident in self.damaged
+            return
+        assert np.array_equal(state.amplitudes, rec.to_state().amplitudes)
+        if ident not in self.damaged:
+            assert json.loads((self.store / f"{ident}.json").read_bytes()) == rec.metadata
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(max_examples=50, stateful_step_count=20, deadline=None)
 
 
 class TestListing:
