@@ -516,6 +516,25 @@ class TestCalibratedModel:
         assert digest.hexdigest() == (
             "a73be9b0f99ee15100a952eb06beea707b0d513822c3d70691cfc7901285606b")
 
+    @pytest.mark.parametrize("trajectories,expected", [
+        (1, "af9e137fb623369b2fd24984f6cd0dbbfc5b255c07e1874556b2d384439526c3"),
+        (64, "7b9c0c3f6507c2fa7069837b16da950bf9c66a291eb0632cff63242a082e39f8"),
+    ])
+    def test_golden_rates_at_zero_and_one(self, trajectories, expected):
+        # flip rate 1, 2-qubit depolarizing rate 1 (a zero operator beside 15
+        # Paulis), 1-qubit depolarizing rate 0 and zero durations: the digest
+        # pins the mean and how many draws the run consumed
+        params = NoiseParams(bit_flip_p=1.0, depol_1q=0.0, depol_2q=1.0, readout_len=0.0,
+                             gate_len_1q=0.0, gate_len_2q=660.0)
+        circ = (QuantumCircuit(2).add("X", 1).add("SX", 0).add("RZ", 0, param=0.3)
+                .add("CX", 1, 0).add("ID", 1).add("DELAY", 0, param=0.0)
+                .add("DELAY", 1, param=500.0).add("MEASURE", 0))
+        rng = Rng(18)
+        mean, = execute_trajectory_batch([circ], calibrated_noise_model(params), trajectories,
+                                         rng)
+        digest = hashlib.sha256(np.array([mean, *rng.uniform(4)], dtype="<f8").tobytes())
+        assert digest.hexdigest() == expected
+
 
 _SATURATED = NoiseParams(depol_1q=0.5, depol_2q=0.5, bit_flip_p=0.3, t1=20.0, t2=10.0)
 _NOISE_PARAMS = st.one_of(
