@@ -79,6 +79,8 @@ class Gate:
             if not math.isfinite(self.param):
                 raise ValueError(f"{self.kind} parameter must be finite, "
                                  f"got {self.param}")
+            if self.kind == "DELAY" and self.param < 0:
+                raise ValueError(f"DELAY duration must be >= 0, got {self.param}")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 

@@ -115,11 +115,6 @@ class DensityMatrix:
     def __post_init__(self):
         _freeze(self, "entries", check_density)
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        psi = state.amplitudes
-        return cls(state.n_qubits, np.outer(psi, psi.conj()))
-
 
 def _freeze(obj, name: str, check) -> None:
     """The value classes' shared constructor body: width and shape checks,

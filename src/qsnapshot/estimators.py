@@ -15,7 +15,6 @@ becomes a ``StateVector``/``DensityMatrix``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,7 +349,6 @@ class ReconstructionReport:
     epochs: int
     oracle_evals: int
     fidelity_trace: list
-    wall_time_s: float
     mixed_state_flag: bool
     seed: int
     final_candidate: object = None
@@ -472,7 +470,6 @@ _DECODERS = {
 def _run(method: str, representation: str, oracle, config,
          n_qubits: int) -> ReconstructionReport:
     """The engine loop: ask, score, record trace/best/probe, stop or tell."""
-    start = time.perf_counter()
     d = 2**n_qubits
     raw_dim = 2 * d if representation == "statevector" else 2 * d * d
     decode, candidate_cls = _DECODERS[representation]
@@ -513,8 +510,7 @@ def _run(method: str, representation: str, oracle, config,
         engine.tell(rewards, score)
     return ReconstructionReport(
         method=method, representation=representation, n_qubits=n_qubits,
-        best_fidelity=best_f, epochs=steps, oracle_evals=evals,
-        fidelity_trace=trace, wall_time_s=time.perf_counter() - start,
+        best_fidelity=best_f, epochs=steps, oracle_evals=evals, fidelity_trace=trace,
         mixed_state_flag=representation == "density", seed=config.seed,
         final_candidate=best_candidate, validation_trace=validation,
     )

@@ -155,8 +155,12 @@ class ExperimentSpec:
             raise ValueError(f"n_qubits={self.n_qubits} needs SWAP tests of width {width}: "
                              f"{rows} x 2^{width} amplitudes take {nbytes} bytes, "
                              f"over the {MAX_AMPLITUDE_BYTES}-byte limit")
+        if not self.thresholds:
+            raise ValueError("need at least one threshold, got none")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):
             raise ValueError("thresholds must lie in (0, 1]")
+        if len(set(self.thresholds)) < len(self.thresholds):
+            raise ValueError(f"thresholds must be distinct, got {list(self.thresholds)}")
         self.thresholds = tuple(sorted(self.thresholds))
 
     def resolved_stop(self) -> float:
@@ -451,8 +455,6 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     root = Rng(seed)
     rows = []
     for i in range(n_targets):

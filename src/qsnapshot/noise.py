@@ -42,26 +42,30 @@ class UnsupportedRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by its non-zero Kraus
+    operators. Operators that are exactly zero are dropped; ``arity`` follows
+    from the operators' shape, 2x2 for one qubit and 4x4 for two."""
 
     operators: tuple
-    arity: int
 
     def __post_init__(self):
-        d = 2**self.arity
         ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.operators)
-        if self.arity not in (1, 2):
-            raise ValueError(f"arity must be 1 or 2, got {self.arity}")
+        shapes = {k.shape for k in ops}
+        if len(shapes) > 1 or not shapes <= {(2, 2), (4, 4)}:
+            raise ValueError(f"Kraus operators must all be 2x2 or all 4x4, got shapes "
+                             f"{sorted(shapes)}")
+        ops = tuple(k for k in ops if k.any())
         if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (d, d):
-                raise ValueError(f"Kraus operator shape {k.shape} != ({d}, {d})")
+            raise ValueError("channel needs at least one non-zero Kraus operator")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+        if np.max(np.abs(total - np.eye(len(total)))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators violate completeness")
         object.__setattr__(self, "operators", ops)
         self._classify()
+
+    @property
+    def arity(self) -> int:
+        return self.operators[0].shape[0].bit_length() - 1
 
     def _classify(self):
         """Precompute fast-path metadata for trajectory sampling.
@@ -112,21 +116,11 @@ class KrausChannel:
         return bool(np.max(np.abs(k - np.eye(k.shape[0]))) < 1e-12)
 
 
-def identity_channel(arity: int = 1) -> KrausChannel:
-    return KrausChannel((np.eye(2**arity, dtype=np.complex128),), arity)
-
-
 def bit_flip_channel(p: float) -> KrausChannel:
     """Pauli-X flip with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    if p == 0.0:
-        return identity_channel(1)
-    if p == 1.0:
-        return KrausChannel((_PAULIS["X"],), 1)
-    return KrausChannel(
-        (math.sqrt(1.0 - p) * _I2, math.sqrt(p) * _PAULIS["X"]), 1
-    )
+    return KrausChannel((math.sqrt(1.0 - p) * _I2, math.sqrt(p) * _PAULIS["X"]))
 
 
 def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
@@ -135,8 +129,6 @@ def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
         raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
     if arity not in (1, 2):
         raise ValueError(f"arity must be 1 or 2, got {arity}")
-    if p == 0.0:
-        return identity_channel(arity)
     labels = ["I", "X", "Y", "Z"]
     if arity == 1:
         paulis = [_PAULIS[a] for a in labels]
@@ -145,7 +137,19 @@ def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
     n_err = len(paulis) - 1
     ops = [math.sqrt(1.0 - p) * paulis[0]]
     ops.extend(math.sqrt(p / n_err) * pp for pp in paulis[1:])
-    return KrausChannel(tuple(ops), arity)
+    return KrausChannel(tuple(ops))
+
+
+def check_relaxation_times(t1: float, t2: float) -> None:
+    """The T1/T2 rule of NoiseParams, NoiseModel and the relaxation channel:
+    both times finite and positive, and t2 <= t1, the only supported regime."""
+    for name, value in (("t1", t1), ("t2", t2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (t1 > 0 and t2 > 0):
+        raise ValueError(f"t1 and t2 must be positive, got t1={t1}, t2={t2}")
+    if not t2 <= t1:
+        raise UnsupportedRegimeError(f"t2={t2} > t1={t1} is not supported")
 
 
 def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausChannel:
@@ -154,14 +158,9 @@ def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausCh
     ``t1``/``t2`` in microseconds, ``duration`` in nanoseconds. Only the
     t2 <= t1 regime is supported.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("relaxation times must be positive")
-    if t2 > t1:
-        raise UnsupportedRegimeError(f"t2={t2} > t1={t1} is not supported")
-    if duration < 0:
+    check_relaxation_times(t1, t2)
+    if not duration >= 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0:
-        return identity_channel(1)
     t1_ns = t1 * 1000.0
     t2_ns = t2 * 1000.0
     e1 = math.exp(-duration / t1_ns)
@@ -180,7 +179,7 @@ def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausCh
             k = d @ a
             if np.max(np.abs(k)) > 1e-15:
                 ops.append(k)
-    return KrausChannel(tuple(ops), 1)
+    return KrausChannel(tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -206,10 +205,7 @@ class NoiseParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError(f"t1 and t2 must be positive, got t1={self.t1}, t2={self.t2}")
-        if self.t2 > self.t1:  # thermal_relaxation_channel supports t2 <= t1 only
-            raise UnsupportedRegimeError(f"t2={self.t2} > t1={self.t1} is not supported")
+        check_relaxation_times(self.t1, self.t2)
         for name in ("readout_len", "gate_len_1q", "gate_len_2q"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -243,7 +239,8 @@ class NoiseParams:
 @dataclass(frozen=True)
 class NoiseModel:
     """Kraus channels per gate kind plus relaxation parameters for delays. A
-    2-qubit channel acts on the CX pair, a 1-qubit one on each operand."""
+    2-qubit channel acts on the CX pair, a 1-qubit one on each operand.
+    ``t1`` and ``t2`` come together, checked like NoiseParams', or not at all."""
 
     assignments: dict = field(default_factory=dict)
     t1: float | None = None
@@ -258,6 +255,10 @@ class NoiseModel:
                     raise ValueError("assignments must hold KrausChannel entries")
                 if channel.arity == 2 and kind != "CX":  # only CX takes two qubits
                     raise ValueError(f"2-qubit channel assigned to 1-qubit gate kind {kind!r}")
+        if (self.t1 is None) != (self.t2 is None):
+            raise ValueError(f"t1 and t2 must be given together, got t1={self.t1}, t2={self.t2}")
+        if self.t1 is not None:
+            check_relaxation_times(self.t1, self.t2)
 
     def steps(self, gate) -> list:
         """The gate's (channel, qubits) steps without identity channels: each
@@ -276,7 +277,7 @@ def calibrated_noise_model(params: NoiseParams | None = None) -> NoiseModel:
     before measurement, relaxation over idle durations for ID/DELAY."""
     if params is None:
         params = NoiseParams()
-    single = [depolarizing_channel(params.depol_1q, 1), bit_flip_channel(params.bit_flip_p)]
+    single = [depolarizing_channel(params.depol_1q), bit_flip_channel(params.bit_flip_p)]
     cx = [
         depolarizing_channel(params.depol_2q, 2),
         thermal_relaxation_channel(params.t1, params.t2, params.gate_len_2q),

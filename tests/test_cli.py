@@ -96,8 +96,10 @@ class TestExitCodes:
          "max_iter must be >= 1, got 0"),
         (["cohort", "--trials", "1", "--shots", "0"], "shots must be >= 1, got 0"),
         (["cohort", "--trials", "1", "--shots", "-2"], "shots must be >= 1, got -2"),
+        (["cohort", "--trials", "1", "--threshold", "0.5", "--threshold", "0.5"],
+         "thresholds must be distinct, got [0.5, 0.5]"),
     ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0", "shots-0",
-            "shots-neg"])
+            "shots-neg", "threshold-twice"])
     def test_runtime_error_spec_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"
         assert run_cli(*args, "--out", str(out)) == 2
@@ -120,8 +122,9 @@ class TestExitCodes:
         ("H q-1", ":2: 'H q-1': qubit -1 outside circuit width 1"),
         ("H q0\nMEASURE q0\nX q0", ":4: 'X q0': gate X follows MEASURE on qubit 0"),
         ("# only a comment", ": no gate, only blank or comment lines"),
+        ("DELAY q0 -5", ":2: 'DELAY q0 -5': DELAY duration must be >= 0, got -5.0"),
     ], ids=["bad-angle", "cx-arity", "bad-qubit", "no-angle", "one-token", "negative-qubit",
-            "after-measure", "no-gate"])
+            "after-measure", "no-gate", "negative-delay"])
     def test_runtime_error_bad_circuit_file_names_its_line(self, tmp_path, capsys, line,
                                                            message):
         circ = tmp_path / "circ.txt"

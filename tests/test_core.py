@@ -32,6 +32,12 @@ def _maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(n, np.eye(d) / d)
 
 
+def _pure_density(state: StateVector) -> DensityMatrix:
+    """|psi><psi| of a state vector."""
+    psi = state.amplitudes
+    return DensityMatrix(state.n_qubits, np.outer(psi, psi.conj()))
+
+
 def bell_state():
     return StateVector.from_amplitudes([SQ2, 0, 0, SQ2])
 
@@ -203,8 +209,8 @@ class TestDensityMatrix:
             DensityMatrix(1, np.diag([1.5, -0.5]))  # not PSD
 
     def test_hilbert_schmidt_examples(self):
-        zero = DensityMatrix.from_state(StateVector.computational_basis(1))
-        plus = DensityMatrix.from_state(StateVector.from_amplitudes([SQ2, SQ2]))
+        zero = _pure_density(StateVector.computational_basis(1))
+        plus = _pure_density(StateVector.from_amplitudes([SQ2, SQ2]))
         mixed = _maximally_mixed(1)
         assert hilbert_schmidt_overlap(zero, zero) == pytest.approx(1.0, abs=1e-12)
         assert hilbert_schmidt_overlap(mixed, mixed) == pytest.approx(0.5, abs=1e-12)
@@ -213,18 +219,18 @@ class TestDensityMatrix:
 
 class TestUhlmannFidelity:
     def test_identical(self):
-        rho = DensityMatrix.from_state(random_pure_state(2, Rng(4)))
+        rho = _pure_density(random_pure_state(2, Rng(4)))
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-8)
 
     def test_pure_vs_mixed(self):
-        zero = DensityMatrix.from_state(StateVector.computational_basis(1))
+        zero = _pure_density(StateVector.computational_basis(1))
         assert uhlmann_fidelity(zero, _maximally_mixed(1)) == pytest.approx(
             0.5, abs=1e-9
         )
 
     def test_symmetry(self):
         rng = Rng(5)
-        a = DensityMatrix.from_state(random_pure_state(2, rng))
+        a = _pure_density(random_pure_state(2, rng))
         b = _maximally_mixed(2)
         assert uhlmann_fidelity(a, b) == pytest.approx(uhlmann_fidelity(b, a), abs=1e-8)
 
@@ -236,7 +242,7 @@ class TestUhlmannFidelity:
             a = random_pure_state(n, rng)
             b = random_pure_state(n, rng)
             f = overlap_fidelity(a, b)
-            ra, rb = DensityMatrix.from_state(a), DensityMatrix.from_state(b)
+            ra, rb = _pure_density(a), _pure_density(b)
             assert hilbert_schmidt_overlap(ra, rb) == pytest.approx(f, abs=1e-9)
             assert uhlmann_fidelity(ra, rb) == pytest.approx(f, abs=1e-7)
 
@@ -267,7 +273,7 @@ class TestPartialTrace:
         # |psi> = |+>_{q1} (x) |0>_{q0}; index q0 is the LSB
         amps = np.array([SQ2, 0, SQ2, 0])
         rho = partial_trace(StateVector.from_amplitudes(amps), {1})
-        plus = DensityMatrix.from_state(StateVector.from_amplitudes([SQ2, SQ2]))
+        plus = _pure_density(StateVector.from_amplitudes([SQ2, SQ2]))
         assert np.allclose(rho.entries, plus.entries, atol=1e-12)
 
     def test_bell_reduction_maximally_mixed(self):
@@ -303,7 +309,7 @@ class TestPartialTrace:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        rho = DensityMatrix.from_state(random_pure_state(2, Rng(11)))
+        rho = _pure_density(random_pure_state(2, Rng(11)))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_one_bit(self):

@@ -7,10 +7,12 @@ the methods of exported classes, which are public API. An export, in turn,
 must have a caller in the package outside ``__init__`` or in the benchmark
 (``perfbench/*.py``), or be one of the ``ENTRY_POINTS`` below. Code that only
 tests use belongs in the tests. Only ``core`` reads the Philox generator
-behind ``Rng`` (``._gen``); every other module draws through ``Rng``.
+behind ``Rng`` (``._gen``); every other module draws through ``Rng``. No call
+in the package passes a literal equal to the default it would get anyway.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qsnapshot
@@ -91,6 +93,58 @@ def generator_readers(trees: dict) -> list:
                           for node in ast.walk(tree)))
 
 
+def _literal(node):
+    """(type, value) of a literal expression, None for any other node."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return type(value), value
+
+
+def _defaults(trees: dict) -> dict:
+    """name -> (positional parameters past ``self``/``cls``, {parameter:
+    literal default}) of each function or method defined exactly once."""
+    counts, found = Counter(), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            counts[node.name] += 1
+            found[node.name] = positional, {arg: _literal(d) for arg, d in pairs}
+    return {name: spec for name, spec in found.items() if counts[name] == 1}
+
+
+def restated_defaults(trees: dict) -> list:
+    """``module:line name(parameter=literal)`` for each call in the package
+    that passes a literal equal to that parameter's default."""
+    defaults, found = _defaults(trees), []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in defaults:
+                continue
+            positional, default = defaults[name]
+            args = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):  # later positions are unknown
+                    break
+                args.append(arg)
+            passed = list(zip(positional, args)) + [(k.arg, k.value) for k in node.keywords]
+            found += [f"{module}:{node.lineno} {name}({arg}={ast.unparse(value)})"
+                      for arg, value in passed
+                      if _literal(value) is not None and _literal(value) == default.get(arg)]
+    return found
+
+
 def test_every_definition_has_a_caller_in_src():
     assert dead_symbols(_trees()) == []
 
@@ -101,6 +155,22 @@ def test_every_export_has_a_caller_or_is_an_entry_point():
 
 def test_only_core_reads_the_generator():
     assert generator_readers(_trees()) == []
+
+
+def test_no_call_restates_a_default():
+    assert restated_defaults(_trees()) == []
+
+
+def test_guard_sees_planted_restated_defaults():
+    planted = ast.parse("def _scale(x, factor=2.0, *, offset=None):\n    return x * factor\n"
+                        "class _Planted:\n    def _planted_step(self, k=1):\n        return k\n"
+                        "_scale(1.0, 2.0)\n_scale(1.0, factor=2.0, offset=None)\n"
+                        "_scale(1.0, 2)\n_scale(2.0)\n_scale(*[1.0], 2.0)\n"
+                        "_Planted()._planted_step(1)\n_Planted()._planted_step(k=2)\n")
+    trees = {**_trees(), "planted.py": planted}
+    assert restated_defaults(trees) == [
+        "planted.py:6 _scale(factor=2.0)", "planted.py:7 _scale(factor=2.0)",
+        "planted.py:7 _scale(offset=None)", "planted.py:11 _planted_step(k=1)"]
 
 
 def test_guard_sees_planted_dead_definitions():

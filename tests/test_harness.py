@@ -82,6 +82,9 @@ class TestExperimentSpec:
         ({"representation": "mps"}, "unknown representation 'mps'"),
         ({"representation": "density"}, "use mixed-diagnostic"),
         ({"noise": NoiseParams(), "shots": 100}, "noise and shots cannot be combined"),
+        ({"thresholds": ()}, "need at least one threshold"),
+        ({"thresholds": (0.5, 0.99, 0.5)},
+         r"thresholds must be distinct, got \[0.5, 0.99, 0.5\]"),
     ])
     def test_rejects_specs_that_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -260,7 +263,8 @@ class TestMixedDiagnostic:
         from qsnapshot.estimators import DensityOracle, EsConfig, reconstruct
         from qsnapshot.core import uhlmann_fidelity
 
-        target = DensityMatrix.from_state(random_pure_state(1, Rng(7)))
+        psi = random_pure_state(1, Rng(7)).amplitudes
+        target = DensityMatrix(1, np.outer(psi, psi.conj()))
         report = reconstruct("qeswap", "density", DensityOracle(target, "hilbert_schmidt"),
                              EsConfig(max_iter=150, seed=0, stop_threshold=0.995),
                              n_qubits=1)

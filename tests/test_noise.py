@@ -240,7 +240,7 @@ def _damping_in_x_basis(t1=100.0, t2=100.0, duration=30000.0):
     """Amplitude damping conjugated by H: non-diagonal effects, not a mixture."""
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
     return KrausChannel(tuple(h @ k @ h for k in
-                              thermal_relaxation_channel(t1, t2, duration).operators), 1)
+                              thermal_relaxation_channel(t1, t2, duration).operators))
 
 
 _CALIBRATED = {id(channel): channel
@@ -340,7 +340,26 @@ class TestGateKernel:
 class TestChannels:
     def test_completeness_enforced(self):
         with pytest.raises(ValueError):
-            KrausChannel((np.eye(2) * 0.5,), 1)
+            KrausChannel((np.eye(2) * 0.5,))
+
+    def test_zero_operators_dropped_and_arity_from_shape(self):
+        ch = KrausChannel((np.zeros((4, 4)), np.eye(4), np.zeros((4, 4))))
+        assert len(ch.operators) == 1 and ch.arity == 2 and ch.is_identity
+        assert bit_flip_channel(1.0).operators[0].tobytes() == noise._PAULIS["X"].tobytes()
+        assert bit_flip_channel(1.0).arity == 1
+        with pytest.raises(AttributeError):
+            ch.arity = 1
+
+    @pytest.mark.parametrize("operators,message", [
+        ((np.eye(8),), "must all be 2x2 or all 4x4, got shapes [(8, 8)]"),
+        ((np.eye(2), np.zeros((4, 4))),
+         "must all be 2x2 or all 4x4, got shapes [(2, 2), (4, 4)]"),
+        ((np.zeros((2, 2)),), "needs at least one non-zero Kraus operator"),
+        ((), "needs at least one non-zero Kraus operator"),
+    ], ids=["8x8", "mixed-shapes", "all-zero", "empty"])
+    def test_rejects_what_is_no_channel(self, operators, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KrausChannel(operators)
 
     def test_bit_flip(self):
         p = 2.003e-04
@@ -382,6 +401,8 @@ class TestChannels:
     def test_thermal_relaxation_regime(self):
         with pytest.raises(UnsupportedRegimeError):
             thermal_relaxation_channel(100.0, 150.0, 10.0)
+        with pytest.raises(ValueError, match=re.escape("duration must be >= 0, got nan")):
+            thermal_relaxation_channel(100.0, 80.0, math.nan)
 
 
 class TestNoiseParams:
@@ -418,6 +439,24 @@ class TestNoiseParams:
         with pytest.raises(UnsupportedRegimeError):
             NoiseParams(t1=100.0, t2=150.0)
         assert NoiseParams(t1=100.0, t2=100.0).t2 == 100.0
+
+    @pytest.mark.parametrize("t1,t2,error,message", [
+        (100.0, 150.0, UnsupportedRegimeError, "t2=150.0 > t1=100.0 is not supported"),
+        (100.0, -5.0, ValueError, "t1 and t2 must be positive, got t1=100.0, t2=-5.0"),
+        (math.nan, 80.0, ValueError, "t1 must be finite, got nan"),
+        (100.0, math.inf, ValueError, "t2 must be finite, got inf"),
+    ], ids=["t2-above-t1", "negative", "nan", "inf"])
+    def test_one_relaxation_rule_for_params_model_and_channel(self, t1, t2, error, message):
+        builders = [lambda: NoiseParams(t1=t1, t2=t2), lambda: NoiseModel({}, t1=t1, t2=t2),
+                    lambda: thermal_relaxation_channel(t1, t2, 60.0)]
+        for build in builders:
+            with pytest.raises(error, match=re.escape(message)):
+                build()
+
+    @pytest.mark.parametrize("times", [{"t1": 100.0}, {"t2": 80.0}])
+    def test_model_takes_t1_and_t2_together(self, times):
+        with pytest.raises(ValueError, match="t1 and t2 must be given together"):
+            NoiseModel({}, **times)
 
     def test_from_file(self, tmp_path):
         cfg = tmp_path / "noise.cfg"
@@ -611,6 +650,40 @@ class TestTrajectories:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
 
+    @settings(max_examples=40, deadline=None)
+    @given(circ=_lowered_circuits(), params=_NOISE_PARAMS,
+           trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_zero_operators_change_nothing(self, circ, params, trajectories, seed, data):
+        model = calibrated_noise_model(params)
+
+        def padded(channel):
+            ops = list(channel.operators)
+            for _ in range(data.draw(st.integers(1, 3))):
+                ops.insert(data.draw(st.integers(0, len(ops))), np.zeros_like(ops[0]))
+            return KrausChannel(tuple(ops))
+
+        padded_model = NoiseModel({kind: [padded(channel) for channel in channels]
+                                   for kind, channels in model.assignments.items()},
+                                  t1=model.t1, t2=model.t2)
+        for kind, channels in model.assignments.items():
+            for a, b in zip(channels, padded_model.assignments[kind]):
+                assert [k.tobytes() for k in a.operators] == [k.tobytes() for k in b.operators]
+                assert (a.arity, a.is_identity) == (b.arity, b.is_identity)
+                n = a.arity + 1
+                gen = np.random.default_rng(seed)
+                amps = gen.normal(size=(5, 2**n)) + 1j * gen.normal(size=(5, 2**n))
+                amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+                u, qubits = gen.uniform(size=5), tuple(range(n))[-a.arity:]
+                assert (_class_states(amps, a, qubits, n, u).tobytes()
+                        == _class_states(amps, b, qubits, n, u).tobytes())
+        runs = []
+        for m in (model, padded_model):
+            rng = Rng(seed)
+            means = execute_trajectory_batch([circ], m, trajectories, rng)
+            runs.append((means.tobytes(), rng.uniform(4).tobytes()))
+        assert runs[0] == runs[1]
+
     def test_renumbering_example_crosses_the_threshold(self, monkeypatch):
         renumbered = []
 
@@ -789,7 +862,7 @@ class TestTrajectories:
         k0 = np.array([[1, 0], [0, math.cos(theta)]], dtype=np.complex128)
         k1 = np.array([[0, math.sin(theta)], [0, 0]], dtype=np.complex128)
         h = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]])
-        ch = KrausChannel((k0 @ h, k1 @ h), 1)
+        ch = KrausChannel((k0 @ h, k1 @ h))
         assert ch._mix_weights is None and ch._effect_diagonals is None
         model = NoiseModel({"X": [ch]})
         circ = QuantumCircuit(1).add("X", 0).add("MEASURE", 0)
