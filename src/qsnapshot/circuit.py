@@ -456,20 +456,16 @@ def lower_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
 # SWAP test
 
 
-def build_swap_test(
-    n_qubits: int, prep_a: QuantumCircuit, prep_b: QuantumCircuit
-) -> QuantumCircuit:
-    """SWAP-test circuit on 2n+1 qubits.
+def build_swap_test(prep_a: QuantumCircuit, prep_b: QuantumCircuit) -> QuantumCircuit:
+    """SWAP-test circuit on 2n+1 qubits, n the preparations' common width.
 
     Qubit 0 is the ancilla; ``prep_a`` loads qubits 1..n, ``prep_b`` loads
     qubits n+1..2n; controlled swaps pair qubit i with qubit n+i; the ancilla
     is measured.
     """
-    if prep_a.n_qubits != n_qubits or prep_b.n_qubits != n_qubits:
-        raise ValueError(
-            f"preparation widths ({prep_a.n_qubits}, {prep_b.n_qubits}) "
-            f"do not match n_qubits={n_qubits}"
-        )
+    n_qubits = prep_a.n_qubits
+    if prep_b.n_qubits != n_qubits:
+        raise ValueError(f"preparation widths differ: {n_qubits} and {prep_b.n_qubits}")
     width = 2 * n_qubits + 1
     map_a = {q: q + 1 for q in range(n_qubits)}
     map_b = {q: q + 1 + n_qubits for q in range(n_qubits)}
@@ -488,7 +484,7 @@ def swap_test_head(prep_a: QuantumCircuit) -> np.ndarray:
     every SWAP test against that first state starts from a copy of them."""
     n = prep_a.n_qubits
     amps = StateVector.computational_basis(2 * n + 1).amplitudes.copy()
-    for gate in build_swap_test(n, prep_a, QuantumCircuit(n)).gates[: 1 + len(prep_a.gates)]:
+    for gate in build_swap_test(prep_a, QuantumCircuit(n)).gates[: 1 + len(prep_a.gates)]:
         amps = apply_gate(amps, gate, 2 * n + 1)
     return amps
 
@@ -516,6 +512,6 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
                 amps = amps[_cx_permutation(width, a + n + 1, b + n + 1)]
             else:
                 amps = apply_matrix(amps, mats[:, :, b], (a + n + 1,), width)
-    for gate in build_swap_test(n, QuantumCircuit(n), QuantumCircuit(n)).gates[1:-1]:
+    for gate in build_swap_test(QuantumCircuit(n), QuantumCircuit(n)).gates[1:-1]:
         amps = apply_gate(amps, gate, width)  # the CSWAPs and the last H
     return np.abs(normalize_rows(amps.T.copy())) ** 2

@@ -68,9 +68,9 @@ def _given(args, names) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _build_spec(args) -> ExperimentSpec:
+def _build_spec(args, **known) -> ExperimentSpec:
     # a spec or noise file the library rejects is a runtime failure (exit 2)
-    given = _given(args, [f.name for f in fields(ExperimentSpec)])
+    given = {**_given(args, [f.name for f in fields(ExperimentSpec)]), **known}
     if "noise" in given:
         given["noise"] = _parse_noise(given["noise"])
     if "shots" in given:
@@ -155,8 +155,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    spec = _build_spec(args)
     circuit = _parse_circuit_file(args.circuit)
+    spec = _build_spec(args, n_qubits=circuit.n_qubits)
     report = run_midcircuit_snapshot(circuit, args.cut, spec)
     print(f"snapshot {report.label}: best fidelity {report.best_fidelity:.4f} "
           f"in {report.epochs} epochs")
@@ -270,16 +270,16 @@ _FLAGS = {
     "--circuit-out": {"default": None},
 }
 
-# the flags every subcommand that builds an ExperimentSpec takes
-_SPEC = "--method --qubits --noise --trajectories --shots --seed --max-iter"
+# the ExperimentSpec flags, but --qubits: snapshot's width is its circuit's
+_SPEC = "--method --noise --trajectories --shots --seed --max-iter"
 
 _COMMANDS = {
     "cohort": (_cmd_cohort, "reconstruct random targets and aggregate",
-               f"{_SPEC} --repr --trials --threshold --out --gate"),
+               f"{_SPEC} --qubits --repr --trials --threshold --out --gate"),
     "standard": (_cmd_standard, "benchmark the standard-state catalog",
-                 f"{_SPEC} --repr --out --gate"),
+                 f"{_SPEC} --qubits --repr --out --gate"),
     "entropy": (_cmd_entropy, "cohort plus half-chain entropy comparison",
-                f"{_SPEC} --trials --out"),
+                f"{_SPEC} --qubits --trials --out"),
     "snapshot": (_cmd_snapshot, "reconstruct a circuit's state at a cut",
                  f"{_SPEC} --repr --circuit --cut [--store]"),
     "mixed-diagnostic": (_cmd_mixed_diagnostic,

@@ -108,7 +108,7 @@ class FidelityOracle:
         self.evaluations += len(amps)
         if self._model is not None:
             preps = [mottonen_prepare(StateVector.from_amplitudes(a)) for a in amps]
-            tests = [lower_to_basis(build_swap_test(self.n_qubits, self._target_prep, prep))
+            tests = [lower_to_basis(build_swap_test(self._target_prep, prep))
                      for prep in preps]
             return execute_trajectory_batch(tests, self._model, self._trajectories, self._rng)
         probs = swap_test_probabilities(self._head, amps)
@@ -349,7 +349,6 @@ class ReconstructionReport:
     epochs: int
     oracle_evals: int
     fidelity_trace: list
-    mixed_state_flag: bool
     seed: int
     final_candidate: object = None
     validation_trace: list = field(default_factory=list)
@@ -358,6 +357,10 @@ class ReconstructionReport:
     def __post_init__(self):
         if self.fidelity_trace and abs(self.best_fidelity - max(self.fidelity_trace)) > 1e-12:
             raise ValueError("best_fidelity must equal the trace maximum")
+
+    @property
+    def mixed_state_flag(self) -> bool:  # a SWAP test on mixed inputs reads Tr(rho sigma)
+        return self.representation == "density"
 
 
 @dataclass
@@ -467,9 +470,9 @@ _DECODERS = {
 }
 
 
-def _run(method: str, representation: str, oracle, config,
-         n_qubits: int) -> ReconstructionReport:
+def _run(method: str, representation: str, oracle, config) -> ReconstructionReport:
     """The engine loop: ask, score, record trace/best/probe, stop or tell."""
+    n_qubits = oracle.n_qubits
     d = 2**n_qubits
     raw_dim = 2 * d if representation == "statevector" else 2 * d * d
     decode, candidate_cls = _DECODERS[representation]
@@ -511,26 +514,23 @@ def _run(method: str, representation: str, oracle, config,
     return ReconstructionReport(
         method=method, representation=representation, n_qubits=n_qubits,
         best_fidelity=best_f, epochs=steps, oracle_evals=evals, fidelity_trace=trace,
-        mixed_state_flag=representation == "density", seed=config.seed,
-        final_candidate=best_candidate, validation_trace=validation,
+        seed=config.seed, final_candidate=best_candidate, validation_trace=validation,
     )
 
 
-def train_gradient(oracle, n_qubits: int, config: GradientConfig | None = None
-                   ) -> ReconstructionReport:
+def train_gradient(oracle, config: GradientConfig | None = None) -> ReconstructionReport:
     """Gradient-based state-vector reconstruction (loss 1 - F, Adam)."""
-    return reconstruct("gradient", "statevector", oracle, config, n_qubits)
+    return reconstruct("gradient", "statevector", oracle, config)
 
 
-def train_qeswap(oracle, n_qubits: int, config: EsConfig | None = None
-                 ) -> ReconstructionReport:
+def train_qeswap(oracle, config: EsConfig | None = None) -> ReconstructionReport:
     """QESwap state-vector reconstruction (standardized-advantage ES)."""
-    return reconstruct("qeswap", "statevector", oracle, config, n_qubits)
+    return reconstruct("qeswap", "statevector", oracle, config)
 
 
-def reconstruct(method: str, representation: str, oracle, config=None,
-                n_qubits: int | None = None) -> ReconstructionReport:
-    """Dispatch one of the 3 x 2 (representation, engine) strategies.
+def reconstruct(method: str, representation: str, oracle, config=None
+                ) -> ReconstructionReport:
+    """Dispatch one of the 3 x 2 (representation, engine) strategies at the oracle's width.
 
     For the unitary representation the oracle candidate is Q|0...0>; for the
     density representation the oracle signal is the Hilbert-Schmidt overlap
@@ -540,8 +540,6 @@ def reconstruct(method: str, representation: str, oracle, config=None,
         raise ValueError(f"unknown method {method!r}")
     if representation not in _DECODERS:
         raise ValueError(f"unknown representation {representation!r}")
-    if n_qubits is None:
-        n_qubits = oracle.n_qubits
     if config is None:
         config = GradientConfig() if method == "gradient" else EsConfig()
-    return _run(method, representation, oracle, config, n_qubits)
+    return _run(method, representation, oracle, config)

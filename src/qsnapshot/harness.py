@@ -102,8 +102,16 @@ def standard_states(n_qubits: int | None = None) -> list:
 # Experiment specification
 
 
-# Largest (rows, 2^(2n+1)) complex128 array a spec may ask the oracle for.
+# Largest complex128 array a spec or the mixed diagnostic may ask for.
 MAX_AMPLITUDE_BYTES = 2**30
+
+
+def _check_amplitude_bytes(n_qubits: int, need: str, rows: int, exponent: int):
+    """Reject a width whose ``need``, (rows, 2^exponent) complex128, is over the limit."""
+    nbytes = rows * 2**exponent * 16
+    if nbytes > MAX_AMPLITUDE_BYTES:
+        raise ValueError(f"n_qubits={n_qubits} needs {need}: {rows} x 2^{exponent} amplitudes "
+                         f"take {nbytes} bytes, over the {MAX_AMPLITUDE_BYTES}-byte limit")
 
 
 @dataclass
@@ -150,11 +158,7 @@ class ExperimentSpec:
         rows = (self.trajectories if self.noise is not None else self.population
                 if self.method == "qeswap" else
                 4 * (d if self.representation == "statevector" else d * d))
-        nbytes = rows * 2**width * 16
-        if nbytes > MAX_AMPLITUDE_BYTES:
-            raise ValueError(f"n_qubits={self.n_qubits} needs SWAP tests of width {width}: "
-                             f"{rows} x 2^{width} amplitudes take {nbytes} bytes, "
-                             f"over the {MAX_AMPLITUDE_BYTES}-byte limit")
+        _check_amplitude_bytes(self.n_qubits, f"SWAP tests of width {width}", rows, width)
         if not self.thresholds:
             raise ValueError("need at least one threshold, got none")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):
@@ -270,8 +274,7 @@ def _reconstruct_known(spec: ExperimentSpec, target: StateVector,
     oracle = FidelityOracle(target_prep, shots=spec.shots, noise_model=model,
                             trajectories=spec.trajectories, rng=rng.child(1))
     config = spec.estimator_config(rng.child(2).seed, probe=probe)
-    return reconstruct(spec.method, spec.representation, oracle,
-                       config, spec.n_qubits)
+    return reconstruct(spec.method, spec.representation, oracle, config)
 
 
 def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
@@ -455,6 +458,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
+    _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * n_qubits)
     root = Rng(seed)
     rows = []
     for i in range(n_targets):
@@ -467,8 +471,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
                 seed=rng.child(1 if tag == "hilbert_schmidt" else 2).seed,
                 stop_threshold=0.995,
             )
-            report = reconstruct("qeswap", "density", DensityOracle(target, tag), config,
-                                 n_qubits)
+            report = reconstruct("qeswap", "density", DensityOracle(target, tag), config)
             results[tag] = {
                 "signal_best": report.best_fidelity,
                 "uhlmann_final": uhlmann_fidelity(target, report.final_candidate),

@@ -171,8 +171,8 @@ def withdraw(identifier: str, store_path) -> tuple:
 
 
 def list_snapshots(store_path) -> list:
-    """All stored identifiers, sorted."""
+    """All stored identifiers, sorted; a body named otherwise is not a record."""
     store = Path(store_path)
     if not store.is_dir():
         return []
-    return sorted(p.stem for p in store.glob("*.qsnap"))
+    return sorted(p.stem for p in store.glob("*.qsnap") if _IDENTIFIER.fullmatch(p.stem))

@@ -50,7 +50,7 @@ def test_acceptance_01_swap_test_correctness():
         n = 1 + trial % 3
         a = random_pure_state(n, rng)
         b = random_pure_state(n, rng)
-        test = build_swap_test(n, mottonen_prepare(a), mottonen_prepare(b))
+        test = build_swap_test(mottonen_prepare(a), mottonen_prepare(b))
         err = abs(ancilla_expectation(test) - overlap_fidelity(a, b))
         worst = max(worst, err)
     report(1, "SWAP-test correctness", worst <= 1e-9)
@@ -91,8 +91,8 @@ def test_acceptance_04_noiseless_gradient_convergence():
         target = random_pure_state(1, rng)
         oracle = FidelityOracle(mottonen_prepare(target))
         result = train_gradient(
-            oracle, 1, GradientConfig(epochs=200, seed=1400 + trial,
-                                      stop_threshold=0.999)
+            oracle, GradientConfig(epochs=200, seed=1400 + trial,
+                                   stop_threshold=0.999)
         )
         if result.best_fidelity >= 0.999:
             hits += 1
@@ -177,14 +177,14 @@ def test_acceptance_10_oracle_accounting():
     for n in (1, 2):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(n, Rng(1000 + n))))
         result = train_gradient(
-            oracle, n, GradientConfig(epochs=3, seed=0, stop_threshold=2.0)
+            oracle, GradientConfig(epochs=3, seed=0, stop_threshold=2.0)
         )
         expected = 3 * (1 + 4 * 2**n)
         ok = ok and result.oracle_evals == expected == oracle.evaluations
     # qeswap: iterations * N, exact in every stopping mode
     oracle = FidelityOracle(mottonen_prepare(random_pure_state(1, Rng(1010))))
     result = train_qeswap(
-        oracle, 1, EsConfig(population=50, max_iter=6, seed=0, stop_threshold=0.99)
+        oracle, EsConfig(population=50, max_iter=6, seed=0, stop_threshold=0.99)
     )
     ok = ok and result.oracle_evals == result.epochs * 50 == oracle.evaluations
     report(10, "oracle accounting", ok)

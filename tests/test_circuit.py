@@ -271,20 +271,20 @@ class TestLowering:
 
 class TestSwapTest:
     def test_identical_zero_inputs(self):
-        test = build_swap_test(1, QuantumCircuit(1), QuantumCircuit(1))
+        test = build_swap_test(QuantumCircuit(1), QuantumCircuit(1))
         assert ancilla_expectation(test) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_inputs(self):
-        test = build_swap_test(1, QuantumCircuit(1), QuantumCircuit(1).add("X", 0))
+        test = build_swap_test(QuantumCircuit(1), QuantumCircuit(1).add("X", 0))
         assert ancilla_expectation(test) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vs_plus(self):
-        test = build_swap_test(1, QuantumCircuit(1), QuantumCircuit(1).add("H", 0))
+        test = build_swap_test(QuantumCircuit(1), QuantumCircuit(1).add("H", 0))
         assert ancilla_expectation(test) == pytest.approx(0.5, abs=1e-12)
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            build_swap_test(2, QuantumCircuit(1), QuantumCircuit(2))
+        with pytest.raises(ValueError, match="preparation widths differ: 1 and 2"):
+            build_swap_test(QuantumCircuit(1), QuantumCircuit(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_swap_identity_random_pairs(self, n):
@@ -293,7 +293,7 @@ class TestSwapTest:
         for _ in range(20):
             a = random_pure_state(n, rng)
             b = random_pure_state(n, rng)
-            test = build_swap_test(n, mottonen_prepare(a), mottonen_prepare(b))
+            test = build_swap_test(mottonen_prepare(a), mottonen_prepare(b))
             assert ancilla_expectation(test) == pytest.approx(
                 overlap_fidelity(a, b), abs=1e-9
             )
@@ -302,7 +302,7 @@ class TestSwapTest:
         rng = Rng(300)
         a = random_pure_state(2, rng)
         b = random_pure_state(2, rng)
-        test = lower_to_basis(build_swap_test(2, mottonen_prepare(a), mottonen_prepare(b)))
+        test = lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
         assert ancilla_expectation(test) == pytest.approx(
             overlap_fidelity(a, b), abs=1e-9
         )

@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -68,22 +71,26 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
-        ["mixed-diagnostic", "--noise", "bogus", "--trials", "1", "--max-iter", "2"],
-        ["entropy", "--gate", "1.0", "--qubits", "2", "--trials", "1", "--max-iter", "2"],
-        ["entropy", "--repr", "unitary", "--qubits", "2", "--trials", "1", "--max-iter", "2"],
-        ["snapshot", "--circuit", "CIRCUIT", "--cut", "2", "--qubits", "2",
-         "--max-iter", "2"],
-        ["standard", "--threshold", "0.95", "--max-iter", "2"],
+        ["mixed-diagnostic", "--noise", "bogus", "--trials", "1", "--max-iter", "2",
+         "--out", "OUT"],
+        ["entropy", "--gate", "1.0", "--qubits", "2", "--trials", "1", "--max-iter", "2",
+         "--out", "OUT"],
+        ["entropy", "--repr", "unitary", "--qubits", "2", "--trials", "1", "--max-iter", "2",
+         "--out", "OUT"],
+        ["snapshot", "--circuit", "CIRCUIT", "--cut", "2", "--max-iter", "2", "--out", "OUT"],
+        ["standard", "--threshold", "0.95", "--max-iter", "2", "--out", "OUT"],
+        ["snapshot", "--circuit", "CIRCUIT", "--cut", "2", "--qubits", "2", "--max-iter", "2",
+         "--store", "OUT"],
     ], ids=["mixed-diagnostic--noise", "entropy--gate", "entropy--repr",
-            "snapshot--out", "standard--threshold"])
+            "snapshot--out", "standard--threshold", "snapshot--qubits"])
     def test_usage_error_flag_not_taken(self, tmp_path, args):
-        # each case passes one flag its subcommand does not take (for
-        # snapshot, the --out appended below); the rest would run
+        # each case passes one flag its subcommand does not take; the rest
+        # would run and write to OUT
         circ = tmp_path / "circ.txt"
         circ.write_text("H 0\nCX 0,1\n")
         out = tmp_path / "o"
-        args = [str(circ) if a == "CIRCUIT" else a for a in args]
-        assert run_cli(*args, "--out", str(out)) == 1
+        args = [{"CIRCUIT": str(circ), "OUT": str(out)}.get(a, a) for a in args]
+        assert run_cli(*args) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("args,message", [
@@ -98,20 +105,15 @@ class TestExitCodes:
         (["cohort", "--trials", "1", "--shots", "-2"], "shots must be >= 1, got -2"),
         (["cohort", "--trials", "1", "--threshold", "0.5", "--threshold", "0.5"],
          "thresholds must be distinct, got [0.5, 0.5]"),
+        (["mixed-diagnostic", "--qubits", "11"],
+         "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes take 3355443200 bytes"),
     ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0", "shots-0",
-            "shots-neg", "threshold-twice"])
+            "shots-neg", "threshold-twice", "mixed-width"])
     def test_runtime_error_spec_rejected(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"
         assert run_cli(*args, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
-
-    def test_runtime_error_snapshot_width_mismatch(self, tmp_path, capsys):
-        circ = tmp_path / "circ.txt"
-        circ.write_text("H 0\nCX 0,1\n")
-        assert run_cli("snapshot", "--circuit", str(circ), "--cut", "2",
-                       "--qubits", "1", "--max-iter", "2") == 2
-        assert "circuit has 2 qubits but the spec has n_qubits=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [
         ("RZ q0 abc", ":2: 'RZ q0 abc': could not convert string to float: 'abc'"),
@@ -173,11 +175,11 @@ class TestExitCodes:
         assert code == 3
 
 
-SPEC_FLAGS = "--method --qubits --noise --trajectories --shots --seed --max-iter"
+SPEC_FLAGS = "--method --noise --trajectories --shots --seed --max-iter"
 FLAG_SETS = {
-    "cohort": f"{SPEC_FLAGS} --repr --trials --threshold --out --gate",
-    "standard": f"{SPEC_FLAGS} --repr --out --gate",
-    "entropy": f"{SPEC_FLAGS} --trials --out",
+    "cohort": f"{SPEC_FLAGS} --qubits --repr --trials --threshold --out --gate",
+    "standard": f"{SPEC_FLAGS} --qubits --repr --out --gate",
+    "entropy": f"{SPEC_FLAGS} --qubits --trials --out",
     "snapshot": f"{SPEC_FLAGS} --repr --circuit --cut --store",
     "mixed-diagnostic": "--qubits --trials --seed --max-iter --out",
     "deposit": "--state --store",
@@ -193,6 +195,25 @@ def test_flag_set(command):
     assert set(sub.choices) == set(FLAG_SETS)
     taken = {o for a in sub.choices[command]._actions for o in a.option_strings}
     assert taken - {"-h", "--help"} == set(FLAG_SETS[command].split())
+
+
+def _readme_cli_lines() -> list:
+    """The ``qsnapshot ...`` lines of the README's CLI ``sh`` block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("qsnapshot ")]
+
+
+def test_readme_cli_lines_parse():
+    # every documented invocation must be one the parser takes
+    lines = _readme_cli_lines()
+    assert {line.split()[1] for line in lines} == set(FLAG_SETS)
+    for line in lines:
+        argv = shlex.split(line.replace("<id>", "0" * 64).replace("[", "").replace("]", ""))
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README line does not parse (exit {exc.code}): {line}")
 
 
 def test_library_owns_the_defaults():
@@ -245,8 +266,7 @@ class TestSnapshotAndStore:
         circ.write_text("H 0\nCX 0,1\n")
         store = tmp_path / "store"
         assert run_cli("snapshot", "--circuit", str(circ), "--cut", "2",
-                       "--qubits", "2", "--max-iter", "60",
-                       "--store", str(store)) == 0
+                       "--max-iter", "60", "--store", str(store)) == 0
         idents = sorted(p.stem for p in store.glob("*.qsnap"))
         assert len(idents) == 1
         assert run_cli("list", "--store", str(store)) == 0

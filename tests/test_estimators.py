@@ -444,7 +444,7 @@ class TestOracles:
                 return self.inner.evaluations
 
         spy = SpyOracle()
-        report = train_qeswap(spy, 1, EsConfig(max_iter=3, seed=0, stop_threshold=2.0))
+        report = train_qeswap(spy, EsConfig(max_iter=3, seed=0, stop_threshold=2.0))
         assert report.epochs == 3
 
 
@@ -471,7 +471,7 @@ def _edge_state(kind: str, n: int, rng: Rng) -> StateVector:
 def _serial_expectations(prep, candidates) -> list:
     """The reference: one SWAP-test circuit built and simulated per candidate."""
     return [
-        ancilla_expectation(build_swap_test(prep.n_qubits, prep, mottonen_prepare(c)))
+        ancilla_expectation(build_swap_test(prep, mottonen_prepare(c)))
         for c in candidates
     ]
 
@@ -518,7 +518,7 @@ class TestBatchedOracle:
         rng = Rng(9)  # the serial sampler: each SWAP test built alone, drawn in turn
         counts = []
         for c in candidates:
-            probs = final_probabilities(build_swap_test(n, prep, mottonen_prepare(c)))
+            probs = final_probabilities(build_swap_test(prep, mottonen_prepare(c)))
             outcomes = rng._gen.choice(probs.size, size=shots, p=probs / probs.sum())
             counts.append(np.count_nonzero(outcomes % 2 == 0))
         assert zeros.tolist() == counts
@@ -565,7 +565,7 @@ class TestBatchedOracle:
         one = FidelityOracle(prep, noise_model=model, trajectories=trajectories, rng=loop_rng)
         loop = np.array([one.evaluate(c) for c in candidates])
         serial = np.array([execute_trajectories(  # the candidate-by-candidate engine
-            lower_to_basis(build_swap_test(n, prep, mottonen_prepare(c))), model,
+            lower_to_basis(build_swap_test(prep, mottonen_prepare(c))), model,
             trajectories, serial_rng) for c in candidates])
         assert batch.tobytes() == loop.tobytes() == serial.tobytes()
         draws = {gen.uniform(4).tobytes() for gen in (batch_rng, loop_rng, serial_rng)}
@@ -591,8 +591,8 @@ class TestBatchedOracle:
 
         oracle = CountingOracle(mottonen_prepare(random_pure_state(1, Rng(32))))
         oracle.batches = []
-        report = train_qeswap(oracle, 1, EsConfig(population=6, max_iter=3, seed=0,
-                                                  stop_threshold=2.0))
+        report = train_qeswap(oracle, EsConfig(population=6, max_iter=3, seed=0,
+                                               stop_threshold=2.0))
         assert oracle.batches == [6, 6, 6]
         assert oracle.evaluations == report.oracle_evals == 18
 
@@ -613,8 +613,8 @@ class TestBatchedOracle:
                 return self.inner.evaluations
 
         oracle = SerialOracle()
-        report = train_qeswap(oracle, 1, EsConfig(population=6, max_iter=3, seed=0,
-                                                  stop_threshold=2.0))
+        report = train_qeswap(oracle, EsConfig(population=6, max_iter=3, seed=0,
+                                               stop_threshold=2.0))
         assert oracle.calls == oracle.evaluations == report.oracle_evals == 18
 
 
@@ -734,15 +734,15 @@ class TestReport:
 class TestQESwap:
     def test_converges_on_zero_target(self):
         oracle = FidelityOracle(QuantumCircuit(1))
-        report = train_qeswap(oracle, 1, EsConfig(max_iter=20, seed=0,
-                                                  stop_threshold=0.99))
+        report = train_qeswap(oracle, EsConfig(max_iter=20, seed=0,
+                                               stop_threshold=0.99))
         assert report.best_fidelity >= 0.99
         assert report.epochs <= 20
 
     def test_evaluation_accounting_exact(self):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(1, Rng(12))))
         config = EsConfig(population=50, max_iter=7, seed=1, stop_threshold=2.0)
-        report = train_qeswap(oracle, 1, config)
+        report = train_qeswap(oracle, config)
         assert report.oracle_evals == 7 * 50
         assert oracle.evaluations == report.oracle_evals
 
@@ -755,7 +755,7 @@ class TestQESwap:
                 self.evaluations += 1
                 return 0.5
 
-        report = train_qeswap(ConstantOracle(), 1,
+        report = train_qeswap(ConstantOracle(),
                               EsConfig(max_iter=3, seed=2, stop_threshold=2.0))
         assert report.best_fidelity == 0.5
 
@@ -777,15 +777,15 @@ class TestQESwap:
                 return self.inner.evaluate(candidate) + self.shift
 
         cfg = dict(max_iter=4, seed=3, stop_threshold=2.0)
-        r0 = train_qeswap(ShiftedOracle(0.0), 1, EsConfig(**cfg))
-        r1 = train_qeswap(ShiftedOracle(0.17), 1, EsConfig(**cfg))
+        r0 = train_qeswap(ShiftedOracle(0.0), EsConfig(**cfg))
+        r1 = train_qeswap(ShiftedOracle(0.17), EsConfig(**cfg))
         assert np.allclose(np.array(r1.fidelity_trace) - 0.17,
                            r0.fidelity_trace, atol=1e-12)
 
     def test_best_is_max_of_trace(self):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(14))))
-        report = train_qeswap(oracle, 2, EsConfig(max_iter=10, seed=4,
-                                                  stop_threshold=2.0))
+        report = train_qeswap(oracle, EsConfig(max_iter=10, seed=4,
+                                               stop_threshold=2.0))
         assert report.best_fidelity == max(report.fidelity_trace)
 
     def test_invalid_config(self):
@@ -819,14 +819,14 @@ class TestGradient:
                 self.evaluations += 1
                 return 1.0
 
-        report = train_gradient(AlwaysOne(), 1, GradientConfig(epochs=50, seed=0))
+        report = train_gradient(AlwaysOne(), GradientConfig(epochs=50, seed=0))
         assert report.epochs == 1
         assert report.best_fidelity == 1.0
 
     def test_evaluation_accounting_exact(self):
         # full-budget run: evals == epochs * (1 + 4d), d = 2^n
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(1, Rng(15))))
-        report = train_gradient(oracle, 1,
+        report = train_gradient(oracle,
                                 GradientConfig(epochs=3, seed=1, stop_threshold=2.0))
         assert report.oracle_evals == 3 * (1 + 4 * 2)
         assert oracle.evaluations == report.oracle_evals
@@ -855,8 +855,8 @@ class TestGradient:
 
     def test_converges_on_one_qubit(self):
         oracle = FidelityOracle(QuantumCircuit(1))
-        report = train_gradient(oracle, 1, GradientConfig(epochs=200, seed=2,
-                                                          stop_threshold=0.99))
+        report = train_gradient(oracle, GradientConfig(epochs=200, seed=2,
+                                                       stop_threshold=0.99))
         assert report.best_fidelity >= 0.99
 
 
@@ -880,9 +880,21 @@ class TestReconstructDispatch:
     def test_density_representation_sets_flag(self):
         target = _maximally_mixed(1)
         report = reconstruct("qeswap", "density", DensityOracle(target, "hilbert_schmidt"),
-                             EsConfig(max_iter=5, seed=6, stop_threshold=2.0),
-                             n_qubits=1)
+                             EsConfig(max_iter=5, seed=6, stop_threshold=2.0))
         assert report.mixed_state_flag
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("representation", ["statevector", "density"])
+    def test_width_is_the_oracle_width(self, representation, n):
+        # reconstruct takes no width: it reads the oracle's
+        if representation == "density":
+            oracle = DensityOracle(_maximally_mixed(n), "hilbert_schmidt")
+        else:
+            oracle = FidelityOracle(QuantumCircuit(n))
+        report = reconstruct("qeswap", representation, oracle,
+                             EsConfig(population=4, max_iter=1, seed=0, stop_threshold=2.0))
+        assert report.n_qubits == report.final_candidate.n_qubits == oracle.n_qubits == n
+        assert report.mixed_state_flag == (representation == "density")
 
     def test_plus_target_statevector(self):
         target = StateVector.from_amplitudes([SQ2, SQ2])
@@ -954,13 +966,11 @@ def _golden_run(case):
         return reconstruct("qeswap", "density", DensityOracle(rho, signal),
                            EsConfig(population=50, max_iter=30, seed=10,
                                     stop_threshold=2.0,
-                                    probe=lambda c: uhlmann_fidelity(rho, c)),
-                           n_qubits=2)
+                                    probe=lambda c: uhlmann_fidelity(rho, c)))
     if case == "gradient-density":
         rho = decode_candidate_density(Rng(8).normal(8))
         return reconstruct("gradient", "density", DensityOracle(rho, "hilbert_schmidt"),
-                           GradientConfig(epochs=3, seed=8, stop_threshold=2.0),
-                           n_qubits=1)
+                           GradientConfig(epochs=3, seed=8, stop_threshold=2.0))
     raise AssertionError(case)
 
 

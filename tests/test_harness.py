@@ -3,12 +3,14 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsnapshot import harness as harness_module
 from qsnapshot.circuit import QuantumCircuit, execute_statevector, mottonen_prepare
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
 from qsnapshot.estimators import EsConfig, GradientConfig
@@ -266,8 +268,7 @@ class TestMixedDiagnostic:
         psi = random_pure_state(1, Rng(7)).amplitudes
         target = DensityMatrix(1, np.outer(psi, psi.conj()))
         report = reconstruct("qeswap", "density", DensityOracle(target, "hilbert_schmidt"),
-                             EsConfig(max_iter=150, seed=0, stop_threshold=0.995),
-                             n_qubits=1)
+                             EsConfig(max_iter=150, seed=0, stop_threshold=0.995))
         assert uhlmann_fidelity(target, report.final_candidate) >= 0.99
 
     def test_rank2_separation(self):
@@ -282,6 +283,25 @@ class TestMixedDiagnostic:
     def test_rejects_empty_register_or_cohort(self, kwargs):
         with pytest.raises(ValueError, match="must be >= 1, got 0"):
             run_mixed_state_diagnostic(**kwargs)
+
+    @pytest.mark.parametrize("n_qubits,population,message", [
+        (10, 50, None),  # 50 x 4^10 x 16 B = 800 MiB
+        (10, 65, "n_qubits=10 needs density matrices: 65 x 2^20 amplitudes take 1090519040"),
+        (11, 50, "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes take 3355443200"),
+        (16, 50, "50 x 2^32 amplitudes take 3435973836800 bytes, over the 1073741824-byte"),
+    ])
+    def test_width_cap_before_any_target(self, monkeypatch, n_qubits, population, message):
+        # the (population, 2^n, 2^n) candidate stack is checked before a target is built
+        class TargetBuilt(Exception):
+            pass
+
+        def build(*_):
+            raise TargetBuilt
+
+        monkeypatch.setattr(harness_module, "_random_rank2_density", build)
+        with pytest.raises(ValueError if message else TargetBuilt,
+                           match=message and re.escape(message)):
+            run_mixed_state_diagnostic(n_qubits=n_qubits, population=population)
 
 
 class TestEmission:

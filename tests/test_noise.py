@@ -508,7 +508,7 @@ class TestCalibratedModel:
         rng = Rng(0)
         a = random_pure_state(1, rng)
         b = random_pure_state(1, rng)
-        test = lower_to_basis(build_swap_test(1, mottonen_prepare(a), mottonen_prepare(b)))
+        test = lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
         exact = ancilla_expectation(test)
         noisy = execute_trajectories(test, model, 50, Rng(1))
         assert noisy == pytest.approx(exact, abs=1e-9)
@@ -630,7 +630,7 @@ def _two_qubit_swap_tests():
     when the two run as one batch, so each must run alone."""
     rng = Rng(0)
     prep = mottonen_prepare(random_pure_state(2, rng))
-    return [lower_to_basis(build_swap_test(2, prep, mottonen_prepare(random_pure_state(2, rng))))
+    return [lower_to_basis(build_swap_test(prep, mottonen_prepare(random_pure_state(2, rng))))
             for _ in range(2)]
 
 
@@ -708,7 +708,7 @@ class TestTrajectories:
         for same in (False, True):
             a = random_pure_state(n, rng)
             b = a if same else random_pure_state(n, rng)
-            test = lower_to_basis(build_swap_test(n, mottonen_prepare(a), mottonen_prepare(b)))
+            test = lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
             exact = dm_execute(test, model)
             est = execute_trajectories(test, model, trajectories, rng)
             sigma = math.sqrt(1.0 - exact**2)
@@ -735,7 +735,7 @@ class TestTrajectories:
                    for ch in channels)
         rng, trajectories = Rng(70 + len(path) + saturated), 2000
         a = random_pure_state(1, rng)
-        tests = [lower_to_basis(build_swap_test(1, mottonen_prepare(a), mottonen_prepare(b)))
+        tests = [lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
                  for b in (a, random_pure_state(1, rng), random_pure_state(1, rng))]
         means = execute_trajectory_batch(tests, model, trajectories, rng)
         for test, mean in zip(tests, means):
@@ -783,7 +783,7 @@ class TestTrajectories:
         rng = Rng(2)
         a = random_pure_state(2, rng)
         b = random_pure_state(2, rng)
-        test = lower_to_basis(build_swap_test(2, mottonen_prepare(a), mottonen_prepare(b)))
+        test = lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
         exact = ancilla_expectation(test)
         est = execute_trajectories(test, NoiseModel({}), 10, Rng(3))
         assert est == pytest.approx(exact, abs=1e-9)
@@ -791,7 +791,7 @@ class TestTrajectories:
     def test_deterministic_given_seed(self):
         a = random_pure_state(1, Rng(4))
         test = lower_to_basis(
-            build_swap_test(1, mottonen_prepare(a), QuantumCircuit(1))
+            build_swap_test(mottonen_prepare(a), QuantumCircuit(1))
         )
         model = calibrated_noise_model()
         e1 = execute_trajectories(test, model, 200, Rng(5))
@@ -808,7 +808,7 @@ class TestTrajectories:
         rng = Rng(6)
         a = random_pure_state(1, rng)
         b = random_pure_state(1, rng)
-        test = lower_to_basis(build_swap_test(1, mottonen_prepare(a), mottonen_prepare(b)))
+        test = lower_to_basis(build_swap_test(mottonen_prepare(a), mottonen_prepare(b)))
         model = calibrated_noise_model()
         exact = dm_execute(test, model)
         est = execute_trajectories(test, model, 5000, Rng(7))
@@ -852,7 +852,7 @@ class TestTrajectories:
         model = calibrated_noise_model()
         for std in standard_states(1):
             prep = mottonen_prepare(std.vector)
-            test = lower_to_basis(build_swap_test(1, prep, prep))
+            test = lower_to_basis(build_swap_test(prep, prep))
             noisy = execute_trajectories(test, model, 1000, Rng(9))
             assert noisy <= 1.0 + 0.02
 

@@ -438,3 +438,12 @@ class TestListing:
             for _ in range(5)
         ]
         assert list_snapshots(tmp_path) == sorted(idents)
+
+    @pytest.mark.parametrize("stem", ["notes", "0" * 63, "A" * 64, "0" * 64 + ".tmp"])
+    def test_only_identifiers_are_records(self, tmp_path, capsys, stem):
+        # a stray body-named file is not a record: withdraw would refuse its name
+        ident = deposit(SnapshotRecord.from_state(StateVector.computational_basis(1)), tmp_path)
+        (tmp_path / f"{stem}.qsnap").write_bytes(b"not a record")
+        assert list_snapshots(tmp_path) == [ident]
+        assert main(["list", "--store", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{ident}\n"
