@@ -62,6 +62,13 @@ def _parse_shots(text: str) -> int | None:
         raise UsageError(f"--shots must be an integer or 'analytic', got {text!r}") from exc
 
 
+def _parse_gate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN included
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text!r}")
+    return value
+
+
 def _given(args, names) -> dict:
     """The flags among ``names`` that were given: the library owns every default."""
     return {name: getattr(args, name) for name in names
@@ -258,7 +265,7 @@ _FLAGS = {
     "--threshold": {"dest": "thresholds", "type": float, "action": "append",
                     "help": "fidelity threshold to track (repeatable)"},
     "--max-iter": {"dest": "max_epochs", "type": int, "help": "iteration budget, >= 1"},
-    "--gate": {"type": float, "default": None,
+    "--gate": {"type": _parse_gate, "default": None,
                "help": "exit 3 unless the pass rate at the top threshold "
                        "meets this fraction"},
     "--circuit": {"required": True, "help": "gate-list text file"},

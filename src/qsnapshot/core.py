@@ -22,8 +22,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if seed < 0 or seed >= 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        check_seed(seed)
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
@@ -158,6 +157,12 @@ def check_finite(obj, *names) -> None:
         value = getattr(obj, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer in [0, 2^64): a float, even 1.0, or a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def check_unit_norm(amps: np.ndarray) -> None:

@@ -34,6 +34,7 @@ from .core import (
     StateVector,
     check_density,
     check_finite,
+    check_seed,
     check_unit_norm,
     check_unitary,
     normalize_rows,
@@ -248,7 +249,6 @@ class GeneratorNetwork:
 
     def __init__(self, out_dim: int, rng: Rng):
         sizes = (LATENT_DIM,) + HIDDEN_SIZES + (out_dim,)
-        self.out_dim = out_dim
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -373,6 +373,7 @@ class GradientConfig:
     stop_on_probe: bool = False  # early-stop on the probe value (simulation-side)
 
     def __post_init__(self):
+        check_seed(self.seed)
         check_finite(self, "stop_threshold")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -394,6 +395,7 @@ class EsConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        check_seed(self.seed)
         check_finite(self, "sigma", "alpha", "stop_threshold")
         if self.sigma <= 0 or self.alpha <= 0:
             raise ValueError("sigma and alpha must be positive")

@@ -142,7 +142,7 @@ class ExperimentSpec:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         # the oracle's and the ES engine's own checks, before any trial runs
         FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
-        EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha)
+        EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha, seed=self.seed)
         check_finite(self, "stop_threshold")
         if self.method not in ("gradient", "qeswap"):
             raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")

@@ -5,9 +5,9 @@ probability, depolarizing rates, T1/T2 relaxation over gate durations) and
 attached per gate kind; a 1-qubit channel acts on each operand, a 2-qubit one
 on the CX pair. Averaging the trajectories reproduces the density-matrix
 evolution. Trajectories that hold the same state share one column of a
-(2^n, classes) array, a trajectory class (_Classes, _channel_step). A
-trajectory keeps its class id until a draw moves it, so a channel step pays
-for its movers and its classes, not for every trajectory.
+(2^n, classes) array, a trajectory class (_Classes, _channel_step). Each
+trajectory holds its class's column, so a channel step pays for its movers
+and its classes, not for every trajectory.
 execute_trajectory_batch places each circuit's draws in the one generator's
 stream and runs circuits that differ only in RZ angles as one batch whose
 class columns each carry their circuit. Every trajectory gets the bits it
@@ -71,8 +71,8 @@ class KrausChannel:
         """Precompute fast-path metadata for trajectory sampling.
 
         A channel whose operators are all proportional to unitaries has
-        state-independent selection probabilities (``_mix_weights``, summed
-        in ``_mix_cum``) and is applied without renormalization; a channel
+        state-independent selection probabilities (their running sum is
+        ``_mix_cum``) and is applied without renormalization; a channel
         whose POVM effects are all diagonal needs only basis populations
         (``_effect_diagonals``). ``_stack`` holds the operator each choice
         applies (the unitary for a mixture), choice last, and ``_skip`` marks
@@ -81,7 +81,7 @@ class KrausChannel:
         d = self.operators[0].shape[0]
         effects = np.array([k.conj().T @ k for k in self.operators])
         object.__setattr__(self, "_effects", effects)  # POVM effects K^dagger K
-        weights = [float(np.trace(eff).real) / d for eff in effects]
+        weights = np.array([float(np.trace(eff).real) / d for eff in effects])
         unitary_mix = all(np.max(np.abs(eff - w * np.eye(d))) <= 1e-12
                           for eff, w in zip(effects, weights))
         stack, skip = list(self.operators), [False] * len(self.operators)
@@ -95,18 +95,13 @@ class KrausChannel:
                 # rows keep their bits
                 phase = stack[i].flat[np.argmax(np.abs(stack[i]))]
                 skip[i] = bool(np.max(np.abs(stack[i] / phase - np.eye(d))) < 1e-12)
-        w_arr = np.array(weights)
-        mix = w_arr / w_arr.sum() if unitary_mix else None
-        object.__setattr__(self, "_mix_weights", mix)
-        object.__setattr__(self, "_mix_cum", None if mix is None else np.cumsum(mix))
+        mix_cum = np.cumsum(weights / weights.sum()) if unitary_mix else None
+        object.__setattr__(self, "_mix_cum", mix_cum)
         object.__setattr__(self, "_stack", np.moveaxis(np.array(stack), 0, -1).copy())
         object.__setattr__(self, "_skip", np.array(skip))
         diag = all(np.max(np.abs(eff - np.diag(np.diag(eff)))) < 1e-14 for eff in effects)
-        object.__setattr__(
-            self,
-            "_effect_diagonals",
-            np.array([np.diag(eff).real for eff in effects]) if diag else None,
-        )
+        diagonals = np.array([np.diag(eff).real for eff in effects]) if diag else None
+        object.__setattr__(self, "_effect_diagonals", diagonals)
 
     @property
     def is_identity(self) -> bool:
@@ -309,13 +304,10 @@ def _gate_structure(circuit: QuantumCircuit) -> tuple:
 class _Classes:
     """Trajectory classes of one chunk. ``rows`` (2^n, classes) holds one state
     per class and ``circuit`` each column's circuit. ``ids`` holds each
-    trajectory's class id, which stays until the ids are renumbered; ``col``
-    maps an id to its column (stale once the class is empty) and ``size``
-    counts each column's trajectories."""
+    trajectory's column and ``size`` counts each column's trajectories."""
 
     def __init__(self, rows: np.ndarray, ids: np.ndarray, circuit: np.ndarray):
         self.rows, self.ids, self.circuit = rows, ids, circuit
-        self.col = np.arange(rows.shape[1])
         self.size = np.bincount(ids, minlength=rows.shape[1])
 
 
@@ -324,10 +316,9 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
     """Stochastically apply one Kraus channel to trajectory classes, in place,
     trajectory t drawing ``u[t]``. Every trajectory draws one operator; those
     drawing operator 0 stay in their class, whose column gets it once, and the
-    others move to one new class per (class, operator) pair, under a new id.
-    Classes left empty lose their column; once dead ids outnumber live classes
-    4 to 1 the ids are renumbered to columns. Columns that draw an identity
-    keep their bytes."""
+    others move to one new class per (class, operator) pair, whose columns
+    follow the kept ones. Classes left empty lose their column. Columns that
+    draw an identity keep their bytes."""
     rows, k = classes.rows, len(channel.operators)
     # a trajectory draws operator i when cum[i - 1] < u <= cum[i]
     if channel._mix_cum is not None:
@@ -350,12 +341,11 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
         cum /= cum.sum(axis=0, keepdims=True)
         for i in range(1, k):  # the running sum down the operators, as np.cumsum adds
             cum[i] += cum[i - 1]
-        cum = cum.take(classes.col, axis=1)  # one column per class id
         movers = np.flatnonzero(u > cum[0].take(classes.ids))
         choice = (u[movers] > cum.take(classes.ids[movers], axis=1)).sum(axis=0)
     if movers.size == 0 and channel._skip[0]:  # nobody moves and operator 0 is the identity
         return
-    at = classes.col.take(classes.ids[movers])
+    at = classes.ids[movers]
     choice = np.minimum(choice, k - 1)
     pairs, moved, counts = np.unique(at * k + choice, return_inverse=True, return_counts=True)
     left = classes.size - np.bincount(at, minlength=len(classes.size))
@@ -371,19 +361,15 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
     elif new.any():
         moving[:, new] = apply_matrix(moving[:, new], channel._stack[..., ops[new]], qubits,
                                       n_qubits)
-    if stay < len(left):  # empty classes lose their column; a dead id keeps a stale one
+    if stay < len(left):  # empty classes lose their column
         stayers = stayers.take(kept, axis=1)
-        classes.col = (np.cumsum(left > 0) - 1).take(classes.col)
+        classes.ids = (np.cumsum(left > 0) - 1).take(classes.ids)
     out = np.concatenate([stayers, moving], axis=1)  # kept classes first
     if channel._mix_cum is None:  # only mixtures have identity draws
         out /= np.sqrt(_column_sums((out.conj() * out).real))
-    classes.ids[movers] = len(classes.col) + moved
-    classes.col = np.concatenate([classes.col, stay + np.arange(len(pairs))])
+    classes.ids[movers] = stay + moved
     classes.rows, classes.size = out, np.concatenate([left[kept], counts])
     classes.circuit = classes.circuit.take(np.concatenate([kept, pairs // k]))
-    if len(classes.col) > 5 * out.shape[1]:  # dead ids outnumber live classes 4 to 1
-        classes.ids = classes.col.take(classes.ids)
-        classes.col = np.arange(out.shape[1])
 
 
 def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: int,
@@ -454,5 +440,4 @@ def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list
                 gen.uniform(out=row)
             _channel_step(classes, channel, qubits, n, u)
     z_per_class = 1.0 - 2.0 * np.sum(np.abs(classes.rows[1::2]) ** 2, axis=0)
-    z = z_per_class.take(classes.col.take(classes.ids))
-    return z.reshape(len(circuits), trajectories).mean(axis=1)
+    return z_per_class.take(classes.ids).reshape(len(circuits), trajectories).mean(axis=1)

@@ -81,11 +81,16 @@ class TestExitCodes:
         ["standard", "--threshold", "0.95", "--max-iter", "2", "--out", "OUT"],
         ["snapshot", "--circuit", "CIRCUIT", "--cut", "2", "--qubits", "2", "--max-iter", "2",
          "--store", "OUT"],
+        ["cohort", "--gate", "nan", "--trials", "1", "--max-iter", "1", "--out", "OUT"],
+        ["cohort", "--gate", "1.5", "--trials", "1", "--max-iter", "1", "--out", "OUT"],
+        ["standard", "--gate", "nan", "--max-iter", "1", "--out", "OUT"],
+        ["standard", "--gate", "-0.1", "--max-iter", "1", "--out", "OUT"],
     ], ids=["mixed-diagnostic--noise", "entropy--gate", "entropy--repr",
-            "snapshot--out", "standard--threshold", "snapshot--qubits"])
+            "snapshot--out", "standard--threshold", "snapshot--qubits", "cohort--gate-nan",
+            "cohort--gate-1.5", "standard--gate-nan", "standard--gate-neg"])
     def test_usage_error_flag_not_taken(self, tmp_path, args):
-        # each case passes one flag its subcommand does not take; the rest
-        # would run and write to OUT
+        # each case passes one flag its subcommand does not take, or a --gate
+        # that is no fraction in [0, 1]; the rest would run and write to OUT
         circ = tmp_path / "circ.txt"
         circ.write_text("H 0\nCX 0,1\n")
         out = tmp_path / "o"

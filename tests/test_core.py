@@ -60,6 +60,10 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(2**64)
+        for seed in (1.5, 1.0, np.float64(2.0), True):  # never truncated to an integer
+            with pytest.raises(ValueError, match=f"64-bit unsigned integer, got {seed}$"):
+                Rng(seed)
+        assert Rng(np.uint64(2**64 - 1)).seed == 2**64 - 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 9), k=st.integers(0, 40),

@@ -3,7 +3,10 @@
 A module-level function or class, or a method of a class that ``__init__``
 does not export, must be used as a ``Name`` or an ``Attribute`` somewhere in
 the package, or be exported by ``__init__``. Dunders are exempt, and so are
-the methods of exported classes, which are public API. An export, in turn,
+the methods of exported classes, which are public API. Every attribute a
+class stores on ``self`` (``self.X = ...`` or ``object.__setattr__(self,
+"X", ...)``) must be read somewhere in the package; the public attributes of
+exported classes are exempt. An export, in turn,
 must have a caller in the package outside ``__init__`` or in the benchmark
 (``perfbench/*.py``), or be one of the ``ENTRY_POINTS`` below. Code that only
 tests use belongs in the tests. Only ``core`` reads the Philox generator
@@ -79,6 +82,31 @@ def dead_symbols(trees: dict) -> list:
             and name not in used and name not in exported]
 
 
+def _stores(cls: ast.ClassDef):
+    """Each attribute name ``cls`` stores on ``self``."""
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+              and len(node.args) > 1 and ast.unparse(node.args[0]) == "self"
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def dead_attributes(trees: dict) -> list:
+    """``module.Class.attribute`` for each attribute stored on ``self`` that
+    nothing in the package reads."""
+    exported = _exported(trees["__init__.py"])
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    return sorted({f"{module[:-3]}.{cls.name}.{name}"
+                   for module, tree in trees.items() for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for name in _stores(cls)
+                   if name not in read
+                   and not (cls.name in exported and not name.startswith("_"))})
+
+
 def uncalled_exports(trees: dict, benchmark: dict) -> list:
     """Exports with no use outside ``__init__`` that are not entry points."""
     callers = [tree for module, tree in trees.items() if module != "__init__.py"]
@@ -149,6 +177,10 @@ def test_every_definition_has_a_caller_in_src():
     assert dead_symbols(_trees()) == []
 
 
+def test_every_stored_attribute_is_read_in_src():
+    assert dead_attributes(_trees()) == []
+
+
 def test_every_export_has_a_caller_or_is_an_entry_point():
     assert uncalled_exports(_trees(), _benchmark_trees()) == []
 
@@ -179,6 +211,18 @@ def test_guard_sees_planted_dead_definitions():
     trees = {"__init__.py": _trees()["__init__.py"], "planted.py": planted}
     assert dead_symbols(trees) == ["planted._orphan", "planted._Hidden",
                                    "planted._Hidden.unused"]
+
+
+def test_guard_sees_planted_dead_attributes():
+    planted = ast.parse("class _Box:\n    def __init__(self):\n"
+                        "        self.used, self.unused = 1, 2\n"
+                        "        object.__setattr__(self, '_hidden', 3)\n"
+                        "    def get(self):\n        return self.used\n\n"
+                        "class Exported:\n    def __init__(self):\n"
+                        "        self.public, self._private = 1, 2\n")
+    trees = {"__init__.py": ast.parse("from .planted import Exported\n"), "planted.py": planted}
+    assert dead_attributes(trees) == ["planted.Exported._private", "planted._Box._hidden",
+                                      "planted._Box.unused"]
 
 
 def test_guard_sees_planted_uncalled_export():

@@ -725,9 +725,10 @@ class TestAdam:
 
 class TestReport:
     def test_best_must_match_trace(self):
-        with pytest.raises(ValueError):
-            ReconstructionReport("qeswap", "statevector", 1, 0.5, 2, 100,
-                                 [0.4, 0.9], 0.1, False, 0)
+        with pytest.raises(ValueError, match="best_fidelity must equal the trace maximum"):
+            ReconstructionReport(method="qeswap", representation="statevector", n_qubits=1,
+                                 best_fidelity=0.5, epochs=2, oracle_evals=100,
+                                 fidelity_trace=[0.4, 0.9], seed=0)
 
 
 
@@ -802,7 +803,13 @@ class TestQESwap:
         (lambda: GradientConfig(lr=-1e-4), "lr must be finite and positive"),
         (lambda: GradientConfig(lr=math.nan), "lr must be finite and positive"),
         (lambda: GradientConfig(lr=math.inf), "lr must be finite and positive"),
-    ], ids=["es-0", "es-neg", "grad-0", "lr-0", "lr-neg", "lr-nan", "lr-inf"])
+        (lambda: EsConfig(seed=-1), "seed must be a 64-bit unsigned integer, got -1"),
+        (lambda: EsConfig(seed=1.5), "seed must be a 64-bit unsigned integer, got 1.5"),
+        (lambda: GradientConfig(seed=2**64),
+         f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        (lambda: GradientConfig(seed=1.0), "seed must be a 64-bit unsigned integer, got 1.0"),
+    ], ids=["es-0", "es-neg", "grad-0", "lr-0", "lr-neg", "lr-nan", "lr-inf", "es-seed-neg",
+            "es-seed-float", "grad-seed-2^64", "grad-seed-float"])
     def test_rejects_empty_budget_or_bad_rate(self, make, message):
         # an empty budget would report best_fidelity -inf with no candidate
         with pytest.raises(ValueError, match=message):

@@ -87,6 +87,9 @@ class TestExperimentSpec:
         ({"thresholds": ()}, "need at least one threshold"),
         ({"thresholds": (0.5, 0.99, 0.5)},
          r"thresholds must be distinct, got \[0.5, 0.99, 0.5\]"),
+        ({"seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
+        ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+        ({"seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
     ])
     def test_rejects_specs_that_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

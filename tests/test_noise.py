@@ -8,6 +8,7 @@ import hashlib
 import math
 import re
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
         return amps
     batch = amps.shape[0]
     u = rng.uniform(batch)
-    if channel._mix_weights is not None:
-        probs = channel._mix_weights[:, None]
+    if channel._mix_cum is not None:
+        cum = channel._mix_cum[:, None]
     else:
         views = _row_views(amps, qubits, n_qubits)
         if channel._effect_diagonals is not None:
@@ -155,14 +156,15 @@ def _per_row_channel_step(amps, channel, qubits, n_qubits, rng):
             probs = np.einsum("kij,bji->kb", channel._effects, gram).real
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=0, keepdims=True)
-    choice = (u[None, :] > np.cumsum(probs, axis=0)).sum(axis=0)
+        cum = np.cumsum(probs, axis=0)
+    choice = (u[None, :] > cum).sum(axis=0)
     choice = np.minimum(choice, len(channel.operators) - 1)
     rows = np.flatnonzero(~channel._skip[choice])
     if rows.size == 0:
         return amps
     sub = _rows_apply(amps[rows], apply_matrix, channel._stack[..., choice[rows]], qubits,
                       n_qubits)
-    if channel._mix_weights is None:
+    if channel._mix_cum is None:
         sub /= np.linalg.norm(sub, axis=1, keepdims=True)
     out = amps.copy()
     out[rows] = sub
@@ -196,7 +198,7 @@ def _class_states(amps, channel, qubits, n_qubits, u):
     state afterwards, one row each."""
     classes = _Classes(amps.T.copy(), np.arange(len(amps)), np.zeros(len(amps), dtype=int))
     _channel_step(classes, channel, qubits, n_qubits, u)
-    return classes.rows[:, classes.col[classes.ids]].T
+    return classes.rows[:, classes.ids].T
 
 
 _PARAMS = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}
@@ -330,7 +332,7 @@ class TestGateKernel:
         amps = gen.normal(size=(300, 8)) + 1j * gen.normal(size=(300, 8))
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         # operator 0 is the identity; a row draws it when u <= its weight
-        identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_weights[0]
+        identity_rows = Rng(9).uniform(len(amps)) <= ch._mix_cum[0]
         out = _class_states(amps, ch, (2, 0), 3, Rng(9).uniform(len(amps)))
         assert 0 < identity_rows.sum() < len(amps)
         assert out[identity_rows].tobytes() == amps[identity_rows].tobytes()
@@ -617,8 +619,8 @@ _QUIET = NoiseParams(bit_flip_p=0.0, depol_1q=0.0, depol_2q=0.0, t1=1.0, t2=1.0,
 
 
 def _renumbering_circuit():
-    """Under the saturated model at T = 7, dead class ids come to outnumber
-    live classes 4 to 1, so the run renumbers its ids."""
+    """Under the saturated model at T = 7 most steps empty some classes, so
+    the columns after them shift down and the ids are remapped."""
     circ = QuantumCircuit(2)
     for _ in range(3):
         circ.add("SX", 0).add("CX", 0, 1)
@@ -649,6 +651,27 @@ class TestTrajectories:
         want = _per_row_trajectories(circ, model, trajectories, reference_rng)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
+
+    @settings(max_examples=40, deadline=None)
+    @example(circ=_renumbering_circuit(), params=_SATURATED, trajectories=7, seed=0)
+    @given(circ=_lowered_circuits(), params=st.sampled_from([NoiseParams(), _SATURATED]),
+           trajectories=st.sampled_from([1, 2, 7, 300]), seed=st.integers(0, 2**32 - 1))
+    def test_every_trajectory_holds_a_live_column(self, circ, params, trajectories, seed):
+        # after every step: ids index columns, count each column's trajectories
+        # as size does, and leave no column empty
+        checked = []
+
+        def step(classes, *args):
+            _channel_step(classes, *args)
+            columns = classes.rows.shape[1]
+            assert 0 <= classes.ids.min() and classes.ids.max() < columns
+            counts = np.bincount(classes.ids, minlength=columns)
+            assert np.array_equal(counts, classes.size) and counts.all()
+            checked.append(columns)
+
+        with mock.patch.object(noise, "_channel_step", step):
+            execute_trajectories(circ, calibrated_noise_model(params), trajectories, Rng(seed))
+        assert checked  # every circuit measures, and MEASURE has a relaxation step
 
     @settings(max_examples=40, deadline=None)
     @given(circ=_lowered_circuits(), params=_NOISE_PARAMS,
@@ -684,20 +707,6 @@ class TestTrajectories:
             runs.append((means.tobytes(), rng.uniform(4).tobytes()))
         assert runs[0] == runs[1]
 
-    def test_renumbering_example_crosses_the_threshold(self, monkeypatch):
-        renumbered = []
-
-        class Spy(_Classes):
-            def __setattr__(self, name, value):
-                if name == "ids" and hasattr(self, "ids"):  # only renumbering reassigns ids
-                    renumbered.append(len(value))
-                super().__setattr__(name, value)
-
-        monkeypatch.setattr(noise, "_Classes", Spy)
-        execute_trajectories(_renumbering_circuit(), calibrated_noise_model(_SATURATED), 7,
-                             Rng(0))
-        assert renumbered == [7]
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_swap_test_mean_within_k_sigma_of_density_matrix(self, n):
         # z per trajectory lies in [-1, 1] with mean mu = exact, so its standard
@@ -730,7 +739,7 @@ class TestTrajectories:
                     "MEASURE": [relax(p.t1, p.t2, p.readout_len)]}
         model = NoiseModel(apps)
         channels = [ch for channels in apps.values() for ch in channels]
-        assert all((ch._mix_weights is not None) == (path == "unitary mixture") and
+        assert all((ch._mix_cum is not None) == (path == "unitary mixture") and
                    (ch._effect_diagonals is not None) == (path != "general Gram")
                    for ch in channels)
         rng, trajectories = Rng(70 + len(path) + saturated), 2000
@@ -863,7 +872,7 @@ class TestTrajectories:
         k1 = np.array([[0, math.sin(theta)], [0, 0]], dtype=np.complex128)
         h = (1 / math.sqrt(2)) * np.array([[1, 1], [1, -1]])
         ch = KrausChannel((k0 @ h, k1 @ h))
-        assert ch._mix_weights is None and ch._effect_diagonals is None
+        assert ch._mix_cum is None and ch._effect_diagonals is None
         model = NoiseModel({"X": [ch]})
         circ = QuantumCircuit(1).add("X", 0).add("MEASURE", 0)
         exact = dm_execute(circ, model)
