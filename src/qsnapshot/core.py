@@ -132,18 +132,24 @@ def _freeze(obj, name: str, check) -> None:
     object.__setattr__(obj, name, arr)
 
 
-def normalize_rows(z: np.ndarray) -> np.ndarray:
-    """Each row of a (batch, d) complex stack divided by its 1-D norm.
-
-    A row far below unit scale is first scaled up by a power of two, which is
-    exact, so that no squared entry underflows in its norm; other rows are
-    divided as they are."""
+def prescale_rows(z: np.ndarray) -> np.ndarray:
+    """A (batch, k) complex stack in which each row whose peak |z| lies outside
+    [2^-256, 2^256] is multiplied by the power of two that brings its peak
+    into [1/2, 1). That product is exact, so no square or product of a row's
+    entries under- or overflows later, and a row in range keeps its bits."""
     peak = np.abs(z).max(axis=1, initial=0.0)
-    tiny = (peak > 0.0) & (peak < 2.0**-256)
-    if tiny.any():
-        shift = -np.frexp(peak[tiny])[1][:, None]
+    out = (peak > 0.0) & ((peak < 2.0**-256) | (peak > 2.0**256))
+    if out.any():
+        shift = -np.frexp(peak[out])[1][:, None]
         z = z.copy()
-        z[tiny] = np.ldexp(z[tiny].real, shift) + 1j * np.ldexp(z[tiny].imag, shift)
+        z[out] = np.ldexp(z[out].real, shift) + 1j * np.ldexp(z[out].imag, shift)
+    return z
+
+
+def normalize_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of a (batch, d) complex stack divided by its 1-D norm, after
+    ``prescale_rows``: a power-of-two scale changes no bit of the result."""
+    z = prescale_rows(z)
     # one 1-D norm per row: no vectorized norm rounds like it at every width
     norms = np.array([np.linalg.norm(row) for row in z])
     if np.any(norms < 1e-300):

@@ -104,14 +104,29 @@ def standard_states(n_qubits: int | None = None) -> list:
 
 # Largest complex128 array a spec or the mixed diagnostic may ask for.
 MAX_AMPLITUDE_BYTES = 2**30
+# Python prints no integer of over 4300 digits by default, so a byte count of
+# more bits than this (3 per digit) is reported as a power of two.
+_DECIMAL_BITS = 3 * 4300
 
 
-def _check_amplitude_bytes(n_qubits: int, need: str, rows: int, exponent: int):
-    """Reject a width whose ``need``, (rows, 2^exponent) complex128, is over the limit."""
-    nbytes = rows * 2**exponent * 16
-    if nbytes > MAX_AMPLITUDE_BYTES:
-        raise ValueError(f"n_qubits={n_qubits} needs {need}: {rows} x 2^{exponent} amplitudes "
-                         f"take {nbytes} bytes, over the {MAX_AMPLITUDE_BYTES}-byte limit")
+def _check_amplitude_bytes(n_qubits: int, need: str, rows: int, exponent: int,
+                           row_exponent: int = 0):
+    """Reject a width whose ``need``, (rows x 2^row_exponent, 2^exponent)
+    complex128, is over the limit. The sizes are compared as exponents of two
+    first, so no 2^n is built for a width far over it."""
+    bits = int(rows).bit_length() + row_exponent + exponent + 4  # the bytes are < 2^bits
+    if bits < MAX_AMPLITUDE_BYTES.bit_length():
+        return
+    if bits > _DECIMAL_BITS:
+        size = (f"{rows} x 2^{row_exponent + exponent} amplitudes take at least "
+                f"2^{bits - 1} bytes")
+    else:
+        nbytes = (rows << row_exponent) * 2**exponent * 16
+        if nbytes <= MAX_AMPLITUDE_BYTES:
+            return
+        size = f"{rows << row_exponent} x 2^{exponent} amplitudes take {nbytes} bytes"
+    raise ValueError(f"n_qubits={n_qubits} needs {need}: {size}, over the "
+                     f"{MAX_AMPLITUDE_BYTES}-byte limit")
 
 
 @dataclass
@@ -153,12 +168,16 @@ class ExperimentSpec:
         if self.representation not in ("statevector", "unitary"):
             raise ValueError(f"unknown representation {self.representation!r}; "
                              f"expected statevector or unitary")
-        # rows of the largest oracle call: trajectories, population, or 4d probes
-        d, width = 2**self.n_qubits, 2 * self.n_qubits + 1
-        rows = (self.trajectories if self.noise is not None else self.population
-                if self.method == "qeswap" else
-                4 * (d if self.representation == "statevector" else d * d))
-        _check_amplitude_bytes(self.n_qubits, f"SWAP tests of width {width}", rows, width)
+        # rows of the largest oracle call: trajectories, population, or the
+        # gradient's 4d probes, 4 x 2^n rows (4 x 2^2n for unitaries)
+        width, shift = 2 * self.n_qubits + 1, 0
+        if self.noise is not None:
+            rows = self.trajectories
+        elif self.method == "qeswap":
+            rows = self.population
+        else:
+            rows, shift = 4, self.n_qubits * (1 if self.representation == "statevector" else 2)
+        _check_amplitude_bytes(self.n_qubits, f"SWAP tests of width {width}", rows, width, shift)
         if not self.thresholds:
             raise ValueError("need at least one threshold, got none")
         if not all(0.0 < t <= 1.0 for t in self.thresholds):

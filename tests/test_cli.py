@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -39,11 +40,22 @@ class TestExitCodes:
         ("cohort", "0", "n_qubits must be >= 1, got 0"),
         ("standard", "0", "n_qubits must be >= 1, got 0"),
         ("cohort", "15", "width 31: 50 x 2^31 amplitudes take 1717986918400 bytes"),
+        # widths whose 2^n has 30,103 digits and more: sized as exponents, never built
+        ("cohort", "100000", "width 200001: 50 x 2^200001 amplitudes take at least "
+                             "2^200010 bytes, over the 1073741824-byte limit"),
+        ("mixed-diagnostic", "100000", "density matrices: 50 x 2^200000 amplitudes take "
+                                       "at least 2^200009 bytes"),
+        ("cohort", "1000000000", "width 2000000001: 50 x 2^2000000001 amplitudes"),
+        ("mixed-diagnostic", "1000000000", "50 x 2^2000000000 amplitudes"),
+        ("cohort", "100000000000", "at least 2^200000000010 bytes"),
+        ("mixed-diagnostic", "100000000000", "at least 2^200000000009 bytes"),
     ])
     def test_runtime_error_unsimulable_width(self, tmp_path, capsys, command,
                                              qubits, message):
         out = tmp_path / "o"
+        start = time.monotonic()
         assert run_cli(command, "--qubits", qubits, "--out", str(out)) == 2
+        assert time.monotonic() - start < 1.0
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -360,4 +372,6 @@ def test_golden_outputs(case, tmp_path):
     assert run_cli(*args, "--out", str(tmp_path / "out")) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}
-    assert written == digests
+    assert written == digests, (
+        "golden digests hold only on the BLAS kernel they were recorded on; if "
+        "test_estimators.py::test_blas_kernel_canary fails as well, the kernel changed the bits")

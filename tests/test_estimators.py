@@ -19,7 +19,10 @@ from qsnapshot.circuit import (
     final_probabilities,
     mottonen_prepare,
 )
+from qsnapshot import estimators as estimators_module
 from qsnapshot.core import (
+    NORM_TOL,
+    PSD_TOL,
     DensityMatrix,
     Rng,
     StateVector,
@@ -229,6 +232,31 @@ class TestBatchDecoders:
                 decode_densities(raws)
         else:
             assert _same_bytes(decode_densities(raws), np.stack([r.entries for r in expected]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raws=_raw_stacks(matrix=True), k=st.integers(-1000, 1000))
+    def test_densities_hold_every_invariant_by_construction(self, raws, k):
+        # what check_density asserted on every decode, at any scale of the raws
+        scaled = raws * 2.0**k
+        if not scaled.any(axis=1).all():
+            with pytest.raises(ValueError, match="cannot normalize a zero matrix"):
+                decode_densities(scaled)
+            return
+        rho = decode_densities(scaled)
+        assert np.isfinite(rho).all()
+        assert (rho == np.swapaxes(rho.conj(), 1, 2)).all()  # Hermitian to the bit
+        assert np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0).max() <= NORM_TOL
+        assert np.linalg.eigvalsh(rho)[:, 0].min() >= -PSD_TOL
+
+    # 2^-565 and 2^531 put the raws at about 1e-170 and 1e160
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 1000, -1000, -565, 531])
+    @pytest.mark.parametrize("decode,width", [(decode_states, 8), (decode_densities, 32)],
+                             ids=["states", "densities"])
+    def test_power_of_two_scale_changes_no_bit(self, decode, width, k):
+        raws = Rng(9).normal((50, width))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            assert _same_bytes(decode(raws * 2.0**k), decode(raws))
 
     @settings(max_examples=60, deadline=None)
     @given(raws=_raw_stacks(matrix=True))
@@ -789,6 +817,28 @@ class TestQESwap:
                                                stop_threshold=2.0))
         assert report.best_fidelity == max(report.fidelity_trace)
 
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_top_row_wrapped_only_when_kept_or_probed(self, monkeypatch, probed):
+        built = []
+
+        class CountedDensity(DensityMatrix):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        decode, _ = estimators_module._DECODERS["density"]
+        monkeypatch.setitem(estimators_module._DECODERS, "density", (decode, CountedDensity))
+        target = _random_rank2_density(2, Rng(42))
+        probe = (lambda c: uhlmann_fidelity(target, c)) if probed else None
+        report = reconstruct("qeswap", "density", DensityOracle(target, "hilbert_schmidt"),
+                             EsConfig(max_iter=40, seed=3, stop_threshold=2.0, probe=probe))
+        trace = report.fidelity_trace
+        kept = sum(f > max(trace[:i], default=-math.inf) for i, f in enumerate(trace))
+        assert 1 < kept < report.epochs
+        assert len(built) == (report.epochs if probed else kept)
+        first_best = trace.index(report.best_fidelity)
+        assert report.final_candidate is built[first_best if probed else -1]
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             EsConfig(population=1)
@@ -1011,4 +1061,41 @@ GOLDEN_TRAJECTORIES = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRAJECTORIES))
 def test_golden_trajectory(case):
-    assert _trajectory_digest(_golden_run(case)) == GOLDEN_TRAJECTORIES[case]
+    assert _trajectory_digest(_golden_run(case)) == GOLDEN_TRAJECTORIES[case], KERNEL_HINT
+
+
+def _kernel_primitives() -> dict:
+    """Fixed inputs through each BLAS or LAPACK call whose last bits depend on
+    the kernel OpenBLAS picks for the CPU, and which the goldens carry."""
+    rng = Rng(16)
+    advantages, noise = rng.normal(50), rng.normal((50, 16))
+    activations, weights = rng.normal(256), rng.normal((256, 512))
+    rhos = decode_densities(rng.normal((50, 32)))
+    return {
+        "es-update": advantages @ noise,  # _EsEngine.tell at n = 3
+        "network-layer": activations @ weights,  # GeneratorNetwork's first layer
+        "eigvalsh": np.linalg.eigvalsh(rhos),  # uhlmann_fidelities on a population
+    }
+
+
+# SHA-256 of each primitive's output on the kernel the goldens above and in
+# test_cli.py were recorded on: OpenBLAS 0.3.31 (DYNAMIC_ARCH), SkylakeX.
+# Haswell, Nehalem and Prescott kernels round every one of them differently.
+KERNEL_CANARIES = {
+    "es-update": "f54272526118e067a0eccd3c8527008b6c08252d98e31ce43847ecc24f7fef48",
+    "network-layer": "333e961ee1f2d9f792e99661b960a003b0dc77fda420fff6c107731f3087d5f6",
+    "eigvalsh": "8eab023e03a3b74b4e91de6154d6d331bd8b67fe1d2d714b565d5a85e0d34f89",
+}
+KERNEL_HINT = ("golden digests hold only on the BLAS kernel they were recorded on; "
+               "if test_blas_kernel_canary fails as well, the kernel changed the bits")
+
+
+@pytest.mark.parametrize("primitive", sorted(KERNEL_CANARIES))
+def test_blas_kernel_canary(primitive):
+    out = _kernel_primitives()[primitive]
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == KERNEL_CANARIES[primitive], (
+        f"{primitive} rounds differently on this machine's BLAS/LAPACK kernel than on the "
+        f"OpenBLAS SkylakeX kernel the goldens were recorded on (numpy.show_config() names "
+        f"the library; OPENBLAS_CORETYPE selects a kernel): the golden digests will "
+        f"mismatch without any change to the code")

@@ -140,6 +140,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="width 19"):  # 2048 gradient probes
             ExperimentSpec(n_qubits=9, method="gradient")
 
+    @pytest.mark.parametrize("representation,rows", [("statevector", 4 * 2**15),
+                                                      ("unitary", 4 * 2**30)])
+    def test_width_cap_counts_gradient_probes_exactly(self, representation, rows):
+        # 4d or 4d^2 probe rows, sized as 4 x 2^n or 4 x 2^2n without building 2^n
+        nbytes = rows * 2**31 * 16
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_qubits=15 needs SWAP tests of width 31: {rows} x 2^31 amplitudes "
+                f"take {nbytes} bytes, over the 1073741824-byte limit")):
+            ExperimentSpec(n_qubits=15, method="gradient", representation=representation)
+
     def test_thresholds_sorted(self):
         spec = ExperimentSpec(thresholds=(0.99, 0.5))
         assert spec.thresholds == (0.5, 0.99)
