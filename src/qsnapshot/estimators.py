@@ -38,6 +38,7 @@ from .core import (
     check_seed,
     check_unit_norm,
     check_unitary,
+    is_power_of_two,
     normalize_rows,
     prescale_rows,
     psd_sqrt,
@@ -176,7 +177,7 @@ def _complex_rows(raws) -> np.ndarray:
 def decode_states(raws) -> np.ndarray:
     """(batch, 2^n) unit amplitude rows; consecutive entries pair as (re, im)."""
     z = _complex_rows(raws)
-    if 2 ** int(np.round(np.log2(z.shape[1]))) != z.shape[1]:
+    if not is_power_of_two(z.shape[1]):
         raise ValueError(f"decoded dimension {z.shape[1]} is not a power of two")
     amps = normalize_rows(z)
     check_unit_norm(amps)
@@ -186,20 +187,25 @@ def decode_states(raws) -> np.ndarray:
 def _decode_matrices(raws) -> np.ndarray:
     z = _complex_rows(raws)
     d = int(np.round(math.sqrt(z.shape[1])))
-    if d * d != z.shape[1] or 2 ** int(np.round(np.log2(d))) != d:
+    if d * d != z.shape[1] or not is_power_of_two(d):
         raise ValueError(f"raw length {2 * z.shape[1]} does not encode a 2^n x 2^n matrix")
     return z.reshape(-1, d, d)
 
 
 def decode_unitaries(raws, rng: Rng | None = None) -> np.ndarray:
-    """(batch, d, d) Q of a stacked QR, R's diagonal made real-positive. Given
+    """(batch, d, d) Q of a stacked QR, R's diagonal made real-positive.
+
+    Each M is first scaled by ``prescale_rows``, which changes no bit of Q,
+    and is rank-deficient when its smallest |R_ii| is at most 1e-12 of its
+    peak entry, so the test holds at any scale and a zero M fails it. Given
     an rng, each rank-deficient row, in ascending order, is perturbed and
     decoded again, up to five draws, before ``RankDeficientError``."""
     raws = np.asarray(raws, dtype=np.float64)
     m = _decode_matrices(raws)
+    m = prescale_rows(m.reshape(len(m), -1)).reshape(m.shape)
     q, r = np.linalg.qr(m)
     diag = np.diagonal(r, axis1=1, axis2=2)
-    deficient = np.abs(diag).min(axis=1) < 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    deficient = np.abs(diag).min(axis=1) <= 1e-12 * np.abs(m).max(axis=(1, 2))
     q = q * (diag / np.where(deficient[:, None], 1.0, np.abs(diag)))[:, None, :]
     check_unitary(q[~deficient])
     for i in np.flatnonzero(deficient):

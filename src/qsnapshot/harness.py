@@ -55,10 +55,6 @@ class StandardState:
         return self.vector.n_qubits
 
 
-def _sv(amps) -> StateVector:
-    return StateVector.from_amplitudes(np.asarray(amps, dtype=np.complex128))
-
-
 def standard_states(n_qubits: int | None = None) -> list:
     """The benchmark catalog: 1-qubit basics, 2-qubit basis + Bell, 8 GHZ states.
 
@@ -66,16 +62,12 @@ def standard_states(n_qubits: int | None = None) -> list:
     pattern of k (written most-significant qubit first) and bbar its
     complement.
     """
-    catalog = [
-        StandardState("zero", _sv([1, 0])),
-        StandardState("one", _sv([0, 1])),
-        StandardState("plus", _sv([SQ2, SQ2])),
-        StandardState("minus", _sv([SQ2, -SQ2])),
-    ]
+    entries = [("zero", [1, 0]), ("one", [0, 1]), ("plus", [SQ2, SQ2]),
+               ("minus", [SQ2, -SQ2])]
     for k in range(4):
         amps = np.zeros(4)
         amps[k] = 1.0
-        catalog.append(StandardState(f"basis_{k:02b}", _sv(amps)))
+        entries.append((f"basis_{k:02b}", amps))
     bell = {
         "bell_phi_plus": ([0, 3], +1),
         "bell_phi_minus": ([0, 3], -1),
@@ -86,16 +78,15 @@ def standard_states(n_qubits: int | None = None) -> list:
         amps = np.zeros(4)
         amps[idx[0]] = SQ2
         amps[idx[1]] = sign * SQ2
-        catalog.append(StandardState(name, _sv(amps)))
+        entries.append((name, amps))
     for k in range(4):
         for sign, tag in ((+1, "plus"), (-1, "minus")):
             amps = np.zeros(8)
             amps[k] = SQ2                 # |0 b(k)>
             amps[4 + (3 - k)] = sign * SQ2  # |1 bbar(k)>
-            catalog.append(StandardState(f"ghz_{k:02b}_{tag}", _sv(amps)))
-    if n_qubits is not None:
-        catalog = [s for s in catalog if s.n_qubits == n_qubits]
-    return catalog
+            entries.append((f"ghz_{k:02b}_{tag}", amps))
+    catalog = [StandardState(name, StateVector.from_amplitudes(amps)) for name, amps in entries]
+    return [s for s in catalog if n_qubits in (None, s.n_qubits)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,45 +46,26 @@ class SnapshotIntegrityError(StoreError):
 
 @dataclass(frozen=True)
 class SnapshotRecord:
-    """One storable reconstruction: interleaved re/im amplitudes + provenance."""
+    """One storable reconstruction: a state and its provenance."""
 
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)  # 2^(n+1) float64, interleaved re/im
+    state: StateVector
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        values = np.asarray(self.amplitudes, dtype=np.float64)
-        if values.shape != (2 ** (self.n_qubits + 1),):
-            raise ValueError(
-                f"expected {2 ** (self.n_qubits + 1)} interleaved values, "
-                f"got shape {values.shape}"
-            )
-        norm = np.linalg.norm(values)
-        if not abs(norm - 1.0) <= 1e-9:  # also rejects a NaN value
-            raise ValueError(f"decoded amplitude norm {norm} deviates from 1 beyond 1e-9")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "amplitudes", values)
         meta = {key: self.metadata.get(key) for key in METADATA_KEYS}
         object.__setattr__(self, "metadata", meta)
 
     @classmethod
     def from_state(cls, state: StateVector, **metadata) -> "SnapshotRecord":
-        interleaved = np.empty(2 * state.dim)
-        interleaved[0::2] = state.amplitudes.real
-        interleaved[1::2] = state.amplitudes.imag
-        return cls(state.n_qubits, interleaved, metadata)
-
-    def to_state(self) -> StateVector:
-        return StateVector(
-            self.n_qubits, self.amplitudes[0::2] + 1j * self.amplitudes[1::2]
-        )
+        return cls(state, metadata)
 
     def body_bytes(self) -> bytes:
+        """The magic, n_qubits as "<I", then the amplitudes as interleaved
+        re/im "<f8" values, which is the layout of "<c16"."""
         return (
             MAGIC
-            + struct.pack("<I", self.n_qubits)
-            + self.amplitudes.astype("<f8").tobytes()
+            + struct.pack("<I", self.state.n_qubits)
+            + self.state.amplitudes.astype("<c16").tobytes()
         )
 
     def identifier(self) -> str:
@@ -92,13 +73,18 @@ class SnapshotRecord:
 
 
 def _decode_body(body: bytes) -> StateVector:
-    """The state a body holds; a body that holds none is an integrity error."""
+    """The state a body holds; a body that holds none is an integrity error.
+    The width comes from the body's length, and the header must agree."""
     if body[: len(MAGIC)] != MAGIC:
         raise SnapshotIntegrityError("bad magic header")
     try:
         (n_qubits,) = struct.unpack_from("<I", body, len(MAGIC))
-        values = np.frombuffer(body[len(MAGIC) + 4 :], dtype="<f8")
-        return SnapshotRecord(n_qubits, values, {}).to_state()
+        state = StateVector.from_amplitudes(
+            np.frombuffer(body[len(MAGIC) + 4 :], dtype="<c16"))
+        if state.n_qubits != n_qubits:
+            raise ValueError(f"header names {n_qubits} qubits, "
+                             f"the amplitudes hold {state.n_qubits}")
+        return state
     except (struct.error, ValueError) as exc:  # short, wrong width or size, not a state
         raise SnapshotIntegrityError(f"body does not decode: {exc}") from exc
 

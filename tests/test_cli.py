@@ -182,6 +182,19 @@ class TestExitCodes:
         assert f"error: {state}: {message}" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("amplitudes, message", [
+        ([], "amplitude count 0 is not a power of two"),
+        ([[1e200, 0.0], [1e200, 0.0]], "state vector norm inf deviates from 1"),
+    ], ids=["empty", "huge"])
+    def test_runtime_error_state_file_not_a_state(self, tmp_path, capsys, amplitudes, message):
+        # any numpy warning on the way fails this under the RuntimeWarning error filter
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"amplitudes": amplitudes}))
+        store = tmp_path / "st"
+        assert run_cli("deposit", "--state", str(state), "--store", str(store)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_gate_miss(self, tmp_path):
         # 1 iteration of 2 candidates almost never reaches 0.999
         code = run_cli(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestStateVector:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
             StateVector(0, np.array([1.0]))
+
+    def test_width_is_read_from_a_power_of_two_size(self):
+        accepted = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for size in range(4097):
+                amps = np.zeros(size)
+                amps[:1] = 1.0  # a basis vector, or nothing at size 0
+                try:
+                    accepted.append((size, StateVector.from_amplitudes(amps).n_qubits))
+                except ValueError as exc:
+                    message = ("n_qubits must be >= 1" if size == 1
+                               else f"amplitude count {size} is not a power of two")
+                    assert message in str(exc)
+        assert accepted == [(2**n, n) for n in range(1, 13)]
 
     def test_normalized_constructor(self):
         s = StateVector.normalized([3.0, 4.0])

@@ -248,10 +248,12 @@ class TestBatchDecoders:
         assert np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0).max() <= NORM_TOL
         assert np.linalg.eigvalsh(rho)[:, 0].min() >= -PSD_TOL
 
-    # 2^-565 and 2^531 put the raws at about 1e-170 and 1e160
-    @pytest.mark.parametrize("k", [300, -300, 600, -600, 1000, -1000, -565, 531])
-    @pytest.mark.parametrize("decode,width", [(decode_states, 8), (decode_densities, 32)],
-                             ids=["states", "densities"])
+    # 2^-565 and 2^531 put the raws at about 1e-170 and 1e160; a unitary's
+    # rank test must be scale-invariant like its QR, down to 2^-100
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 1000, -1000, -565, 531, 100, -100])
+    @pytest.mark.parametrize("decode,width", [(decode_states, 8), (decode_densities, 32),
+                                              (decode_unitaries, 32)],
+                             ids=["states", "densities", "unitaries"])
     def test_power_of_two_scale_changes_no_bit(self, decode, width, k):
         raws = Rng(9).normal((50, width))
         with warnings.catch_warnings():

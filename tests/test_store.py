@@ -8,6 +8,7 @@ import shutil
 import stat
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +36,6 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 
 class TestSnapshotRecord:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            SnapshotRecord(1, np.array([0.5, 0, 0, 0]))
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError, match="norm nan"):
-            SnapshotRecord(1, np.array([math.nan, 0.0, 0.0, 0.0]))
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            SnapshotRecord(2, np.array([1.0, 0, 0, 0]))
-
     def test_format_version(self, tmp_path):
         # a well-hashed body whose magic says version 2
         body = SnapshotRecord.from_state(StateVector.computational_basis(1)).body_bytes()
@@ -59,7 +48,7 @@ class TestSnapshotRecord:
     def test_state_roundtrip(self):
         s = random_pure_state(2, Rng(0))
         record = SnapshotRecord.from_state(s)
-        back = record.to_state()
+        back = record.state
         assert np.allclose(back.amplitudes, s.amplitudes)
 
     def test_body_layout(self):
@@ -68,6 +57,30 @@ class TestSnapshotRecord:
         assert body[:8] == MAGIC
         assert body[8:12] == b"\x01\x00\x00\x00"  # little-endian n_qubits
         assert len(body) == 12 + 4 * 8
+
+    # SHA-256 of the body and of the sidecar each fixed record writes, recorded
+    # while a record still held its own interleaved array: the format is fixed
+    FORMAT_PIN = {
+        1: ("7ba91bcfb4e223a55b7657f83415d3f18af91cd989e743c20df794defe9c740b",
+            "2918679fb974f28a710ab0b6fb445eb9ee8dc19de44bb4d2e925a48f666ec56c"),
+        2: ("a8438df15e457487251ed6e989e6532902230914dd7ea45ccf14b61021ec8d9d",
+            "60d73a70485405e4ea5cc5b4f3769310c152031436bc999116692cd6adb26cdd"),
+        3: ("1e9a5f6a889f005c5da73493e93c8a17bfb4df688ecd893430c242941c77f1d2",
+            "ce26604014fef29480c615a8124936312a58130cc61ed8efc30bbd7ef61a239e"),
+        4: ("d5735874a6cc30dd22c368677b50a9a78ba9fda6682e0022bcc5eeb65bb47226",
+            "85165dd0f92123b945f461aeba05647326b6f670b7cb9fed024ff35ed5ab4e26"),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_file_bytes_are_pinned(self, tmp_path, n):
+        record = SnapshotRecord.from_state(
+            random_pure_state(n, Rng(20 + n)), method="qeswap", representation="statevector",
+            best_fidelity=0.99 - n / 100, epochs=10 * n, created_at=f"2025-01-0{n}T00:00:00Z",
+            seed=n, label=f"pin-{n}")
+        ident = deposit(record, tmp_path)
+        digests = tuple(hashlib.sha256((tmp_path / f"{ident}.{ext}").read_bytes()).hexdigest()
+                        for ext in ("qsnap", "json"))
+        assert digests == self.FORMAT_PIN[n]
 
     def test_metadata_normalized_to_key_set(self):
         record = SnapshotRecord.from_state(
@@ -139,7 +152,7 @@ class TestDepositWithdraw:
         monkeypatch.setattr(store_module, "_atomic_write", original)
         ident = deposit(record, tmp_path)
         state, _ = withdraw(ident, tmp_path)
-        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        assert np.array_equal(state.amplitudes, record.state.amplitudes)
         meta = json.loads((tmp_path / f"{ident}.json").read_text())
         assert meta["method"] == "qeswap"
         assert meta["label"] == "crash"
@@ -150,7 +163,7 @@ class TestDepositWithdraw:
         (tmp_path / f"{ident}.qsnap").write_bytes(b"")
         assert deposit(record, tmp_path) == ident
         state, _ = withdraw(ident, tmp_path)
-        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        assert np.array_equal(state.amplitudes, record.state.amplitudes)
 
     @pytest.mark.parametrize("sidecar", [b"", b'{"method": "qes', b"[]", b'{"label": "other"}'])
     def test_torn_sidecar_is_repaired(self, tmp_path, sidecar):
@@ -160,7 +173,7 @@ class TestDepositWithdraw:
         (tmp_path / f"{ident}.json").write_bytes(sidecar)
         assert deposit(record, tmp_path) == ident
         state, _ = withdraw(ident, tmp_path)
-        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        assert np.array_equal(state.amplitudes, record.state.amplitudes)
         assert json.loads((tmp_path / f"{ident}.json").read_text()) == record.metadata
 
     def test_missing_sidecar_is_repaired(self, tmp_path):
@@ -204,7 +217,7 @@ class TestDepositWithdraw:
             withdraw(ident, tmp_path)
         assert deposit(record, tmp_path) == ident
         state, _ = withdraw(ident, tmp_path)
-        assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+        assert np.array_equal(state.amplitudes, record.state.amplitudes)
 
     def test_corruption_detected(self, tmp_path):
         ident = deposit(SnapshotRecord.from_state(random_pure_state(2, Rng(3))), tmp_path)
@@ -215,21 +228,25 @@ class TestDepositWithdraw:
         with pytest.raises(SnapshotIntegrityError):
             withdraw(ident, tmp_path)
 
-    @pytest.mark.parametrize("values", [
-        None,  # the magic header alone: no width
-        (0, [1.0, 0.0]),  # zero qubits
-        (1, [1.0, 0.0]),  # two values where one qubit needs four
-        (1, [math.nan, 0.0, 0.0, 0.0]),
-    ], ids=["magic-only", "zero-qubits", "short-for-width", "nan"])
-    def test_undecodable_body_is_an_integrity_error(self, tmp_path, capsys, values):
+    @pytest.mark.parametrize("values, detail", [
+        (None, ""),  # the magic header alone: no width
+        ((0, [1.0, 0.0]), "n_qubits must be >= 1"),  # zero qubits
+        ((1, [1.0, 0.0]), "n_qubits must be >= 1"),  # two values where one qubit needs four
+        ((1, [math.nan, 0.0, 0.0, 0.0]), "state vector has a non-finite amplitude"),
+        ((2**32 - 1, [1.0, 0.0, 0.0, 0.0]),  # a 1-qubit state under a header of 2^32 - 1
+         "header names 4294967295 qubits, the amplitudes hold 1"),
+    ], ids=["magic-only", "zero-qubits", "short-for-width", "nan", "header-past-body"])
+    def test_undecodable_body_is_an_integrity_error(self, tmp_path, capsys, values, detail):
         body = MAGIC if values is None else (
             MAGIC + struct.pack("<I", values[0]) + np.array(values[1], "<f8").tobytes())
         ident = hashlib.sha256(body).hexdigest()  # hashes to its own name
         (tmp_path / f"{ident}.qsnap").write_bytes(body)
-        with pytest.raises(SnapshotIntegrityError, match="body does not decode"):
+        start = time.monotonic()
+        with pytest.raises(SnapshotIntegrityError, match=f"body does not decode: {detail}"):
             withdraw(ident, tmp_path)
         assert main(["withdraw", ident, "--store", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: body does not decode")
+        assert time.monotonic() - start < 1.0  # no width is built from the header
+        assert capsys.readouterr().err.startswith(f"error: body does not decode: {detail}")
 
     @pytest.mark.parametrize("sidecar", [b"", b'{"method": "qes', b"\xff\xfe{", b"[]"])
     def test_bad_sidecar_is_a_store_error(self, tmp_path, sidecar):
@@ -257,7 +274,7 @@ class TestDepositWithdraw:
             record = SnapshotRecord.from_state(s)
             ident = deposit(record, tmp_path)
             state, circuit = withdraw(ident, tmp_path)
-            assert np.array_equal(state.amplitudes, record.to_state().amplitudes)
+            assert np.array_equal(state.amplitudes, record.state.amplitudes)
             prepared = execute_statevector(
                 circuit, StateVector.computational_basis(n)
             )
@@ -318,7 +335,7 @@ class TestFaultInjection:
             ident = rec.identifier()
             if ident in list_snapshots(store):
                 state, _ = withdraw(ident, store)
-                assert np.array_equal(state.amplitudes, rec.to_state().amplitudes)
+                assert np.array_equal(state.amplitudes, rec.state.amplitudes)
                 assert json.loads((store / f"{ident}.json").read_bytes()) == rec.metadata
             else:
                 with pytest.raises(StoreError):
@@ -418,7 +435,7 @@ class StoreMachine(RuleBasedStateMachine):
         except StoreError:
             assert ident not in listed or ident in self.damaged
             return
-        assert np.array_equal(state.amplitudes, rec.to_state().amplitudes)
+        assert np.array_equal(state.amplitudes, rec.state.amplitudes)
         if ident not in self.damaged:
             assert json.loads((self.store / f"{ident}.json").read_bytes()) == rec.metadata
 
