@@ -10,7 +10,6 @@ import numpy as np
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
-UNITARY_TOL = 1e-10
 
 
 class Rng:
@@ -98,10 +97,6 @@ class StateVector:
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 @dataclass(frozen=True)
@@ -201,14 +196,6 @@ def check_density(mats: np.ndarray) -> None:
     min_eig = np.linalg.eigvalsh(mats)[..., 0]
     if np.any(bad := min_eig < -PSD_TOL):
         raise ValueError(f"matrix has eigenvalue {min_eig[bad][0]} below -{PSD_TOL}")
-
-
-def check_unitary(mats: np.ndarray) -> None:
-    if not np.isfinite(mats).all():
-        raise ValueError("unitary matrix has a non-finite entry")
-    gram = np.swapaxes(mats.conj(), -1, -2) @ mats
-    if np.max(np.abs(gram - np.eye(mats.shape[-1])), initial=0.0) > UNITARY_TOL:
-        raise ValueError("matrix is not unitary within tolerance")
 
 
 def random_pure_state(n_qubits: int, rng: Rng) -> StateVector:

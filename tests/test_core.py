@@ -14,7 +14,6 @@ from qsnapshot.core import (
     Rng,
     StateVector,
     check_unit_norm,
-    check_unitary,
     half_chain_entropy,
     half_chain_keep,
     hilbert_schmidt_overlap,
@@ -274,18 +273,6 @@ class TestUhlmannFidelity:
 def test_non_finite_entries_rejected(cls, entries):
     with pytest.raises(ValueError, match="non-finite"):
         cls(1, np.array(entries))
-
-
-class TestUnitaryMatrix:
-    """``check_unitary``, which every decoded unitary passes."""
-
-    def test_unitarity_enforced(self):
-        with pytest.raises(ValueError):
-            check_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_non_finite_entries_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            check_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestPartialTrace:
