@@ -496,12 +496,10 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
     of ``head`` by the fixed Mottonen template with that row's angles, as an
     exact identity where :func:`mottonen_prepare` leaves a rotation out: bit
     for bit the probabilities of the serially built and simulated SWAP test,
-    one row per candidate.
+    one row per candidate. The caller checks that the rows fit ``head``.
     """
     n = candidates.shape[1].bit_length() - 1
     width = 2 * n + 1
-    if candidates.shape[1] != 2**n or head.shape != (2**width,):
-        raise ValueError(f"{candidates.shape[1]} amplitudes do not fit a head of {head.size}")
     ry, rz, phased = _mottonen_thetas(candidates)
     ry[np.abs(ry) <= SKIP_TOL] = 0.0
     rz[(np.abs(rz) <= SKIP_TOL) | ~phased[:, None]] = 0.0

@@ -201,8 +201,11 @@ def _load_state_json(path: str) -> tuple:
     except ValueError as exc:  # not text, or not JSON
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = [(re, im) for re, im in data["amplitudes"]]
+        if any(type(x) not in (int, float) for pair in pairs for x in pair):
+            raise TypeError("an amplitude entry is not a JSON number")  # true is 1 to complex()
+        amps = np.array([complex(re, im) for re, im in pairs])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'{path}: expected {{"amplitudes": [[re, im], ...]}}') from exc
     metadata = {k: v for k, v in data.items() if k != "amplitudes"}
     return StateVector.from_amplitudes(amps), metadata

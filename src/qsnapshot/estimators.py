@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .circuit import (
     QuantumCircuit,
@@ -50,6 +49,17 @@ HIDDEN_SIZES = (512, 1024, 1024, 512, 256)
 
 # ---------------------------------------------------------------------------
 # Fidelity oracles
+
+
+def _check_stack(stack: np.ndarray, n_qubits: int, ndim: int):
+    """Reject a stack that is not (batch,) + ndim * (2^n_qubits,), before an oracle counts it."""
+    dims = stack.shape[1:]
+    d = dims[0] if len(dims) == ndim and len(set(dims)) == 1 else 0
+    if not is_power_of_two(d):
+        raise ValueError(f"candidates of shape {stack.shape} are not a "
+                         f"(batch{', 2^n' * ndim}) stack")
+    if d != 1 << n_qubits:
+        raise ValueError(f"qubit count mismatch: {n_qubits} vs {d.bit_length() - 1}")
 
 
 class FidelityOracle:
@@ -103,6 +113,7 @@ class FidelityOracle:
     def evaluate_batch(self, candidates) -> np.ndarray:
         """One SWAP test per candidate (``StateVector`` or amplitude row), in order."""
         amps = np.stack([getattr(c, "amplitudes", c) for c in candidates])
+        _check_stack(amps, self.n_qubits, 1)
         self.evaluations += len(amps)
         if self._model is not None:
             preps = [mottonen_prepare(StateVector.from_amplitudes(a)) for a in amps]
@@ -145,12 +156,7 @@ class DensityOracle:
 
     def evaluate_batch(self, candidates: np.ndarray) -> np.ndarray:
         rhos = np.asarray(candidates)
-        if rhos.shape[1:] != self._target.entries.shape:
-            d = rhos.shape[2] if rhos.ndim == 3 and rhos.shape[1] == rhos.shape[2] else 0
-            if not is_power_of_two(d):
-                raise ValueError(f"candidates of shape {rhos.shape} are not a "
-                                 f"(batch, 2^n, 2^n) stack")
-            raise ValueError(f"qubit count mismatch: {self.n_qubits} vs {d.bit_length() - 1}")
+        _check_stack(rhos, self.n_qubits, 2)
         self.evaluations += len(rhos)
         if self.signal == "uhlmann":
             return uhlmann_fidelities(self._sqrt_target, rhos)
@@ -230,10 +236,12 @@ def decode_densities(raws) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # here: a run that trains no network never loads scipy
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf

@@ -173,7 +173,10 @@ class TestExitCodes:
         (json.dumps([[1.0, 0.0], [0.0, 0.0]]), SHAPE_MESSAGE),
         (json.dumps({"amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}), SHAPE_MESSAGE),
         ('{"amplitudes": [[1.0, 0.0], [0.0', "not valid JSON: Expecting"),
-    ], ids=["no-amplitudes", "top-level-list", "three-entry-pair", "truncated"])
+        (json.dumps({"amplitudes": [[True, 0], [False, 0]]}), SHAPE_MESSAGE),
+        (json.dumps({"amplitudes": [[10**400, 0], [0, 0]]}), SHAPE_MESSAGE),
+    ], ids=["no-amplitudes", "top-level-list", "three-entry-pair", "truncated",
+            "boolean-entry", "integer-beyond-float"])
     def test_runtime_error_malformed_state_file(self, tmp_path, capsys, text, message):
         state = tmp_path / "s.json"
         state.write_text(text)

@@ -599,8 +599,23 @@ class TestBatchedOracle:
 
     def test_candidate_width_must_match_target(self):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(34))))
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match="qubit count mismatch: 2 vs 1"):
             oracle.evaluate(random_pure_state(1, Rng(35)))
+
+    @pytest.mark.parametrize("mode", ["analytic", "shots", "noisy"])
+    @pytest.mark.parametrize("shape, message", [
+        ((1, 3), "candidates of shape (1, 3) are not a (batch, 2^n) stack"),
+        ((1, 8), "qubit count mismatch: 2 vs 3"),
+        ((1, 2), "qubit count mismatch: 2 vs 1"),
+    ])
+    def test_rejected_batch_is_not_counted(self, mode, shape, message):
+        signal = {"analytic": {}, "shots": {"shots": 10, "rng": Rng(37)},
+                  "noisy": {"noise_model": calibrated_noise_model(NoiseParams()),
+                            "trajectories": 2, "rng": Rng(37)}}[mode]
+        oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(36))), **signal)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle.evaluate_batch(np.ones(shape))
+        assert oracle.evaluations == 0
 
     def test_batch_accounting(self):
         oracle = FidelityOracle(mottonen_prepare(random_pure_state(2, Rng(30))))
