@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StateVector, normalize_rows
+from .core import StateVector, check_count, normalize_rows
 
 SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "RESET", "ID", "DELAY"})
 BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RESET", "RZ", "SX", "X"})
@@ -94,8 +94,7 @@ class QuantumCircuit:
     gates: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        check_count(1, n_qubits=self.n_qubits)
         self._measured_done = set()
         for g in self.gates:
             self._check_gate(g)
@@ -271,8 +270,10 @@ def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateV
         raise ValueError(
             f"initial state has {initial.n_qubits} qubits, circuit {circuit.n_qubits}"
         )
-    if any(g.kind == "MEASURE" for g in circuit.gates):
-        raise ValueError("circuit contains MEASURE; use ancilla_expectation or a shot oracle")
+    for i, g in enumerate(circuit.gates):
+        if g.kind == "MEASURE":
+            raise ValueError(f"gate {i} is MEASURE on qubit {g.qubits[0]}: a state vector "
+                             "cannot hold a measured outcome")
     amps = np.array(initial.amplitudes, copy=True)
     for gate in circuit.gates:
         amps = apply_gate(amps, gate, circuit.n_qubits)

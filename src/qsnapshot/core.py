@@ -113,8 +113,7 @@ class DensityMatrix:
 def _freeze(obj, name: str, check) -> None:
     """The value classes' shared constructor body: width and shape checks,
     ``check``, then a read-only complex128 copy stored as ``name``."""
-    if obj.n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {obj.n_qubits}")
+    check_count(1, n_qubits=obj.n_qubits)
     d = 2**obj.n_qubits
     arr = np.asarray(getattr(obj, name), dtype=np.complex128)
     if name == "amplitudes" and arr.shape != (d,):
@@ -170,32 +169,39 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def check_count(minimum: int, **counts) -> None:
+    """Reject a count (None is unset) that is not an integer, a bool or 2.0
+    included, or that is below ``minimum``."""
+    for name, value in counts.items():
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_unit_norm(amps: np.ndarray) -> None:
-    """Like every ``check_*``, this takes one object or a stack (leading axes).
-    Each decision and message uses the row's 1-D ``np.linalg.norm``. The
-    stacked norm rounds differently, by far less than NORM_TOL / 2, so it
-    only picks the rows to look at."""
+    """Reject a vector whose 1-D ``np.linalg.norm`` is not 1 within NORM_TOL."""
     if not np.isfinite(amps).all():
         raise ValueError("state vector has a non-finite amplitude")
-    rows = np.reshape(amps, (-1, amps.shape[-1]))
     with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        for row in rows[np.abs(np.linalg.norm(rows, axis=-1) - 1.0) > 0.5 * NORM_TOL]:
-            norm = np.linalg.norm(row)
-            if abs(norm - 1.0) > NORM_TOL:
-                raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
+        norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
 
 
-def check_density(mats: np.ndarray) -> None:
-    if not np.isfinite(mats).all():
+def check_density(mat: np.ndarray) -> None:
+    if not np.isfinite(mat).all():
         raise ValueError("density matrix has a non-finite entry")
-    if np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2)), initial=0.0) > HERMITIAN_TOL:
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    if np.any(bad := np.abs(tr - 1.0) > NORM_TOL):
-        raise ValueError(f"trace {tr[bad][0]} deviates from 1 beyond {NORM_TOL}")
-    min_eig = np.linalg.eigvalsh(mats)[..., 0]
-    if np.any(bad := min_eig < -PSD_TOL):
-        raise ValueError(f"matrix has eigenvalue {min_eig[bad][0]} below -{PSD_TOL}")
+    tr = np.trace(mat).real
+    if abs(tr - 1.0) > NORM_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {NORM_TOL}")
+    min_eig = np.linalg.eigvalsh(mat)[0]
+    if min_eig < -PSD_TOL:
+        raise ValueError(f"matrix has eigenvalue {min_eig} below -{PSD_TOL}")
 
 
 def random_pure_state(n_qubits: int, rng: Rng) -> StateVector:
@@ -205,8 +211,7 @@ def random_pure_state(n_qubits: int, rng: Rng) -> StateVector:
     and the vector is normalized; the Gaussian construction makes the result
     uniform on the complex unit sphere.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    check_count(1, n_qubits=n_qubits)
     d = 2**n_qubits
     re = rng.normal(d)
     im = rng.normal(d)
@@ -286,8 +291,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def half_chain_keep(n_qubits: int) -> tuple:
     """The bipartition used for entropy analysis: first ceil(n/2) qubits."""
-    if n_qubits < 2:
-        raise ValueError("entropy bipartition needs at least 2 qubits")
+    check_count(2, n_qubits=n_qubits)
     k = (n_qubits + 1) // 2
     return tuple(range(k))
 

@@ -33,6 +33,7 @@ from .core import (
     DensityMatrix,
     Rng,
     StateVector,
+    check_count,
     check_finite,
     check_seed,
     is_power_of_two,
@@ -101,10 +102,7 @@ class FidelityOracle:
             raise ValueError("noise and shots cannot be combined: give shots or a noise "
                              "model, not both (the noisy oracle averages trajectories "
                              "and draws no shots)")
-        if shots is not None and shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        if trajectories < 1:
-            raise ValueError(f"trajectories must be >= 1, got {trajectories}")
+        check_count(1, shots=shots, trajectories=trajectories)
 
     def evaluate(self, candidate: StateVector) -> float:
         """One SWAP test of the candidate against the target."""
@@ -382,8 +380,7 @@ class GradientConfig:
     def __post_init__(self):
         check_seed(self.seed)
         check_finite(self, "stop_threshold")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_count(1, epochs=self.epochs)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
@@ -400,14 +397,12 @@ class EsConfig:
     stop_on_probe: bool = False
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
+        check_count(2, population=self.population)
         check_seed(self.seed)
         check_finite(self, "sigma", "alpha", "stop_threshold")
         if self.sigma <= 0 or self.alpha <= 0:
             raise ValueError("sigma and alpha must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count(1, max_iter=self.max_iter)
 
 
 # ---------------------------------------------------------------------------

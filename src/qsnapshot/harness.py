@@ -22,6 +22,7 @@ from .core import (
     DensityMatrix,
     Rng,
     StateVector,
+    check_count,
     check_finite,
     half_chain_entropy,
     overlap_fidelity,
@@ -140,12 +141,8 @@ class ExperimentSpec:
     alpha: float = EsConfig.alpha
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.max_epochs is not None and self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        check_count(1, n_qubits=self.n_qubits, n_trials=self.n_trials,
+                    max_epochs=self.max_epochs)
         # the oracle's and the ES engine's own checks, before any trial runs
         FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
         EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha, seed=self.seed)
@@ -464,10 +461,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
     and overstates similarity; (b) requires target access and is
     diagnostic-only. Returns per-target rows and summary counts.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_targets < 1:
-        raise ValueError(f"n_targets must be >= 1, got {n_targets}")
+    check_count(1, n_qubits=n_qubits, n_targets=n_targets)
     _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * n_qubits)
     root = Rng(seed)
     rows = []

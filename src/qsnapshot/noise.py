@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import (BASIS_KINDS, QuantumCircuit, _column_sums, _local_index, apply_gate,
                       apply_matrix, rz_matrix)
-from .core import Rng, check_finite
+from .core import Rng, check_count, check_finite
 
 COMPLETENESS_TOL = 1e-9
 
@@ -385,8 +385,7 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
     0..c-1. Circuits of one :func:`_gate_structure` run together, BUDGET
     amplitudes at a time; at T = 1 each runs alone.
     """
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
+    check_count(1, trajectories=trajectories)
     if not circuits:
         raise ValueError("need at least one circuit, got 0 circuits")
     groups: dict = {}  # structure -> indices of its circuits

@@ -152,6 +152,15 @@ class TestExitCodes:
                        "--max-iter", "2") == 2
         assert f"error: {circ}{message}" in capsys.readouterr().err
 
+    def test_runtime_error_prefix_that_measures_names_the_gate(self, tmp_path, capsys):
+        circ = tmp_path / "circ.txt"
+        circ.write_text("H 0\nMEASURE 0\nX 1\n")
+        assert run_cli("snapshot", "--circuit", str(circ), "--cut", "3",
+                       "--max-iter", "2") == 2
+        assert "error: gate 1 is MEASURE on qubit 0:" in capsys.readouterr().err
+        assert run_cli("snapshot", "--circuit", str(circ), "--cut", "1",
+                       "--max-iter", "2") == 0
+
     @pytest.mark.parametrize("extra", [[], ["--gate", "1.0"]])
     def test_runtime_error_standard_width_without_catalog(self, tmp_path, capsys, extra):
         out = tmp_path / "o"

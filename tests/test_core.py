@@ -13,7 +13,6 @@ from qsnapshot.core import (
     DensityMatrix,
     Rng,
     StateVector,
-    check_unit_norm,
     half_chain_entropy,
     half_chain_keep,
     hilbert_schmidt_overlap,
@@ -124,8 +123,6 @@ class TestStateVector:
         message = re.escape(f"state vector norm {np.linalg.norm(v)} deviates")
         with pytest.raises(ValueError, match=message):
             StateVector(1, v)
-        with pytest.raises(ValueError, match=message):
-            check_unit_norm(np.stack([v / np.linalg.norm(v), v]))
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):

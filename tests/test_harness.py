@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsnapshot import harness as harness_module
-from qsnapshot.circuit import QuantumCircuit, execute_statevector, mottonen_prepare
+from qsnapshot.circuit import (QuantumCircuit, build_swap_test, execute_statevector,
+                               lower_to_basis, mottonen_prepare)
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
-from qsnapshot.estimators import EsConfig, GradientConfig
-from qsnapshot.noise import NoiseParams
+from qsnapshot.estimators import EsConfig, FidelityOracle, GradientConfig
+from qsnapshot.noise import NoiseParams, calibrated_noise_model, execute_trajectory_batch
 from qsnapshot.harness import (
     ExperimentSpec,
     emit_report,
@@ -33,6 +34,37 @@ def small_spec(**kwargs):
     defaults = dict(method="qeswap", n_qubits=1, n_trials=3, seed=0, max_epochs=30)
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
+
+
+def _prep():
+    return mottonen_prepare(StateVector(1, [1.0, 0.0]))
+
+
+# every count a caller gives, and a call that takes it (2 is a legal value of each)
+COUNT_FIELDS = {
+    "ExperimentSpec.n_qubits": lambda v: ExperimentSpec(n_qubits=v),
+    "ExperimentSpec.n_trials": lambda v: ExperimentSpec(n_trials=v),
+    "ExperimentSpec.max_epochs": lambda v: ExperimentSpec(max_epochs=v),
+    "ExperimentSpec.shots": lambda v: ExperimentSpec(shots=v),
+    "ExperimentSpec.trajectories": lambda v: ExperimentSpec(noise=NoiseParams(), trajectories=v),
+    "ExperimentSpec.population": lambda v: ExperimentSpec(population=v),
+    "EsConfig.population": lambda v: EsConfig(population=v),
+    "EsConfig.max_iter": lambda v: EsConfig(max_iter=v),
+    "GradientConfig.epochs": lambda v: GradientConfig(epochs=v),
+    "FidelityOracle.shots": lambda v: FidelityOracle(_prep(), shots=v, rng=Rng(0)),
+    "FidelityOracle.trajectories": lambda v: FidelityOracle(
+        _prep(), noise_model=calibrated_noise_model(), trajectories=v, rng=Rng(0)),
+    "run_mixed_state_diagnostic.n_qubits": lambda v: run_mixed_state_diagnostic(
+        n_qubits=v, n_targets=1, max_iter=1, population=2),
+    "run_mixed_state_diagnostic.n_targets": lambda v: run_mixed_state_diagnostic(
+        n_qubits=1, n_targets=v, max_iter=1, population=2),
+    "QuantumCircuit.n_qubits": QuantumCircuit,
+    "StateVector.n_qubits": lambda v: StateVector(v, [1.0, 0.0, 0.0, 0.0]),
+    "random_pure_state.n_qubits": lambda v: random_pure_state(v, Rng(0)),
+    "execute_trajectory_batch.trajectories": lambda v: execute_trajectory_batch(
+        [lower_to_basis(build_swap_test(_prep(), _prep()))], calibrated_noise_model(), v,
+        Rng(0)),
+}
 
 
 class TestStandardStates:
@@ -125,6 +157,14 @@ class TestExperimentSpec:
     def test_bad_shots_raise_before_any_trial(self):
         with pytest.raises(ValueError, match="shots must be >= 1"):
             run_cohort(ExperimentSpec(n_trials=1, max_epochs=2, shots=0))
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_every_count_field_takes_only_integers(self, field, value):
+        # rejected where it is built, so no trial meets a count that is not an integer
+        with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be an integer"):
+            COUNT_FIELDS[field](value)
+        COUNT_FIELDS[field](np.int64(2))
 
     def test_width_cap_names_width_and_bytes(self):
         # 50 population rows x 2^31 amplitudes x 16 B
