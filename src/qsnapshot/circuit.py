@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StateVector, check_count, normalize_rows
+from .core import StateVector, check_count, check_real, normalize_rows
 
 SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "RESET", "ID", "DELAY"})
 BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RESET", "RZ", "SX", "X"})
-PARAM_KINDS = frozenset({"RZ", "RY"})
+_PARAM_RULES = {"RZ": ("finite", "RZ parameter"), "RY": ("finite", "RY parameter"),
+                "DELAY": (">= 0", "DELAY duration")}
 
 _SQ = 1.0 / math.sqrt(2.0)
 H_MATRIX = np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=np.complex128)
@@ -65,7 +66,9 @@ class Gate:
     param: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        for q in self.qubits:
+            check_count(0, qubit=q)
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         arity = {"CX": 2, "CSWAP": 3}.get(self.kind, 1)
         if self.kind not in SINGLE_QUBIT_KINDS and self.kind not in ("CX", "CSWAP"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -73,16 +76,12 @@ class Gate:
             raise ValueError(f"{self.kind} expects {arity} qubits, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct, got {self.qubits}")
-        if self.kind in PARAM_KINDS or self.kind == "DELAY":
-            if self.param is None:
-                raise ValueError(f"{self.kind} requires a parameter")
-            if not math.isfinite(self.param):
-                raise ValueError(f"{self.kind} parameter must be finite, "
-                                 f"got {self.param}")
-            if self.kind == "DELAY" and self.param < 0:
-                raise ValueError(f"DELAY duration must be >= 0, got {self.param}")
-        elif self.param is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+        rule = _PARAM_RULES.get(self.kind)
+        if (rule is None) != (self.param is None):
+            raise ValueError(f"{self.kind} takes no parameter" if rule is None
+                             else f"{self.kind} requires a parameter")
+        if rule is not None:
+            check_real(rule[0], **{rule[1]: self.param})
 
 
 @dataclass
@@ -96,12 +95,14 @@ class QuantumCircuit:
     def __post_init__(self):
         check_count(1, n_qubits=self.n_qubits)
         self._measured_done = set()
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
+            if not isinstance(g, Gate):
+                raise ValueError(f"gates[{i}] must be a Gate, got {g!r}")
             self._check_gate(g)
 
     def _check_gate(self, gate: Gate):
         for q in gate.qubits:
-            if q < 0 or q >= self.n_qubits:
+            if q >= self.n_qubits:
                 raise ValueError(f"qubit {q} outside circuit width {self.n_qubits}")
         if gate.kind == "RESET":
             self._measured_done.difference_update(gate.qubits)
@@ -410,7 +411,8 @@ def _lower_ry(q: int, theta: float) -> list:
     ]
 
 
-def _toffoli(c1: int, c2: int, t: int) -> list:
+@functools.lru_cache(maxsize=None)  # gates are immutable: build each Toffoli once
+def _toffoli(c1: int, c2: int, t: int) -> tuple:
     """Standard 6-CX Toffoli; T rotations expressed as RZ, H expanded later."""
     t_angle = _QUARTER_PI
     gates = []
@@ -429,7 +431,7 @@ def _toffoli(c1: int, c2: int, t: int) -> list:
     gates.append(Gate("RZ", (c1,), t_angle))
     gates.append(Gate("RZ", (c2,), -t_angle))
     gates.append(Gate("CX", (c1, c2)))
-    return gates
+    return tuple(gates)
 
 
 def lower_gate(gate: Gate) -> list:
@@ -441,7 +443,7 @@ def lower_gate(gate: Gate) -> list:
         return _lower_ry(gate.qubits[0], gate.param)
     if gate.kind == "CSWAP":
         c, a, b = gate.qubits
-        return [Gate("CX", (b, a))] + _toffoli(c, a, b) + [Gate("CX", (b, a))]
+        return [Gate("CX", (b, a)), *_toffoli(c, a, b), Gate("CX", (b, a))]
     raise ValueError(f"cannot lower gate kind {gate.kind!r}")
 
 

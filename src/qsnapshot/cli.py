@@ -107,7 +107,7 @@ def _parse_circuit_file(path: str) -> QuantumCircuit:
     for lineno, line, g in gates:
         try:
             circuit.add(g.kind, *g.qubits, param=g.param)
-        except ValueError as exc:  # a negative qubit, or a gate after MEASURE on its qubit
+        except ValueError as exc:  # a gate after MEASURE on its qubit
             raise ValueError(f"{path}:{lineno}: {line!r}: {exc}") from exc
     return circuit
 

@@ -57,6 +57,7 @@ class Rng:
 
     def child(self, index: int) -> "Rng":
         """Derive an independent generator; deterministic in (seed, index)."""
+        check_count(0, index=index)
         derived = np.random.SeedSequence([self.seed, int(index)])
         return Rng(int(derived.generate_state(1, np.uint64)[0]))
 
@@ -81,7 +82,7 @@ class StateVector:
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         """Build from an already-normalized amplitude sequence; its size 2^n
         gives n, in integer arithmetic, so no size is too large to test."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
+        amps = np.asarray(amplitudes)
         if not is_power_of_two(amps.size):
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         return cls(amps.size.bit_length() - 1, amps)
@@ -89,11 +90,14 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Build from an arbitrary nonzero amplitude sequence, normalizing it."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
+        amps = _complex_copy(amplitudes, "amplitudes")
         return cls.from_amplitudes(normalize_rows(amps.reshape(1, -1))[0])
 
     @classmethod
     def computational_basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
+        check_count(0, index=index)
+        if int(index) >> n_qubits:
+            raise ValueError(f"index must be < 2^{n_qubits}, got {index}")
         amps = np.zeros(2**n_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -111,19 +115,25 @@ class DensityMatrix:
 
 
 def _freeze(obj, name: str, check) -> None:
-    """The value classes' shared constructor body: width and shape checks,
-    ``check``, then a read-only complex128 copy stored as ``name``."""
+    """The value classes' shared constructor body: width, type and shape
+    checks, ``check``, then a read-only complex128 copy stored as ``name``."""
     check_count(1, n_qubits=obj.n_qubits)
     d = 2**obj.n_qubits
-    arr = np.asarray(getattr(obj, name), dtype=np.complex128)
+    arr = _complex_copy(getattr(obj, name), name)
     if name == "amplitudes" and arr.shape != (d,):
         raise ValueError(f"expected {d} amplitudes, got shape {arr.shape}")
     if name == "entries" and arr.shape != (d, d):
         raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
     check(arr)
-    arr = arr.copy()
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
+
+
+def _complex_copy(values, name: str) -> np.ndarray:
+    """A complex128 copy of integer, float or complex ``values``; numpy would parse strings."""
+    if (arr := np.asarray(values)).dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be numbers, got dtype {arr.dtype}")
+    return arr.astype(np.complex128)
 
 
 def prescale_rows(z: np.ndarray) -> np.ndarray:
@@ -155,14 +165,6 @@ def is_power_of_two(size: int) -> bool:
     return size > 0 and not size & (size - 1)
 
 
-def check_finite(obj, *names) -> None:
-    """Reject a NaN or infinite value in any named float field (None is unset)."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def check_seed(seed) -> None:
     """Reject a seed that is not an integer in [0, 2^64): a float, even 1.0, or a bool."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
@@ -179,6 +181,24 @@ def check_count(minimum: int, **counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+_INTERVALS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "positive": lambda v: v > 0,
+              "in [0, 1]": lambda v: 0 <= v <= 1, "in (0, 1]": lambda v: 0 < v <= 1}
+
+
+def check_real(interval: str, **values) -> None:
+    """Reject a real (None is unset) that is not a number, a bool included, or
+    that is NaN, infinite or outside ``interval``, a key of ``_INTERVALS``."""
+    for name, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if not _INTERVALS[interval](value):
+            raise ValueError(f"{name} must be {interval}, got {value}")
 
 
 def check_unit_norm(amps: np.ndarray) -> None:
@@ -262,14 +282,12 @@ def partial_trace(state: StateVector, keep) -> DensityMatrix:
     ``keep`` must be a nonempty strict subset of {0..n-1}; the kept qubits
     retain their relative order (lowest kept index becomes qubit 0).
     """
-    keep = sorted(set(keep))
-    n = state.n_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} qubits")
-    if len(keep) == n:
-        raise ValueError("keep set must be a strict subset of the qubits")
+    keep = list(keep)
+    for q in keep:
+        check_count(0, keep=q)
+    keep, n = sorted(keep), state.n_qubits
+    if not 0 < len(set(keep)) == len(keep) < n or keep[-1] >= n:
+        raise ValueError(f"keep {keep} must be a nonempty strict subset of range({n}) without repeats")
     # Tensor axes: axis j of the reshaped vector is qubit n-1-j.
     psi = state.amplitudes.reshape((2,) * n)
     keep_axes = [n - 1 - q for q in reversed(keep)]

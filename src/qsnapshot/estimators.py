@@ -34,7 +34,7 @@ from .core import (
     Rng,
     StateVector,
     check_count,
-    check_finite,
+    check_real,
     check_seed,
     is_power_of_two,
     normalize_rows,
@@ -379,10 +379,9 @@ class GradientConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        check_finite(self, "stop_threshold")
+        check_real("finite", stop_threshold=self.stop_threshold)
         check_count(1, epochs=self.epochs)
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        check_real("positive", lr=self.lr)
 
 
 @dataclass
@@ -399,9 +398,8 @@ class EsConfig:
     def __post_init__(self):
         check_count(2, population=self.population)
         check_seed(self.seed)
-        check_finite(self, "sigma", "alpha", "stop_threshold")
-        if self.sigma <= 0 or self.alpha <= 0:
-            raise ValueError("sigma and alpha must be positive")
+        check_real("positive", sigma=self.sigma, alpha=self.alpha)
+        check_real("finite", stop_threshold=self.stop_threshold)
         check_count(1, max_iter=self.max_iter)
 
 
@@ -459,9 +457,10 @@ class _EsEngine:
             return  # degenerate population: no update this iteration
         advantages = (rewards - rewards.mean()) / spread
         c = self._config
-        self._w = self._w + (c.alpha / (c.population * c.sigma)) * (
-            advantages @ self._noise
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned
+            self._w = self._w + (c.alpha / (c.population * c.sigma)) * (advantages @ self._noise)
+        if not np.isfinite(self._w).all():
+            raise ValueError(f"ES step overflowed the mean: alpha={c.alpha}, sigma={c.sigma}")
 
 
 _ENGINES = {"gradient": _GradientEngine, "qeswap": _EsEngine}

@@ -23,7 +23,7 @@ from .core import (
     Rng,
     StateVector,
     check_count,
-    check_finite,
+    check_real,
     half_chain_entropy,
     overlap_fidelity,
     random_pure_state,
@@ -146,7 +146,7 @@ class ExperimentSpec:
         # the oracle's and the ES engine's own checks, before any trial runs
         FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
         EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha, seed=self.seed)
-        check_finite(self, "stop_threshold")
+        check_real("finite", stop_threshold=self.stop_threshold)
         if self.method not in ("gradient", "qeswap"):
             raise ValueError(f"unknown method {self.method!r}; expected gradient or qeswap")
         if self.representation == "density":
@@ -168,8 +168,8 @@ class ExperimentSpec:
         _check_amplitude_bytes(self.n_qubits, f"SWAP tests of width {width}", rows, width, shift)
         if not self.thresholds:
             raise ValueError("need at least one threshold, got none")
-        if not all(0.0 < t <= 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie in (0, 1]")
+        for t in self.thresholds:
+            check_real("in (0, 1]", thresholds=t)
         if len(set(self.thresholds)) < len(self.thresholds):
             raise ValueError(f"thresholds must be distinct, got {list(self.thresholds)}")
         self.thresholds = tuple(sorted(self.thresholds))
@@ -422,7 +422,8 @@ def run_midcircuit_snapshot(target_circuit: QuantumCircuit, cut_index: int,
     if target_circuit.n_qubits != spec.n_qubits:
         raise ValueError(f"the circuit has {target_circuit.n_qubits} qubits but the "
                          f"spec has n_qubits={spec.n_qubits}")
-    if cut_index < 0 or cut_index > len(target_circuit.gates):
+    check_count(0, cut_index=cut_index)
+    if cut_index > len(target_circuit.gates):
         raise ValueError(
             f"cut_index {cut_index} outside [0, {len(target_circuit.gates)}]"
         )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import (BASIS_KINDS, QuantumCircuit, _column_sums, _local_index, apply_gate,
                       apply_matrix, rz_matrix)
-from .core import Rng, check_count, check_finite
+from .core import Rng, check_count, check_real
 
 COMPLETENESS_TOL = 1e-9
 
@@ -113,15 +113,13 @@ class KrausChannel:
 
 def bit_flip_channel(p: float) -> KrausChannel:
     """Pauli-X flip with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    check_real("in [0, 1]", p=p)
     return KrausChannel((math.sqrt(1.0 - p) * _I2, math.sqrt(p) * _PAULIS["X"]))
 
 
 def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
     """Standard Pauli-basis depolarizing channel on 1 or 2 qubits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
+    check_real("in [0, 1]", p=p)
     if arity not in (1, 2):
         raise ValueError(f"arity must be 1 or 2, got {arity}")
     labels = ["I", "X", "Y", "Z"]
@@ -138,11 +136,7 @@ def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
 def check_relaxation_times(t1: float, t2: float) -> None:
     """The T1/T2 rule of NoiseParams, NoiseModel and the relaxation channel:
     both times finite and positive, and t2 <= t1, the only supported regime."""
-    for name, value in (("t1", t1), ("t2", t2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not (t1 > 0 and t2 > 0):
-        raise ValueError(f"t1 and t2 must be positive, got t1={t1}, t2={t2}")
+    check_real("positive", t1=t1, t2=t2)
     if not t2 <= t1:
         raise UnsupportedRegimeError(f"t2={t2} > t1={t1} is not supported")
 
@@ -154,8 +148,7 @@ def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausCh
     t2 <= t1 regime is supported.
     """
     check_relaxation_times(t1, t2)
-    if not duration >= 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    check_real(">= 0", duration=duration)
     t1_ns = t1 * 1000.0
     t2_ns = t2 * 1000.0
     e1 = math.exp(-duration / t1_ns)
@@ -195,15 +188,11 @@ class NoiseParams:
     gate_len_2q: float = 660.0
 
     def __post_init__(self):
-        check_finite(self, *(f.name for f in fields(self)))
-        for name in ("bit_flip_p", "depol_1q", "depol_2q"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        check_real("in [0, 1]", bit_flip_p=self.bit_flip_p, depol_1q=self.depol_1q,
+                   depol_2q=self.depol_2q)
+        check_real(">= 0", readout_len=self.readout_len, gate_len_1q=self.gate_len_1q,
+                   gate_len_2q=self.gate_len_2q)
         check_relaxation_times(self.t1, self.t2)
-        for name in ("readout_len", "gate_len_1q", "gate_len_2q"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def from_file(cls, path) -> "NoiseParams":

@@ -1,6 +1,7 @@
 """Tests for gates, execution, Mottonen preparation, lowering, SWAP test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ class TestQuantumCircuit:
         circ = QuantumCircuit(1).add("MEASURE", 0)
         with pytest.raises(ValueError):
             circ.add("X", 0)
+
+    def test_gates_must_be_gates(self):
+        with pytest.raises(ValueError, match=re.escape("gates[1] must be a Gate, got 'H'")):
+            QuantumCircuit(1, [Gate("X", (0,)), "H"])
 
     def test_reset_reopens_qubit(self):
         circ = QuantumCircuit(1).add("MEASURE", 0).add("RESET", 0)

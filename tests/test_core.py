@@ -128,6 +128,24 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(0, np.array([1.0]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: StateVector.from_amplitudes(["1", "0"]),
+        lambda: StateVector.normalized(["3", "4"]),
+        lambda: StateVector(1, ["1", "0"]),
+        lambda: StateVector(1, [None, 1.0]),
+    ], ids=["from_amplitudes", "normalized", "constructor", "object"])
+    def test_amplitudes_that_are_not_numbers_rejected(self, make):
+        # numpy would parse the strings into numbers
+        with pytest.raises(ValueError, match="^amplitudes must be numbers, got dtype"):
+            make()
+
+    @pytest.mark.parametrize("index,message", [
+        (2, "index must be < 2^1, got 2"), (5, "index must be < 2^1, got 5"),
+        (-1, "index must be >= 0, got -1")])
+    def test_basis_index_outside_the_register_rejected(self, index, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateVector.computational_basis(1, index)
+
     def test_width_is_read_from_a_power_of_two_size(self):
         accepted = []
         with warnings.catch_warnings():
@@ -309,6 +327,11 @@ class TestPartialTrace:
             partial_trace(s, {0, 1})
         with pytest.raises(ValueError):
             partial_trace(s, {5})
+        with pytest.raises(ValueError, match=re.escape(
+                "keep [0, 0] must be a nonempty strict subset of range(2) without repeats")):
+            partial_trace(s, (0, 0))
+        with pytest.raises(ValueError, match="keep must be >= 0, got -1"):
+            partial_trace(s, (-1,))
 
 
 class TestEntropy:

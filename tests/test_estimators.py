@@ -862,10 +862,10 @@ class TestQESwap:
         (lambda: EsConfig(max_iter=0), "max_iter must be >= 1, got 0"),
         (lambda: EsConfig(max_iter=-3), "max_iter must be >= 1, got -3"),
         (lambda: GradientConfig(epochs=0), "epochs must be >= 1, got 0"),
-        (lambda: GradientConfig(lr=0.0), "lr must be finite and positive"),
-        (lambda: GradientConfig(lr=-1e-4), "lr must be finite and positive"),
-        (lambda: GradientConfig(lr=math.nan), "lr must be finite and positive"),
-        (lambda: GradientConfig(lr=math.inf), "lr must be finite and positive"),
+        (lambda: GradientConfig(lr=0.0), "lr must be positive, got 0.0"),
+        (lambda: GradientConfig(lr=-1e-4), "lr must be positive, got -0.0001"),
+        (lambda: GradientConfig(lr=math.nan), "lr must be finite, got nan"),
+        (lambda: GradientConfig(lr=math.inf), "lr must be finite, got inf"),
         (lambda: EsConfig(seed=-1), "seed must be a 64-bit unsigned integer, got -1"),
         (lambda: EsConfig(seed=1.5), "seed must be a 64-bit unsigned integer, got 1.5"),
         (lambda: GradientConfig(seed=2**64),

@@ -1,21 +1,22 @@
 """Tests for the experiment harness: catalog, cohorts, emission, diagnostics."""
 
 import csv
-import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qsnapshot import harness as harness_module
-from qsnapshot.circuit import (QuantumCircuit, build_swap_test, execute_statevector,
+from qsnapshot.circuit import (Gate, QuantumCircuit, build_swap_test, execute_statevector,
                                lower_to_basis, mottonen_prepare)
-from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
+from qsnapshot.core import (Rng, StateVector, overlap_fidelity, partial_trace,
+                            random_pure_state)
 from qsnapshot.estimators import EsConfig, FidelityOracle, GradientConfig
-from qsnapshot.noise import NoiseParams, calibrated_noise_model, execute_trajectory_batch
+from qsnapshot.noise import (NoiseModel, NoiseParams, bit_flip_channel, calibrated_noise_model,
+                             depolarizing_channel, execute_trajectory_batch,
+                             thermal_relaxation_channel)
 from qsnapshot.harness import (
     ExperimentSpec,
     emit_report,
@@ -64,6 +65,45 @@ COUNT_FIELDS = {
     "execute_trajectory_batch.trajectories": lambda v: execute_trajectory_batch(
         [lower_to_basis(build_swap_test(_prep(), _prep()))], calibrated_noise_model(), v,
         Rng(0)),
+    # indices, from 0
+    "Gate.qubit": lambda v: Gate("H", (v,)),
+    "Rng.index": lambda v: Rng(1).child(v),
+    "StateVector.index": lambda v: StateVector.computational_basis(2, v),
+    "partial_trace.keep": lambda v: partial_trace(random_pure_state(3, Rng(0)), (v,)),
+    "run_midcircuit_snapshot.cut_index": lambda v: run_midcircuit_snapshot(
+        QuantumCircuit(1).add("H", 0).add("X", 0), v, ExperimentSpec(max_epochs=1)),
+}
+
+# every real a caller gives, its interval, and a call that takes it (0.5 is legal in each)
+REAL_FIELDS = {
+    "Gate.RZ parameter": ("finite", lambda v: Gate("RZ", (0,), v)),
+    "Gate.RY parameter": ("finite", lambda v: Gate("RY", (0,), v)),
+    "Gate.DELAY duration": (">= 0", lambda v: Gate("DELAY", (0,), v)),
+    "GradientConfig.stop_threshold": ("finite", lambda v: GradientConfig(stop_threshold=v)),
+    "GradientConfig.lr": ("positive", lambda v: GradientConfig(lr=v)),
+    "EsConfig.stop_threshold": ("finite", lambda v: EsConfig(stop_threshold=v)),
+    "EsConfig.sigma": ("positive", lambda v: EsConfig(sigma=v)),
+    "EsConfig.alpha": ("positive", lambda v: EsConfig(alpha=v)),
+    "ExperimentSpec.stop_threshold": ("finite", lambda v: ExperimentSpec(stop_threshold=v)),
+    "ExperimentSpec.sigma": ("positive", lambda v: ExperimentSpec(sigma=v)),
+    "ExperimentSpec.alpha": ("positive", lambda v: ExperimentSpec(alpha=v)),
+    "ExperimentSpec.thresholds": ("in (0, 1]", lambda v: ExperimentSpec(thresholds=(0.9, v))),
+    "bit_flip_channel.p": ("in [0, 1]", bit_flip_channel),
+    "depolarizing_channel.p": ("in [0, 1]", depolarizing_channel),
+    "thermal_relaxation_channel.t1": ("positive",
+                                      lambda v: thermal_relaxation_channel(v, 0.1, 60.0)),
+    "thermal_relaxation_channel.t2": ("positive",
+                                      lambda v: thermal_relaxation_channel(100.0, v, 60.0)),
+    "thermal_relaxation_channel.duration": (
+        ">= 0", lambda v: thermal_relaxation_channel(100.0, 80.0, v)),
+    "NoiseModel.t1": ("positive", lambda v: NoiseModel({}, t1=v, t2=0.1)),
+    "NoiseModel.t2": ("positive", lambda v: NoiseModel({}, t1=100.0, t2=v)),
+    **{f"NoiseParams.{name}": ("in [0, 1]", lambda v, name=name: NoiseParams(**{name: v}))
+       for name in ("bit_flip_p", "depol_1q", "depol_2q")},
+    "NoiseParams.t1": ("positive", lambda v: NoiseParams(t1=v, t2=0.1)),
+    "NoiseParams.t2": ("positive", lambda v: NoiseParams(t2=v)),
+    **{f"NoiseParams.{name}": (">= 0", lambda v, name=name: NoiseParams(**{name: v}))
+       for name in ("readout_len", "gate_len_1q", "gate_len_2q")},
 }
 
 
@@ -131,8 +171,8 @@ class TestExperimentSpec:
         ({"shots": 0}, "shots must be >= 1, got 0"),
         ({"shots": -5}, "shots must be >= 1, got -5"),
         ({"population": 1}, "population must be >= 2"),
-        ({"sigma": 0.0}, "sigma and alpha must be positive"),
-        ({"alpha": -0.05}, "sigma and alpha must be positive"),
+        ({"sigma": 0.0}, "sigma must be positive, got 0.0"),
+        ({"alpha": -0.05}, "alpha must be positive, got -0.05"),
         ({"method": "gradient", "population": 0}, "population must be >= 2"),
     ])
     def test_rejects_what_every_trial_would_reject(self, kwargs, message):
@@ -140,15 +180,20 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(n_trials=1, max_epochs=2, **kwargs)
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=st.sampled_from([(cls, f.name)
-                                 for cls in (GradientConfig, EsConfig, ExperimentSpec)
-                                 for f in dataclasses.fields(cls) if "float" in str(f.type)]),
-           value=st.sampled_from([math.nan, math.inf, -math.inf]))
-    def test_non_finite_hyperparameters_rejected(self, case, value):
-        cls, name = case
-        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
-            cls(**{name: value})
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_every_real_field_takes_only_finite_reals_in_its_interval(self, field):
+        # rejected where it is built, with the field's name, so no trial meets a bad real
+        interval, build = REAL_FIELDS[field]
+        outside = {"in [0, 1]": [1.5], "in (0, 1]": [0.0], ">= 0": [-1.0], "positive": [0.0],
+                   "finite": []}[interval]
+        cases = ([(True, "a real number"), ("1", "a real number")]
+                 + [(v, "finite") for v in (math.nan, math.inf, -math.inf)]
+                 + [(v, interval) for v in outside])
+        for value, rule in cases:
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{field.split('.')[1]} must be {rule}, got ")):
+                build(value)
+        build(np.float64(0.5))
 
     def test_finite_stop_threshold_above_one_is_legal(self):
         for cls in (GradientConfig, EsConfig, ExperimentSpec):
@@ -236,6 +281,29 @@ class TestCohorts:
         fids = [t.validation_fidelity for t in summary.trials if t.error is None]
         assert summary.mean_fidelity == pytest.approx(float(np.mean(fids)))
         assert summary.min_fidelity == pytest.approx(min(fids))
+
+    def test_failed_trials_are_recorded_without_a_warning(self, tmp_path):
+        # alpha = 1e308 overflows the ES mean at the first update of every trial
+        spec = small_spec(n_qubits=2, n_trials=2, max_epochs=5, alpha=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_cohort(spec)
+            rows = run_standard_states(spec)
+        error = "ValueError: ES step overflowed the mean: alpha=1e+308, sigma=0.1"
+        assert [(t.error, t.validation_fidelity, t.epochs) for t in summary.trials] == \
+            [(error, 0.0, 0)] * 2
+        assert (summary.mean_fidelity, summary.min_fidelity) == (0.0, 0.0)
+        assert summary.pass_rate == {0.95: 0.0, 0.99: 0.0}
+        assert summary.mean_epochs_to_threshold == {0.95: None, 0.99: None}
+        assert run_entropy_analysis(summary)["summary"]["n_pairs"] == 0
+        assert len(rows) == 8 and all(
+            (r["best_fidelity"], r["epochs"], r["epochs_to_099"], r["error"])
+            == (None, None, None, error) for r in rows)
+        emit_report(summary, tmp_path / "a")
+        emit_report(run_cohort(spec), tmp_path / "b")
+        for name in ("summary.json", "trials.csv", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert error in (tmp_path / "a" / "trials.csv").read_text()
 
 
 class TestStandardRun:
