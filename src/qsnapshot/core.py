@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -195,10 +196,21 @@ def check_real(interval: str, **values) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
         if not _INTERVALS[interval](value):
             raise ValueError(f"{name} must be {interval}, got {value}")
+
+
+def json_bytes(payload) -> bytes:
+    """``payload`` as indented, key-sorted JSON with a trailing newline; a
+    numpy scalar is written as its Python value."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda value: value.item()).encode() + b"\n"
 
 
 def check_unit_norm(amps: np.ndarray) -> None:

@@ -10,7 +10,6 @@ left unset take the estimator configs' defaults.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from .core import (
     check_count,
     check_real,
     half_chain_entropy,
+    json_bytes,
     overlap_fidelity,
     random_pure_state,
     uhlmann_fidelity,
@@ -96,29 +96,18 @@ def standard_states(n_qubits: int | None = None) -> list:
 
 # Largest complex128 array a spec or the mixed diagnostic may ask for.
 MAX_AMPLITUDE_BYTES = 2**30
-# Python prints no integer of over 4300 digits by default, so a byte count of
-# more bits than this (3 per digit) is reported as a power of two.
-_DECIMAL_BITS = 3 * 4300
 
 
-def _check_amplitude_bytes(n_qubits: int, need: str, rows: int, exponent: int,
-                           row_exponent: int = 0):
-    """Reject a width whose ``need``, (rows x 2^row_exponent, 2^exponent)
-    complex128, is over the limit. The sizes are compared as exponents of two
-    first, so no 2^n is built for a width far over it."""
-    bits = int(rows).bit_length() + row_exponent + exponent + 4  # the bytes are < 2^bits
-    if bits < MAX_AMPLITUDE_BYTES.bit_length():
+def _check_amplitude_bytes(n_qubits: int, need: str, rows: int, exponent: int):
+    """Reject a width whose ``need``, rows x 2^exponent complex128 amplitudes,
+    is over the limit. The bytes, rows x 2^(exponent + 4), are a Python
+    integer shifted only when the shift alone is under the limit, so no 2^n
+    is built for a width far over it and no numpy integer wraps."""
+    shift = int(exponent) + 4
+    if shift < MAX_AMPLITUDE_BYTES.bit_length() and int(rows) << shift <= MAX_AMPLITUDE_BYTES:
         return
-    if bits > _DECIMAL_BITS:
-        size = (f"{rows} x 2^{row_exponent + exponent} amplitudes take at least "
-                f"2^{bits - 1} bytes")
-    else:
-        nbytes = (rows << row_exponent) * 2**exponent * 16
-        if nbytes <= MAX_AMPLITUDE_BYTES:
-            return
-        size = f"{rows << row_exponent} x 2^{exponent} amplitudes take {nbytes} bytes"
-    raise ValueError(f"n_qubits={n_qubits} needs {need}: {size}, over the "
-                     f"{MAX_AMPLITUDE_BYTES}-byte limit")
+    raise ValueError(f"n_qubits={n_qubits} needs {need}: {rows} x 2^{exponent} amplitudes "
+                     f"of 16 bytes, over the {MAX_AMPLITUDE_BYTES}-byte limit")
 
 
 @dataclass
@@ -158,14 +147,15 @@ class ExperimentSpec:
                              f"expected statevector or unitary")
         # rows of the largest oracle call: trajectories, population, or the
         # gradient's 4d probes, 4 x 2^n rows (4 x 2^2n for unitaries)
-        width, shift = 2 * self.n_qubits + 1, 0
+        n = int(self.n_qubits)  # a numpy width would wrap in 2n + 1
+        width, shift = 2 * n + 1, 0
         if self.noise is not None:
             rows = self.trajectories
         elif self.method == "qeswap":
             rows = self.population
         else:
-            rows, shift = 4, self.n_qubits * (1 if self.representation == "statevector" else 2)
-        _check_amplitude_bytes(self.n_qubits, f"SWAP tests of width {width}", rows, width, shift)
+            rows, shift = 4, n * (1 if self.representation == "statevector" else 2)
+        _check_amplitude_bytes(n, f"SWAP tests of width {width}", rows, width + shift)
         if not self.thresholds:
             raise ValueError("need at least one threshold, got none")
         for t in self.thresholds:
@@ -463,7 +453,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
     diagnostic-only. Returns per-target rows and summary counts.
     """
     check_count(1, n_qubits=n_qubits, n_targets=n_targets)
-    _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * n_qubits)
+    _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * int(n_qubits))
     root = Rng(seed)
     rows = []
     for i in range(n_targets):
@@ -505,11 +495,10 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON with a trailing newline,
-    creating the parent directory."""
+    """Write ``payload`` as ``json_bytes``, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+    path.write_bytes(json_bytes(payload))
 
 
 def write_rows(path, fields, rows) -> None:

@@ -120,6 +120,7 @@ def bit_flip_channel(p: float) -> KrausChannel:
 def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
     """Standard Pauli-basis depolarizing channel on 1 or 2 qubits."""
     check_real("in [0, 1]", p=p)
+    check_count(1, arity=arity)
     if arity not in (1, 2):
         raise ValueError(f"arity must be 1 or 2, got {arity}")
     labels = ["I", "X", "Y", "Z"]

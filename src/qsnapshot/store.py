@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import mottonen_prepare
-from .core import StateVector
+from .core import StateVector, json_bytes
 
 MAGIC = b"QSNAP\x00\x00\x01"  # format version 1 in its last byte
 
@@ -119,10 +119,7 @@ def deposit(record: SnapshotRecord, store_path) -> str:
                 if json.loads(meta_file.read_bytes()) == record.metadata:
                     return ident
         # sidecar first: the body's existence marks the record complete
-        _atomic_write(
-            meta_file,
-            json.dumps(record.metadata, indent=2, sort_keys=True).encode() + b"\n",
-        )
+        _atomic_write(meta_file, json_bytes(record.metadata))
         _atomic_write(body_file, body)
         return ident
     except OSError as exc:

@@ -39,16 +39,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,qubits,message", [
         ("cohort", "0", "n_qubits must be >= 1, got 0"),
         ("standard", "0", "n_qubits must be >= 1, got 0"),
-        ("cohort", "15", "width 31: 50 x 2^31 amplitudes take 1717986918400 bytes"),
+        ("cohort", "15", "width 31: 50 x 2^31 amplitudes of 16 bytes"),
         # widths whose 2^n has 30,103 digits and more: sized as exponents, never built
-        ("cohort", "100000", "width 200001: 50 x 2^200001 amplitudes take at least "
-                             "2^200010 bytes, over the 1073741824-byte limit"),
-        ("mixed-diagnostic", "100000", "density matrices: 50 x 2^200000 amplitudes take "
-                                       "at least 2^200009 bytes"),
+        ("cohort", "100000", "width 200001: 50 x 2^200001 amplitudes of 16 bytes, over the "
+                             "1073741824-byte limit"),
+        ("mixed-diagnostic", "100000", "density matrices: 50 x 2^200000 amplitudes of 16 "
+                                       "bytes"),
         ("cohort", "1000000000", "width 2000000001: 50 x 2^2000000001 amplitudes"),
         ("mixed-diagnostic", "1000000000", "50 x 2^2000000000 amplitudes"),
-        ("cohort", "100000000000", "at least 2^200000000010 bytes"),
-        ("mixed-diagnostic", "100000000000", "at least 2^200000000009 bytes"),
+        ("cohort", "100000000000", "50 x 2^200000000001 amplitudes of 16 bytes"),
+        ("mixed-diagnostic", "100000000000", "50 x 2^200000000000 amplitudes of 16 bytes"),
     ])
     def test_runtime_error_unsimulable_width(self, tmp_path, capsys, command,
                                              qubits, message):
@@ -123,7 +123,7 @@ class TestExitCodes:
         (["cohort", "--trials", "1", "--threshold", "0.5", "--threshold", "0.5"],
          "thresholds must be distinct, got [0.5, 0.5]"),
         (["mixed-diagnostic", "--qubits", "11"],
-         "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes take 3355443200 bytes"),
+         "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes of 16 bytes"),
     ], ids=["cohort-0", "cohort-neg", "noise-shots", "standard-0", "mixed-0", "shots-0",
             "shots-neg", "threshold-twice", "mixed-width"])
     def test_runtime_error_spec_rejected(self, tmp_path, capsys, args, message):
@@ -140,10 +140,9 @@ class TestExitCodes:
         ("H", ":2: 'H': expected KIND q0[,q1,...] [theta]"),
         ("H q-1", ":2: 'H q-1': qubit must be >= 0, got -1"),
         ("H q0\nMEASURE q0\nX q0", ":4: 'X q0': gate X follows MEASURE on qubit 0"),
-        ("# only a comment", ": no gate, only blank or comment lines"),
         ("DELAY q0 -5", ":2: 'DELAY q0 -5': DELAY duration must be >= 0, got -5.0"),
     ], ids=["bad-angle", "cx-arity", "bad-qubit", "no-angle", "one-token", "negative-qubit",
-            "after-measure", "no-gate", "negative-delay"])
+            "after-measure", "negative-delay"])
     def test_runtime_error_bad_circuit_file_names_its_line(self, tmp_path, capsys, line,
                                                            message):
         circ = tmp_path / "circ.txt"
@@ -318,6 +317,23 @@ class TestSnapshotAndStore:
         payload = json.loads(out_file.read_text())
         assert payload["n_qubits"] == 2
 
+    @pytest.mark.parametrize("amplitudes", [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]],
+                                            [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]],
+                             ids=["zero", "phased", "two-qubit"])
+    def test_withdrawn_preparation_resumes_as_a_circuit(self, tmp_path, capsys, amplitudes):
+        # the reload path: deposit, withdraw the preparation, snapshot its end
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": amplitudes}))
+        store, circ = tmp_path / "store", tmp_path / "prep.txt"
+        assert run_cli("deposit", "--state", str(state), "--store", str(store)) == 0
+        ident = capsys.readouterr().out.strip()
+        assert run_cli("withdraw", ident, "--store", str(store), "--out-file",
+                       str(tmp_path / "out.json"), "--circuit-out", str(circ)) == 0
+        cut = sum(1 for line in circ.read_text().splitlines() if line)  # every gate
+        assert run_cli("snapshot", "--circuit", str(circ), "--cut", str(cut),
+                       "--max-iter", "2") == 0
+        assert f"snapshot cut@{cut}:" in capsys.readouterr().out
+
     def test_deposit_from_json(self, tmp_path):
         state_file = tmp_path / "state.json"
         state_file.write_text(json.dumps({
@@ -334,6 +350,12 @@ class TestOtherCommands:
         assert run_cli("standard", "--qubits", "1", "--max-iter", "40",
                        "--out", str(tmp_path)) == 0
         assert (tmp_path / "standard.csv").exists()
+
+    @pytest.mark.parametrize("max_iter,gate,code", [("40", "1.0", 0), ("1", "0.25", 3)])
+    def test_standard_gate(self, tmp_path, max_iter, gate, code):
+        # 40 iterations bring all four 1-qubit states past 0.99, 1 iteration none
+        assert run_cli("standard", "--qubits", "1", "--max-iter", max_iter,
+                       "--gate", gate, "--out", str(tmp_path)) == code
 
     def test_entropy(self, tmp_path):
         assert run_cli("entropy", "--qubits", "2", "--trials", "2",

@@ -65,6 +65,7 @@ COUNT_FIELDS = {
     "execute_trajectory_batch.trajectories": lambda v: execute_trajectory_batch(
         [lower_to_basis(build_swap_test(_prep(), _prep()))], calibrated_noise_model(), v,
         Rng(0)),
+    "depolarizing_channel.arity": lambda v: depolarizing_channel(0.1, v),
     # indices, from 0
     "Gate.qubit": lambda v: Gate("H", (v,)),
     "Rng.index": lambda v: Rng(1).child(v),
@@ -187,7 +188,7 @@ class TestExperimentSpec:
         outside = {"in [0, 1]": [1.5], "in (0, 1]": [0.0], ">= 0": [-1.0], "positive": [0.0],
                    "finite": []}[interval]
         cases = ([(True, "a real number"), ("1", "a real number")]
-                 + [(v, "finite") for v in (math.nan, math.inf, -math.inf)]
+                 + [(v, "finite") for v in (math.nan, math.inf, -math.inf, 10**400, -10**400)]
                  + [(v, interval) for v in outside])
         for value, rule in cases:
             with pytest.raises(ValueError, match="^" + re.escape(
@@ -213,7 +214,7 @@ class TestExperimentSpec:
 
     def test_width_cap_names_width_and_bytes(self):
         # 50 population rows x 2^31 amplitudes x 16 B
-        with pytest.raises(ValueError, match=r"width 31: .* 1717986918400 bytes"):
+        with pytest.raises(ValueError, match=r"width 31: 50 x 2\^31 amplitudes of 16 bytes"):
             ExperimentSpec(n_qubits=15)
 
     def test_width_cap_counts_the_largest_batch(self):
@@ -225,15 +226,32 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="width 19"):  # 2048 gradient probes
             ExperimentSpec(n_qubits=9, method="gradient")
 
-    @pytest.mark.parametrize("representation,rows", [("statevector", 4 * 2**15),
-                                                      ("unitary", 4 * 2**30)])
-    def test_width_cap_counts_gradient_probes_exactly(self, representation, rows):
+    @pytest.mark.parametrize("representation,exponent", [("statevector", 31 + 15),
+                                                          ("unitary", 31 + 30)])
+    def test_width_cap_counts_gradient_probes_exactly(self, representation, exponent):
         # 4d or 4d^2 probe rows, sized as 4 x 2^n or 4 x 2^2n without building 2^n
-        nbytes = rows * 2**31 * 16
         with pytest.raises(ValueError, match=re.escape(
-                f"n_qubits=15 needs SWAP tests of width 31: {rows} x 2^31 amplitudes "
-                f"take {nbytes} bytes, over the 1073741824-byte limit")):
+                f"n_qubits=15 needs SWAP tests of width 31: 4 x 2^{exponent} amplitudes "
+                f"of 16 bytes, over the 1073741824-byte limit")):
             ExperimentSpec(n_qubits=15, method="gradient", representation=representation)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_qubits": np.int64(31)}, "width 63: 50 x 2^63 amplitudes"),
+        ({"n_qubits": np.int64(40)}, "width 81: 50 x 2^81 amplitudes"),
+        ({"n_qubits": np.int64(64)}, "width 129: 50 x 2^129 amplitudes"),
+        # 2n + 1 and 4n + 1 wrap in int64 and uint64 arithmetic
+        ({"n_qubits": np.int64(2**62), "method": "gradient"},
+         f"width {2**63 + 1}: 4 x 2^{2**63 + 1 + 2**62} amplitudes"),
+        ({"n_qubits": np.uint64(2**63), "method": "gradient", "representation": "unitary"},
+         f"width {2**64 + 1}: 4 x 2^{2**64 + 1 + 2**64} amplitudes"),
+        ({"n_qubits": 10, "noise": NoiseParams(), "trajectories": np.int64(2**40)},
+         "width 21: 1099511627776 x 2^21 amplitudes"),
+    ], ids=["int64-31", "int64-40", "int64-64", "int64-wraps", "uint64-wraps",
+            "int64-trajectories"])
+    def test_width_cap_sizes_numpy_integers_as_python_integers(self, kwargs, message):
+        # a numpy width or row count neither wraps nor overflows past the limit
+        with pytest.raises(ValueError, match=re.escape(message + " of 16 bytes, over the")):
+            ExperimentSpec(**kwargs)
 
     def test_thresholds_sorted(self):
         spec = ExperimentSpec(thresholds=(0.99, 0.5))
@@ -407,9 +425,12 @@ class TestMixedDiagnostic:
 
     @pytest.mark.parametrize("n_qubits,population,message", [
         (10, 50, None),  # 50 x 4^10 x 16 B = 800 MiB
-        (10, 65, "n_qubits=10 needs density matrices: 65 x 2^20 amplitudes take 1090519040"),
-        (11, 50, "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes take 3355443200"),
-        (16, 50, "50 x 2^32 amplitudes take 3435973836800 bytes, over the 1073741824-byte"),
+        (10, 64, None),  # 64 x 4^10 x 16 B = 2^30 B, the limit itself
+        (10, 65, "n_qubits=10 needs density matrices: 65 x 2^20 amplitudes of 16 bytes"),
+        (11, 50, "n_qubits=11 needs density matrices: 50 x 2^22 amplitudes of 16 bytes"),
+        (16, 50, "50 x 2^32 amplitudes of 16 bytes, over the 1073741824-byte"),
+        (np.int64(31), 50, "n_qubits=31 needs density matrices: 50 x 2^62 amplitudes"),
+        (np.int64(2**62), 50, f"50 x 2^{2**63} amplitudes of 16 bytes"),  # 2n wraps in int64
     ])
     def test_width_cap_before_any_target(self, monkeypatch, n_qubits, population, message):
         # the (population, 2^n, 2^n) candidate stack is checked before a target is built
@@ -443,10 +464,15 @@ class TestEmission:
     def test_byte_identical_reruns(self, tmp_path):
         emit_report(run_cohort(small_spec()), tmp_path / "a")
         emit_report(run_cohort(small_spec()), tmp_path / "b")
+        # numpy scalars are written as the Python numbers they equal
+        emit_report(run_cohort(small_spec(
+            n_qubits=np.int64(1), n_trials=np.int64(3), seed=np.uint64(0),
+            max_epochs=np.int64(30), population=np.int64(EsConfig.population))),
+            tmp_path / "c")
         for name in ("summary.json", "trials.csv", "trace.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
-            ).read_bytes()
+            ).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
     def test_empty_trace_header_only(self, tmp_path):
         spec = small_spec(max_epochs=1, stop_threshold=2.0)

@@ -254,7 +254,23 @@ _STEP_CHANNELS = {
     "depolarizing 0.9": depolarizing_channel(0.9, 2),
     "relaxation 200 us": thermal_relaxation_channel(100.0, 80.0, 200000.0),
     "general": _damping_in_x_basis(),
+    # a mixture whose identity is not operator 0: some movers keep their rows
+    "identity second": KrausChannel(tuple(
+        math.sqrt(w) * noise._PAULIS[a] for w, a in ((0.4, "X"), (0.3, "I"), (0.3, "Z")))),
 }
+
+
+def _check_channel_step(channel, qubits, n, batch, seed):
+    """The class step on ``batch`` random rows equals the per-row reference, bit
+    for bit, and uses the same draws."""
+    gen = np.random.default_rng(seed)
+    amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    rng, reference_rng = Rng(seed), Rng(seed)
+    got = _class_states(amps, channel, qubits, n, rng.uniform(batch))
+    want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
 
 
 class TestGateKernel:
@@ -267,15 +283,13 @@ class TestGateKernel:
         n = data.draw(st.integers(channel.arity, 3))
         qubits = tuple(data.draw(st.permutations(range(n)))[:channel.arity])
         batch = data.draw(st.sampled_from([1, 2, 7, 300]))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        gen = np.random.default_rng(seed)
-        amps = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        rng, reference_rng = Rng(seed), Rng(seed)
-        got = _class_states(amps, channel, qubits, n, rng.uniform(batch))
-        want = _per_row_channel_step(amps.copy(), channel, qubits, n, reference_rng)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert rng.uniform(4).tobytes() == reference_rng.uniform(4).tobytes()  # same draws used
+        _check_channel_step(channel, qubits, n, batch, data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_channel_step_with_identity_and_other_movers(self, seed):
+        # at 300 rows each seed draws both movers that keep their rows (the
+        # identity, operator 1) and movers that take operator 2
+        _check_channel_step(_STEP_CHANNELS["identity second"], (0,), 1, 300, seed)
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 24, 31, 128, 129, 136, 256, 1000])

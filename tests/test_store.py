@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from qsnapshot.circuit import execute_statevector
-from qsnapshot.cli import main
+from qsnapshot.circuit import QuantumCircuit, execute_statevector
+from qsnapshot.cli import _parse_circuit_file, main
+from qsnapshot.estimators import FidelityOracle
 from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
 from qsnapshot import store as store_module
 from qsnapshot.store import (
@@ -33,6 +34,19 @@ from qsnapshot.store import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+@st.composite
+def _cut_circuits(draw):
+    """A measurement-free circuit of up to 12 gates on 1-3 qubits, and a cut."""
+    n = draw(st.integers(1, 3))
+    circuit = QuantumCircuit(n)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["H", "RY", "RZ", "SX", "CX"][: 4 + (n > 1)]))
+        qubits = draw(st.permutations(range(n)))[: 1 + (kind == "CX")]
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind[0] == "R" else None
+        circuit.add(kind, *qubits, param=angle)
+    return circuit, draw(st.integers(0, len(circuit.gates)))
 
 
 class TestSnapshotRecord:
@@ -116,6 +130,42 @@ class TestDepositWithdraw:
             circuit, StateVector.computational_basis(circuit.n_qubits)
         )
         assert overlap_fidelity(prepared, target) >= 1 - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut_circuit=_cut_circuits(), seed=st.integers(0, 2**32 - 1), basis=st.booleans())
+    def test_reloaded_snapshot_resumes_at_its_fidelity(self, cut_circuit, seed, basis):
+        # a suffix of unitary gates keeps an overlap, so the fidelity a snapshot
+        # reports at the cut is the fidelity after its stored preparation resumes
+        circuit, cut = cut_circuit
+        n = circuit.n_qubits
+        candidate = (StateVector.computational_basis(n, seed % 2**n) if basis
+                     else random_pure_state(n, Rng(seed)))
+        prefix = QuantumCircuit(n, circuit.gates[:cut])
+        reported = FidelityOracle(prefix).evaluate(candidate)
+        with tempfile.TemporaryDirectory() as store:
+            ident = deposit(SnapshotRecord.from_state(
+                candidate, best_fidelity=reported, label=f"cut@{cut}"), store)
+            _, prep = withdraw(ident, store)
+            circuit_file = Path(store) / "prep.txt"
+            circuit_file.write_text(prep.dump() + "\n")
+            reloaded = _parse_circuit_file(str(circuit_file))
+        assert reloaded.n_qubits == n
+        resumed = QuantumCircuit(n, reloaded.gates + circuit.gates[cut:])
+        zero = StateVector.computational_basis(n)
+        after = overlap_fidelity(execute_statevector(circuit, zero),
+                                 execute_statevector(resumed, zero))
+        assert abs(after - reported) <= 1e-12
+
+    def test_numpy_scalar_metadata_writes_its_python_value(self, tmp_path):
+        state = random_pure_state(1, Rng(3))
+        plain = deposit(SnapshotRecord.from_state(
+            state, best_fidelity=float(np.float32(0.99)), epochs=7, seed=3), tmp_path / "a")
+        ident = deposit(SnapshotRecord.from_state(
+            state, best_fidelity=np.float32(0.99), epochs=np.int64(7), seed=np.uint64(3)),
+            tmp_path / "b")
+        assert ident == plain
+        assert (tmp_path / "b" / f"{ident}.json").read_bytes() == (
+            tmp_path / "a" / f"{ident}.json").read_bytes()
 
     def test_unknown_identifier(self, tmp_path):
         with pytest.raises(SnapshotNotFoundError):
