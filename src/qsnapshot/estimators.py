@@ -233,14 +233,66 @@ def decode_densities(raws) -> np.ndarray:
 # Generator network and Adam
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf  # here: a run that trains no network never loads scipy
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+# Cephes ndtr.c erf/erfc coefficients, highest degree first; U and Q omit
+# their leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def _horner(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
+    """Cephes ``polevl``, or ``p1evl`` (leading 1 not stored) if ``monic``, in its order."""
+    acc = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1:] if monic else coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, bit for bit the Cephes erf (ndtr.c):
+    x T(x^2)/U(x^2) on |x| <= 1, else 1 - exp(-x^2) P(|x|)/Q(|x|) with the
+    sign of x, and NaN for NaN.
+
+    exp is ``math.exp``, the C library's, as in Cephes; ``np.exp`` rounds
+    some inputs differently. Cephes' erfc switches to R(|x|)/S(|x|) from 8
+    up, but erf rounds to exactly 1 from |x| ~ 5.9 up with either, so |x|
+    is clipped to 8 and P/Q serves. No arithmetic touches a NaN or an
+    infinity, so no floating-point warning fires."""
+    x = np.asarray(x, dtype=np.float64)
+    small = np.abs(x) <= 1.0  # False at NaN
+    everywhere = small.all()
+    s = x if everywhere else np.where(small, x, 0.0)
+    z = s * s
+    out = s * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+    if everywhere:  # most network layers: no exp, no fancy indexing
+        return out
+    big = ~small
+    v = x[big]
+    nan = np.isnan(v)
+    a = np.where(nan, 8.0, np.minimum(np.abs(v), 8.0))
+    e = np.fromiter(map(math.exp, (-a * a).tolist()), np.float64, a.size)
+    y = e * _horner(a, _ERFC_P) / _horner(a, _ERFC_Q, monic=True)
+    out[big] = np.where(nan, np.nan, np.copysign(1.0 - y, v))
+    return out
+
+
+def _gelu(x: np.ndarray):
+    """GELU of x, and erf(x / sqrt 2), which its derivative reuses."""
+    e = _erf(x / math.sqrt(2.0))
+    return 0.5 * x * (1.0 + e), e
+
+
+def _gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """GELU's derivative at x, given e = erf(x / sqrt 2)."""
+    cdf = 0.5 * (1.0 + e)
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
@@ -263,27 +315,31 @@ class GeneratorNetwork:
             self.biases.append(np.zeros(fan_out))
 
     def forward(self, z: np.ndarray):
-        """Returns (raw output, cache for backward)."""
-        pre_acts = []
+        """Returns (raw output, cache for backward): each hidden layer's
+        pre-activation and erf term, and every layer's input."""
+        hidden = []
         a = np.asarray(z, dtype=np.float64)
         activations = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             pre = a @ w + b
-            pre_acts.append(pre)
-            a = pre if i == last else _gelu(pre)
+            if i == last:
+                a = pre
+            else:
+                a, e = _gelu(pre)
+                hidden.append((pre, e))
             activations.append(a)
-        return a, (pre_acts, activations)
+        return a, (hidden, activations)
 
     def backward(self, cache, grad_out: np.ndarray):
         """Gradients of a scalar loss w.r.t. all weights and biases."""
-        pre_acts, activations = cache
+        hidden, activations = cache
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
-                delta = delta * _gelu_grad(pre_acts[i])
+                delta = delta * _gelu_grad(*hidden[i])
             grads_w[i] = np.outer(activations[i], delta)
             grads_b[i] = delta.copy()
             if i > 0:

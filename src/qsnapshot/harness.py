@@ -453,6 +453,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
     diagnostic-only. Returns per-target rows and summary counts.
     """
     check_count(1, n_qubits=n_qubits, n_targets=n_targets)
+    EsConfig(population=population, max_iter=max_iter)  # its checks, before any target
     _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * int(n_qubits))
     root = Rng(seed)
     rows = []

@@ -694,6 +694,41 @@ class TestGeneratorNetwork:
             numeric = (plus - minus) / (2 * eps)
             assert grads_w[0][i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
+    def test_backward_reads_erf_from_the_forward_cache(self):
+        from scipy.special import erf  # the reference; the package never loads scipy
+
+        net = GeneratorNetwork(4, Rng(8))
+        z = 4.0 * Rng(9).normal(256)  # wide enough that both erf branches run
+        _, (hidden, activations) = net.forward(z)
+        assert all((np.abs(pre) > math.sqrt(2.0)).any() for pre, _ in hidden)
+        recomputed = [(pre, erf(pre / math.sqrt(2.0))) for pre, _ in hidden]
+        direction = Rng(10).normal(4)
+        cached = net.backward((hidden, activations), direction)
+        fresh = net.backward((recomputed, activations), direction)
+        for a, b in zip(cached[0] + cached[1], fresh[0] + fresh[1], strict=True):
+            assert _same_bytes(a, b)
+
+
+# |x| near the branch points of Cephes' erf: 1 (T/U to P/Q), 8 (its erfc's P/Q to
+# R/S) and sqrt(MAXLOG) ~ 26.64, past which its erfc underflows
+_ERF_EDGES = [sign * c for c in (1.0, 8.0, math.sqrt(709.782712893384)) for sign in (1, -1)]
+_ERF_INPUTS = st.one_of(
+    st.floats(),  # subnormals, +-0, +-inf and NaNs, signalling ones included
+    *(st.floats(c - 0.01, c + 0.01) for c in _ERF_EDGES),
+    st.sampled_from([np.nextafter(1.0, 2.0), np.nextafter(8.0, 0.0), 26.6, 26.7, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_ERF_INPUTS, min_size=1, max_size=40))
+@example(xs=[-0.0, 5e-324, 1.0, -1.0])  # only the |x| <= 1 branch
+@example(xs=[math.nan, -math.inf, math.inf, 8.0, -1e-310])
+def test_erf_matches_scipy_bit_for_bit(xs):
+    from scipy.special import erf
+
+    x = np.array(xs, dtype="<f8")
+    assert _same_bytes(estimators_module._erf(x), erf(x))
+
 
 class _WholeArrayAdam:
     """The whole-array Adam update the blocked in-place one must reproduce."""
@@ -1099,8 +1134,24 @@ KERNEL_CANARIES = {
     "network-layer": "333e961ee1f2d9f792e99661b960a003b0dc77fda420fff6c107731f3087d5f6",
     "eigvalsh": "8eab023e03a3b74b4e91de6154d6d331bd8b67fe1d2d714b565d5a85e0d34f89",
 }
-KERNEL_HINT = ("golden digests hold only on the BLAS kernel they were recorded on; "
-               "if test_blas_kernel_canary fails as well, the kernel changed the bits")
+KERNEL_HINT = ("golden digests hold only on the BLAS kernel they were recorded on, and the "
+               "gradient ones only on the C library exp too; if test_blas_kernel_canary "
+               "fails as well, the kernel changed the bits, and if test_libm_exp_canary "
+               "fails, the C library's exp changed GELU's erf")
+
+# SHA-256 of GELU's erf where it calls the C library's exp, |x| in (1, 8) and
+# [8, 26.6], on the exp the gradient goldens were recorded on: glibc 2.36.
+LIBM_EXP_CANARY = "84fd81958dd101c7104c3e8132db08a176b18383948cc992c74812ef504d93ed"
+
+
+def test_libm_exp_canary():
+    x = np.arange(1001, 26601) / 1000.0
+    out = estimators_module._erf(np.concatenate([x, -x]))
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == LIBM_EXP_CANARY, (
+        "GELU's erf rounds differently here than on the glibc 2.36 exp the gradient goldens "
+        "were recorded on: the C library's exp (math.exp) changed the bits, so the gradient "
+        "golden digests will mismatch without any change to the code")
 
 
 @pytest.mark.parametrize("primitive", sorted(KERNEL_CANARIES))

@@ -59,6 +59,10 @@ COUNT_FIELDS = {
         n_qubits=v, n_targets=1, max_iter=1, population=2),
     "run_mixed_state_diagnostic.n_targets": lambda v: run_mixed_state_diagnostic(
         n_qubits=1, n_targets=v, max_iter=1, population=2),
+    "run_mixed_state_diagnostic.population": lambda v: run_mixed_state_diagnostic(
+        n_qubits=1, n_targets=1, max_iter=1, population=v),
+    "run_mixed_state_diagnostic.max_iter": lambda v: run_mixed_state_diagnostic(
+        n_qubits=1, n_targets=1, max_iter=v, population=2),
     "QuantumCircuit.n_qubits": QuantumCircuit,
     "StateVector.n_qubits": lambda v: StateVector(v, [1.0, 0.0, 0.0, 0.0]),
     "random_pure_state.n_qubits": lambda v: random_pure_state(v, Rng(0)),
@@ -444,6 +448,29 @@ class TestMixedDiagnostic:
         with pytest.raises(ValueError if message else TargetBuilt,
                            match=message and re.escape(message)):
             run_mixed_state_diagnostic(n_qubits=n_qubits, population=population)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"population": 0}, "population must be >= 2, got 0"),
+        ({"population": -3}, "population must be >= 2, got -3"),
+        ({"population": 2.5}, "population must be an integer, got 2.5"),
+        ({"population": 1e300}, "population must be an integer, got 1e+300"),
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ])
+    def test_engine_counts_checked_before_any_target(self, monkeypatch, kwargs, message):
+        # the ES engine's checks run where the diagnostic is called, not per target
+        built = []
+        build = harness_module._random_rank2_density
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness_module, "_random_rank2_density", counted)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            run_mixed_state_diagnostic(**{"n_qubits": 1, "n_targets": 1, "max_iter": 1,
+                                          "population": 2, **kwargs})
+        assert built == []
 
 
 class TestEmission:
