@@ -16,7 +16,10 @@ reads it.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,62 +335,114 @@ class GeneratorNetwork:
         return a, (hidden, activations)
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Gradients of a scalar loss w.r.t. all weights and biases."""
+        """Gradients of a scalar loss w.r.t. all weights and biases, each as
+        its rank-1 factors ``(col, row)``: the gradient is ``np.outer(col,
+        row)`` in the parameter's shape. A weight's factors are the layer's
+        input and its delta, a bias's are ``ones(1)`` and the delta."""
         hidden, activations = cache
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
+        one = np.ones(1)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             if i != len(self.weights) - 1:
                 delta = delta * _gelu_grad(*hidden[i])
-            grads_w[i] = np.outer(activations[i], delta)
-            grads_b[i] = delta.copy()
+            grads_w[i] = (activations[i], delta)
+            grads_b[i] = (one, delta)
             if i > 0:
                 delta = delta @ self.weights[i].T
         return grads_w, grads_b
 
 
 class Adam:
-    """Adam with canonical beta/epsilon constants; lr is the tunable. ``step``
-    updates m, v and the parameters in place, BLOCK elements at a time through
-    two scratch arrays, in the whole-array formula's order: the same bits."""
+    """Adam with canonical beta/epsilon constants; lr is the tunable.
+
+    ``step`` takes each parameter's gradient as rank-1 factors ``(col, row)``,
+    the gradient being ``np.outer(col, row)`` in the parameter's shape, and
+    updates m, v and the parameters in place. It walks each parameter in
+    blocks of whole rows, or of BLOCK-wide pieces of a row longer than BLOCK,
+    forms a block's gradient with the one multiply ``np.outer`` makes, and
+    runs the whole-array formula's operations in its order: the same bits.
+    The update is elementwise, so the blocks are shared round-robin over up
+    to WORKERS threads, the caller's first, each with its own scratch."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
     BLOCK = 2**15  # float64 elements, 256 KiB; 2**17 and up ran slower on the n = 1 network
+    # the CPUs this process may run on, or all of them where the OS cannot say
+    WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
     def __init__(self, shapes, lr: float = 1e-4):
         self.lr = lr
         self.step_count = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
-        self._scratch = np.empty((2, self.BLOCK))
+        self._scratch = []  # per worker: a block's gradient and two temporaries
 
-    def step(self, params, grads):
-        if any(not p.flags.c_contiguous or np.shape(g) != p.shape  # else reshape copies
-               for p, g, _ in zip(params, grads, self.m, strict=True)):
-            raise ValueError("Adam needs C-contiguous parameters and same-shape gradients")
+    def step(self, params, factors):
+        blocks = []
+        for p, (col, row), m, v in zip(params, factors, self.m, self.v, strict=True):
+            if (not p.flags.c_contiguous or p.shape != m.shape  # else reshape copies
+                    or np.ndim(col) != 1 or np.ndim(row) != 1
+                    or np.size(col) * np.size(row) != p.size):
+                raise ValueError("Adam needs C-contiguous parameters of the shapes it was "
+                                 "built for, and rank-1 factors whose sizes multiply to "
+                                 "each one's")
+            col, row = np.asarray(col, np.float64), np.asarray(row, np.float64)
+            p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+            height = max(1, self.BLOCK // max(row.size, 1))  # rows per block
+            for r0 in range(0, col.size, height):
+                r1 = min(r0 + height, col.size)
+                for j0 in range(0, row.size, self.BLOCK):
+                    j1 = min(j0 + self.BLOCK, row.size)
+                    i, n = r0 * row.size + j0, (r1 - r0) * (j1 - j0)
+                    blocks.append((col[r0:r1, None], row[j0:j1], p[i:i + n], m[i:i + n],
+                                   v[i:i + n]))
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1 - self.BETA1**t, 1 - self.BETA2**t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
-            for i in range(0, p.size, self.BLOCK):
-                pb, gb, mb, vb = (x[i:i + self.BLOCK] for x in (p, g, m, v))
-                a, b = self._scratch[:, :pb.size]
-                mb *= self.BETA1
-                np.multiply(1 - self.BETA1, gb, out=a)
-                mb += a
-                vb *= self.BETA2
-                np.multiply(1 - self.BETA2, gb, out=a)
-                a *= gb
-                vb += a
-                np.divide(mb, c1, out=a)  # m_hat
-                np.divide(vb, c2, out=b)  # v_hat
-                np.sqrt(b, out=b)
-                b += self.EPS
-                a *= self.lr
-                a /= b
-                pb -= a
+        workers = max(1, min(self.WORKERS, len(blocks)))
+        while len(self._scratch) < workers:
+            self._scratch.append(np.empty((3, self.BLOCK)))
+        errors = []
+
+        def helper(k, context):
+            try:
+                context.run(self._update, blocks[k::workers], self._scratch[k], c1, c2)
+            except BaseException as exc:  # re-raised in the caller
+                errors.append(exc)
+
+        # a new thread starts in an empty context: copy the caller's np.errstate in
+        threads = [threading.Thread(target=helper, args=(k, contextvars.copy_context()))
+                   for k in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        try:
+            self._update(blocks[::workers], self._scratch[0], c1, c2)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+
+    def _update(self, blocks, scratch, c1, c2):
+        for col, row, pb, mb, vb in blocks:
+            g, a, b = scratch[:, :pb.size]
+            np.multiply(col, row, out=g.reshape(col.size, row.size))
+            mb *= self.BETA1
+            np.multiply(1 - self.BETA1, g, out=a)
+            mb += a
+            vb *= self.BETA2
+            np.multiply(1 - self.BETA2, g, out=a)
+            a *= g
+            vb += a
+            np.divide(mb, c1, out=a)  # m_hat
+            np.divide(vb, c2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a *= self.lr
+            a /= b
+            pb -= a
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -680,6 +682,7 @@ class TestGeneratorNetwork:
 
         out, cache = net.forward(z)
         grads_w, _ = net.backward(cache, direction)
+        col, row = grads_w[0]  # the gradient is their outer product
         w0 = net.weights[0]
         eps = 1e-6
         rng = Rng(11)
@@ -692,7 +695,7 @@ class TestGeneratorNetwork:
             bumped[i, j] -= 2 * eps
             minus = scalar(bumped)
             numeric = (plus - minus) / (2 * eps)
-            assert grads_w[0][i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+            assert col[i] * row[j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
     def test_backward_reads_erf_from_the_forward_cache(self):
         from scipy.special import erf  # the reference; the package never loads scipy
@@ -706,7 +709,7 @@ class TestGeneratorNetwork:
         cached = net.backward((hidden, activations), direction)
         fresh = net.backward((recomputed, activations), direction)
         for a, b in zip(cached[0] + cached[1], fresh[0] + fresh[1], strict=True):
-            assert _same_bytes(a, b)
+            assert all(_same_bytes(x, y) for x, y in zip(a, b, strict=True))
 
 
 # |x| near the branch points of Cephes' erf: 1 (T/U to P/Q), 8 (its erfc's P/Q to
@@ -755,47 +758,123 @@ class _WholeArrayAdam:
 
 
 class TestAdam:
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(Adam, "WORKERS", request.param)
+        return request.param
+
     def test_minimizes_quadratic(self):
         p = np.array([5.0])
         adam = Adam([p.shape], lr=0.1)
         for _ in range(500):
-            adam.step([p], [2 * p])
+            adam.step([p], [(np.ones(1), 2 * p)])
         assert abs(p[0]) < 1e-3
 
     @pytest.mark.parametrize("size", [1, Adam.BLOCK - 1, Adam.BLOCK, Adam.BLOCK + 1,
                                       2 * Adam.BLOCK + 7])
-    def test_blocked_update_matches_whole_array_bit_for_bit(self, size):
-        shapes = [(size,), (37, 1500), (3,)]  # a 2-D parameter spans two blocks
+    def test_blocked_update_matches_whole_array_bit_for_bit(self, size, workers):
+        # (37, 1500) spans two row blocks, (3, BLOCK + 5) has rows longer than a
+        # block, and 40 columns give blocks of 819 rows, which 1000 rows do not fill
+        shapes = [(size,), (37, 1500), (3, Adam.BLOCK + 5), (1000, 40), (3,)]
         gen = np.random.default_rng(size)
         params = [gen.normal(size=s) for s in shapes]
         expected = [p.copy() for p in params]
         adam, reference = Adam(shapes, lr=1e-3), _WholeArrayAdam(shapes, lr=1e-3)
         for _ in range(4):
-            # magnitudes from 1e-9 to 1e3: the eps term and the large steps both matter
-            grads = [gen.normal(size=s) * 10.0 ** gen.integers(-9, 4, size=s) for s in shapes]
-            before = [g.copy() for g in grads]
-            adam.step(params, grads)
-            reference.step(expected, before)
-            assert all(g.tobytes() == b.tobytes() for g, b in zip(grads, before))
+            # products from 1e-9 to 1e3: the eps term and the large steps both matter;
+            # a 1-D parameter takes the factors a bias does
+            factors = [(gen.normal(size=s[0]) * 10.0 ** gen.integers(-5, 2, size=s[0])
+                        if len(s) == 2 else np.ones(1),
+                        gen.normal(size=s[-1]) * 10.0 ** gen.integers(-4, 2, size=s[-1]))
+                       for s in shapes]
+            before = [(col.copy(), row.copy()) for col, row in factors]
+            adam.step(params, factors)
+            reference.step(expected, [np.outer(col, row).reshape(s)
+                                      for (col, row), s in zip(before, shapes)])
+            assert all(_same_bytes(x, y) for f, b in zip(factors, before) for x, y in zip(f, b))
         for got, want in [(params, expected), (adam.m, reference.m), (adam.v, reference.v)]:
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+    def test_many_small_blocks_on_more_workers_than_cpus(self, monkeypatch):
+        # 8 workers share 623 blocks of at most 64 elements, switching threads
+        # every microsecond: a block updated twice or not at all, or a scratch
+        # array two workers write, changes the bytes
+        monkeypatch.setattr(Adam, "BLOCK", 64)
+        monkeypatch.setattr(Adam, "WORKERS", 8)
+        shapes = [(300, 100), (100,), (7, 130)]
+        gen = np.random.default_rng(5)
+        params = [gen.normal(size=s) for s in shapes]
+        expected = [p.copy() for p in params]
+        adam, reference = Adam(shapes, lr=1e-3), _WholeArrayAdam(shapes, lr=1e-3)
+        interval, threads = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                factors = [(gen.normal(size=s[0]) if len(s) == 2 else np.ones(1),
+                            gen.normal(size=s[-1])) for s in shapes]
+                adam.step(params, factors)
+                reference.step(expected, [np.outer(col, row).reshape(s)
+                                          for (col, row), s in zip(factors, shapes)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every helper was joined
+        for got, want in [(params, expected), (adam.m, reference.m), (adam.v, reference.v)]:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @staticmethod
+    def _overflowing_step():
+        """An Adam and a step whose g^2 overflows in block 1 alone, which falls
+        to a helper thread whenever there is one."""
+        p = np.zeros(3 * Adam.BLOCK)
+        row = np.ones(p.size)
+        row[Adam.BLOCK + 1] = 1e200
+        adam = Adam([p.shape], lr=0.1)
+        return adam, lambda: adam.step([p], [(np.ones(1), row)])
+
+    @pytest.mark.parametrize("state, error", [({}, RuntimeWarning),
+                                              ({"over": "raise"}, FloatingPointError)])
+    def test_helper_errors_raise_in_the_caller(self, workers, state, error):
+        adam, step = self._overflowing_step()
+        with warnings.catch_warnings(), np.errstate(**state):
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match="overflow"):
+                step()
+
+    def test_callers_errstate_holds_in_every_worker(self, workers):
+        adam, step = self._overflowing_step()
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            step()
+        assert adam.v[0][Adam.BLOCK + 1] == math.inf and adam.step_count == 1
 
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], np.asfortranarray])
     def test_non_contiguous_parameter_rejected(self, view):
         p = view(np.zeros((4, 6)))
         adam = Adam([p.shape], lr=0.1)
         with pytest.raises(ValueError, match="C-contiguous"):
-            adam.step([p], [np.ones(p.shape)])
+            adam.step([p], [(np.ones(4), np.ones(6))])
 
-    @pytest.mark.parametrize("grads", [[np.ones(3)], [np.ones(5), np.ones(2)],
-                                       [np.ones((3, 1)), np.ones(2)], [1.0, np.ones(2)]])
-    def test_gradients_must_match_parameters(self, grads):
+    def test_parameter_of_another_shape_rejected(self):
+        p = np.zeros((2, 3))
+        adam = Adam([(3, 2)], lr=0.1)
+        with pytest.raises(ValueError, match="shapes it was built for"):
+            adam.step([p], [(np.ones(2), np.ones(3))])
+        assert not p.any() and adam.step_count == 0
+
+    @pytest.mark.parametrize("factors", [
+        [(np.ones(1), np.ones(3))],  # one pair for two parameters
+        [(np.ones(1), np.ones(3)), (np.ones(1), np.ones(3))],  # 3 elements for 2
+        [(np.ones(1), np.ones(3)), (np.ones(2), np.ones(2))],  # 4 elements for 2
+        [(np.ones(1), np.ones(3)), (np.ones((2, 1)), np.ones(1))],  # a 2-D factor
+        [(np.ones(1), np.ones(3)), (1.0, np.ones(2))],  # a scalar factor
+    ])
+    def test_gradients_must_match_parameters(self, workers, factors):
         params = [np.zeros(3), np.zeros(2)]
         adam = Adam([p.shape for p in params], lr=0.1)
         with pytest.raises(ValueError):
-            adam.step(params, grads)
+            adam.step(params, factors)
         assert not any(p.any() for p in params) and adam.step_count == 0
 
 
@@ -1134,10 +1213,12 @@ KERNEL_CANARIES = {
     "network-layer": "333e961ee1f2d9f792e99661b960a003b0dc77fda420fff6c107731f3087d5f6",
     "eigvalsh": "8eab023e03a3b74b4e91de6154d6d331bd8b67fe1d2d714b565d5a85e0d34f89",
 }
-KERNEL_HINT = ("golden digests hold only on the BLAS kernel they were recorded on, and the "
-               "gradient ones only on the C library exp too; if test_blas_kernel_canary "
-               "fails as well, the kernel changed the bits, and if test_libm_exp_canary "
-               "fails, the C library's exp changed GELU's erf")
+KERNEL_HINT = ("golden digests hold only on the BLAS kernel, C library exp, numpy exp and numpy "
+               "Generator streams they were recorded on; if test_blas_kernel_canary fails as "
+               "well, the kernel changed the bits, if test_libm_exp_canary fails, the C "
+               "library's exp changed GELU's erf, if test_numpy_exp_canary fails, numpy's exp "
+               "changed GELU's derivative, and if test_rng_stream_canary fails, numpy changed "
+               "a random stream")
 
 # SHA-256 of GELU's erf where it calls the C library's exp, |x| in (1, 8) and
 # [8, 26.6], on the exp the gradient goldens were recorded on: glibc 2.36.
@@ -1163,3 +1244,55 @@ def test_blas_kernel_canary(primitive):
         f"OpenBLAS SkylakeX kernel the goldens were recorded on (numpy.show_config() names "
         f"the library; OPENBLAS_CORETYPE selects a kernel): the golden digests will "
         f"mismatch without any change to the code")
+
+
+# SHA-256 of GELU's derivative, whose pdf takes np.exp, on x in [-10, 10] at
+# steps of 1/1000: on the numpy exp the gradient goldens were recorded on,
+# numpy 2.4.6's AVX-512 loop. math.exp rounds some of these inputs differently.
+NUMPY_EXP_CANARY = "9a2805c2bf380e62ceb87773d4fb22de16ce53f520f204a918239465f6217366"
+
+
+def test_numpy_exp_canary():
+    x = np.arange(-10000, 10001) / 1000.0
+    out = estimators_module._gelu_grad(x, estimators_module._erf(x / math.sqrt(2.0)))
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == NUMPY_EXP_CANARY, (
+        "GELU's derivative rounds differently here than on the numpy 2.4.6 AVX-512 exp the "
+        "gradient goldens were recorded on: numpy's exp (its build or the SIMD loop it picks "
+        "for the CPU) changed the bits, so the gradient golden digests will mismatch "
+        "without any change to the code")
+
+
+def _rng_draws() -> dict:
+    """The first draws of each ``Rng`` method on fixed seeds, as the engines,
+    oracles and noise model call them."""
+    return {
+        "normal": Rng(17).normal((8, 8)),
+        "uniform": Rng(18).uniform(64),
+        "uniform-out": Rng(18).uniform(out=np.empty((8, 8))),
+        "integers": Rng(19).integers(0, 1000, 64),
+        "choice": Rng(20).choice(4, 64, np.array([0.1, 0.2, 0.3, 0.4])),
+    }
+
+
+# SHA-256 of each method's draws above on numpy 2.4.6, whose streams the goldens
+# carry; NEP 19 does not promise them across numpy versions.
+RNG_CANARIES = {
+    "normal": "3ba37c9fe97d820ce93363b3ec4951509cf5129f74d32e63d4827d29dfec9d1d",
+    "uniform": "a1fd66d313317855f73832027cd3310990ad979fd073ff160f7036c638864e5d",
+    # out= fills the draws a fresh call of its size returns
+    "uniform-out": "a1fd66d313317855f73832027cd3310990ad979fd073ff160f7036c638864e5d",
+    "integers": "70ab0980832401285fc9b9e1045944c7778d7f3114a39d3083768725af7abcf1",
+    "choice": "a382647c700186ec0909ab76df24dbb2e01f910cbf472c3ee5a762033bdfbff9",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RNG_CANARIES))
+def test_rng_stream_canary(method):
+    out = _rng_draws()[method]
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == RNG_CANARIES[method], (
+        f"Rng.{method.split('-')[0]} draws differently here than on the numpy 2.4.6 "
+        f"Generator the goldens were recorded on (NEP 19 does not fix a method's stream "
+        f"across numpy versions): the golden digests will mismatch without any change "
+        f"to the code")
