@@ -2,8 +2,8 @@
 
 Qubit 0 is the least-significant bit of the basis index throughout. The
 SWAP-test layout puts the ancilla at circuit position 0. Every amplitude
-update (gates, per-column gate stacks, RESET, and the Kraus steps in the
-noise module) goes through one kernel on amplitudes with the batch axis last:
+update (gates, per-column gate stacks, and the Kraus steps in the noise
+module) goes through one kernel on amplitudes with the batch axis last:
 a (2^n, batch) array, of which a flat (2^n,) vector is a batch of one.
 A gate gathers the rows of its local basis indices (_local_index, cached)
 into one array and sums the matrix-entry products in ascending order
@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import StateVector, check_count, check_real, normalize_rows
 
-SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "RESET", "ID", "DELAY"})
-BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RESET", "RZ", "SX", "X"})
+SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "ID", "DELAY"})
+BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RZ", "SX", "X"})
 _PARAM_RULES = {"RZ": ("finite", "RZ parameter"), "RY": ("finite", "RY parameter"),
                 "DELAY": (">= 0", "DELAY duration")}
 
@@ -104,9 +104,6 @@ class QuantumCircuit:
         for q in gate.qubits:
             if q >= self.n_qubits:
                 raise ValueError(f"qubit {q} outside circuit width {self.n_qubits}")
-        if gate.kind == "RESET":
-            self._measured_done.difference_update(gate.qubits)
-            return
         for q in gate.qubits:
             if q in self._measured_done:
                 raise ValueError(f"gate {gate.kind} follows MEASURE on qubit {q}")
@@ -248,21 +245,7 @@ def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
         return amps[perm(n_qubits, *gate.qubits)]
     if gate.kind in ("ID", "DELAY"):
         return amps
-    if gate.kind == "RESET":
-        return _apply_reset(amps, gate.qubits[0], n_qubits)
     raise ValueError(f"cannot apply gate kind {gate.kind!r}")
-
-
-def _apply_reset(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    cols = np.array(amps, copy=True, order="C").reshape(2**n_qubits, -1)
-    zero, one = _local_index((qubit,), n_qubits)
-    p0 = _column_sums(np.abs(cols[zero]) ** 2)
-    kept = p0 > 1e-24
-    # all weight on |1>: relocate it to |0> (projective reset)
-    cols[zero] = np.where(kept, cols[zero], cols[one])
-    cols[one] = 0.0
-    cols[:, kept] /= np.sqrt(p0[kept])
-    return cols.reshape(amps.shape)
 
 
 def execute_statevector(circuit: QuantumCircuit, initial: StateVector) -> StateVector:
@@ -386,7 +369,7 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
 
 
 # ---------------------------------------------------------------------------
-# Lowering to the native basis set {CX, DELAY, ID, MEASURE, RESET, RZ, SX, X}
+# Lowering to the native basis set {CX, DELAY, ID, MEASURE, RZ, SX, X}
 
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4

@@ -43,9 +43,11 @@ class Rng:
     def ahead(self, k: int) -> "Rng":
         """A new generator ``k`` uniform draws past this one, which stays put:
         Philox block b holds draws 4b..4b+3, so it starts from a block."""
+        check_count(0, k=k)
         state = self._gen.bit_generator.state
         words = state["state"]["counter"]
-        at = 4 * sum(int(w) << 64 * i for i, w in enumerate(words)) + state["buffer_pos"] - 4 + k
+        block = sum(int(w) << 64 * i for i, w in enumerate(words))
+        at = 4 * block + state["buffer_pos"] - 4 + int(k)
         words[:], state["buffer_pos"] = [at // 4 >> 64 * i & 2**64 - 1 for i in range(4)], 4
         out = Rng(self.seed)
         out._gen.bit_generator.state = state

@@ -132,6 +132,8 @@ class ExperimentSpec:
     def __post_init__(self):
         check_count(1, n_qubits=self.n_qubits, n_trials=self.n_trials,
                     max_epochs=self.max_epochs)
+        if self.noise is not None and not isinstance(self.noise, NoiseParams):
+            raise ValueError(f"noise must be NoiseParams or None, got {self.noise!r}")
         # the oracle's and the ES engine's own checks, before any trial runs
         FidelityOracle.check_signal(self.shots, self.noise is not None, self.trajectories)
         EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha, seed=self.seed)

@@ -391,7 +391,7 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
             raise ValueError(f"circuit must measure exactly qubit 0, measures {first.measured}")
         steps[key] = [model.steps(g) for g in first.gates]
         draws[idx] = trajectories * sum(map(len, steps[key]))
-    gens = [rng.ahead(int(k)) for k in np.cumsum(np.r_[0, draws[:-1]])]
+    gens = [rng.ahead(k) for k in np.cumsum(np.r_[0, draws[:-1]])]
     means = np.empty(len(circuits))
     for key, idx in groups.items():
         # T = 1 runs alone: its serial run is a one-row array, which rounds apart
@@ -399,7 +399,7 @@ def execute_trajectory_batch(circuits: list, model: NoiseModel, trajectories: in
         for chunk in (idx[j:j + size] for j in range(0, len(idx), size)):
             means[chunk] = _trajectory_chunk([circuits[i] for i in chunk], steps[key],
                                              trajectories, [gens[i] for i in chunk])
-    rng.skip(int(draws.sum()))
+    rng.skip(draws.sum())
     return means
 
 

@@ -78,6 +78,8 @@ class TestGate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Gate("CZ", (0, 1))
+        with pytest.raises(ValueError, match="unknown gate kind 'RESET'"):
+            QuantumCircuit(1).add("RESET", 0)
 
 
 class TestQuantumCircuit:
@@ -90,18 +92,10 @@ class TestQuantumCircuit:
         with pytest.raises(ValueError, match=re.escape("gates[1] must be a Gate, got 'H'")):
             QuantumCircuit(1, [Gate("X", (0,)), "H"])
 
-    def test_reset_reopens_qubit(self):
-        circ = QuantumCircuit(1).add("MEASURE", 0).add("RESET", 0)
-        circ.add("X", 0)  # allowed again
-
-    def test_measure_after_reset_closes_qubit_again(self):
-        # add follows gate order, as the constructor does
-        gates = [Gate("RESET", (0,)), Gate("MEASURE", (0,)), Gate("X", (0,))]
+    def test_constructor_rejects_gate_after_measure(self):
+        # the constructor checks gates in order, as add does
         with pytest.raises(ValueError, match="follows MEASURE"):
-            QuantumCircuit(1, gates)
-        circ = QuantumCircuit(1).add("RESET", 0).add("MEASURE", 0)
-        with pytest.raises(ValueError, match="follows MEASURE"):
-            circ.add("X", 0)
+            QuantumCircuit(1, [Gate("MEASURE", (0,)), Gate("X", (0,))])
 
     def test_qubit_bounds(self):
         with pytest.raises(ValueError):
@@ -147,16 +141,6 @@ class TestExecution:
         circ = QuantumCircuit(1).add("MEASURE", 0)
         with pytest.raises(ValueError):
             execute_statevector(circ, StateVector.computational_basis(1))
-
-    def test_reset_projects(self):
-        circ = QuantumCircuit(1).add("H", 0).add("RESET", 0)
-        out = run_from_zero(circ)
-        assert abs(out.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reset_on_one_state(self):
-        circ = QuantumCircuit(1).add("X", 0).add("RESET", 0)
-        out = run_from_zero(circ)
-        assert abs(out.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMottonen:

@@ -141,8 +141,9 @@ class TestExitCodes:
         ("H q-1", ":2: 'H q-1': qubit must be >= 0, got -1"),
         ("H q0\nMEASURE q0\nX q0", ":4: 'X q0': gate X follows MEASURE on qubit 0"),
         ("DELAY q0 -5", ":2: 'DELAY q0 -5': DELAY duration must be >= 0, got -5.0"),
+        ("RESET q0", ":2: 'RESET q0': unknown gate kind 'RESET'"),
     ], ids=["bad-angle", "cx-arity", "bad-qubit", "no-angle", "one-token", "negative-qubit",
-            "after-measure", "negative-delay"])
+            "after-measure", "negative-delay", "reset"])
     def test_runtime_error_bad_circuit_file_names_its_line(self, tmp_path, capsys, line,
                                                            message):
         circ = tmp_path / "circ.txt"

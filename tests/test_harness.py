@@ -73,6 +73,7 @@ COUNT_FIELDS = {
     # indices, from 0
     "Gate.qubit": lambda v: Gate("H", (v,)),
     "Rng.index": lambda v: Rng(1).child(v),
+    "Rng.ahead.k": lambda v: Rng(1).ahead(v),
     "StateVector.index": lambda v: StateVector.computational_basis(2, v),
     "partial_trace.keep": lambda v: partial_trace(random_pure_state(3, Rng(0)), (v,)),
     "run_midcircuit_snapshot.cut_index": lambda v: run_midcircuit_snapshot(
@@ -167,6 +168,7 @@ class TestExperimentSpec:
         ({"seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
         ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
         ({"seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        ({"noise": "paper"}, "noise must be NoiseParams or None, got 'paper'"),
     ])
     def test_rejects_specs_that_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -212,7 +214,7 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("field", COUNT_FIELDS)
     def test_every_count_field_takes_only_integers(self, field, value):
         # rejected where it is built, so no trial meets a count that is not an integer
-        with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{field.split('.')[-1]} must be an integer"):
             COUNT_FIELDS[field](value)
         COUNT_FIELDS[field](np.int64(2))
 

@@ -206,7 +206,7 @@ _PARAMS = {"RZ": st.floats(-math.pi, math.pi), "DELAY": st.floats(0.0, 5e4)}
 
 @st.composite
 def _lowered_circuits(draw, like=None):
-    """A small lowered circuit of X, SX, RZ, CX, ID, DELAY and RESET gates
+    """A small lowered circuit of X, SX, RZ, CX, ID and DELAY gates
     that measures qubit 0; given ``like``, its gates with some RZ angles and
     DELAY durations drawn anew."""
     if like is not None:
@@ -217,7 +217,7 @@ def _lowered_circuits(draw, like=None):
         return circ
     n = draw(st.integers(1, 5))  # from width 4 on, a row sum runs over 8 or more terms
     circ = QuantumCircuit(n)
-    kinds = ["X", "SX", "RZ", "ID", "DELAY", "RESET"] + (["CX"] if n > 1 else [])
+    kinds = ["X", "SX", "RZ", "ID", "DELAY"] + (["CX"] if n > 1 else [])
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
         if kind == "CX":
@@ -274,7 +274,7 @@ def _check_channel_step(channel, qubits, n, batch, seed):
 
 
 class TestGateKernel:
-    """apply_matrix, RESET and the channel step against dense references."""
+    """apply_matrix and the channel step against dense references."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(_STEP_CHANNELS)))
@@ -321,24 +321,6 @@ class TestGateKernel:
             got = apply_matrix(amps.T, stack, qubits, n).T
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12
-
-    def test_reset_batch_matches_projective_reference(self):
-        n, q = 3, 1
-        gen = np.random.default_rng(4)
-        amps = gen.normal(size=(3, 8)) + 1j * gen.normal(size=(3, 8))
-        amps[1, [i for i in range(8) if not (i >> q) & 1]] = 0.0  # all weight on |1>
-        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-        project = _expand(np.array([[1, 0], [0, 0]]), (q,), n)
-        lower = _expand(np.array([[0, 1], [0, 0]]), (q,), n)  # |0><1|
-        expected = []
-        for row in amps:
-            kept = project @ row
-            norm = np.linalg.norm(kept)
-            expected.append(kept / norm if norm > 1e-12 else lower @ row)
-        got = apply_gate(amps.T, Gate("RESET", (q,)), n).T
-        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
-        for row, flat in zip(got, amps):
-            assert np.array_equal(row, apply_gate(flat, Gate("RESET", (q,)), n))
 
     def test_mixture_rows_drawing_identity_keep_their_bytes(self):
         ch = depolarizing_channel(0.4, 2)
@@ -608,12 +590,12 @@ K_SIGMA = NormalDist().inv_cdf(1.0 - FALSE_ALARM / 2.0)  # 4.89
 
 
 def _one_qubit_counterexample():
-    """Found by the property below: one class, an RZ on a generic state."""
+    """RZ gates on a generic state whose trajectories never split: were the run
+    to start with one class, every gate would act on a one-column array."""
     circ = QuantumCircuit(1)
     for kind, param in [("X", None), ("SX", None), ("ID", None), ("RZ", 0.8557572005151188),
-                        ("ID", None), ("RESET", None), ("SX", None), ("ID", None),
-                        ("RESET", None), ("DELAY", 1.0), ("X", None), ("SX", None),
-                        ("RZ", 2.625), ("X", None), ("MEASURE", None)]:
+                        ("ID", None), ("SX", None), ("ID", None), ("DELAY", 1.0), ("X", None),
+                        ("SX", None), ("RZ", 2.625), ("X", None), ("MEASURE", None)]:
         circ.add(kind, 0, param=param)
     return circ
 
