@@ -57,6 +57,6 @@ from .noise import (
     calibrated_noise_model,
     thermal_relaxation_channel,
 )
-from .store import SnapshotRecord, deposit, list_snapshots, withdraw
+from .store import SnapshotRecord, deposit, list_snapshots, load, withdraw
 
 __version__ = "0.1.0"

@@ -424,10 +424,8 @@ def lower_gate(gate: Gate) -> list:
         return _lower_h(gate.qubits[0])
     if gate.kind == "RY":
         return _lower_ry(gate.qubits[0], gate.param)
-    if gate.kind == "CSWAP":
-        c, a, b = gate.qubits
-        return [Gate("CX", (b, a)), *_toffoli(c, a, b), Gate("CX", (b, a))]
-    raise ValueError(f"cannot lower gate kind {gate.kind!r}")
+    c, a, b = gate.qubits  # CSWAP, the one kind a Gate admits beyond these
+    return [Gate("CX", (b, a)), *_toffoli(c, a, b), Gate("CX", (b, a))]
 
 
 def lower_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Gate, QuantumCircuit
-from .core import StateVector
+from .circuit import Gate, QuantumCircuit, mottonen_prepare
+from .core import StateVector, json_bytes
 from .harness import (
     ExperimentSpec,
     emit_report,
@@ -31,7 +31,7 @@ from .harness import (
     write_rows,
 )
 from .noise import NoiseParams
-from .store import SnapshotRecord, StoreError, deposit, list_snapshots, withdraw
+from .store import SnapshotRecord, StoreError, deposit, list_snapshots, load
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,35 +206,29 @@ def _load_state_json(path: str) -> tuple:
         amps = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'{path}: expected {{"amplitudes": [[re, im], ...]}}') from exc
-    metadata = {k: v for k, v in data.items() if k != "amplitudes"}
-    return StateVector.from_amplitudes(amps), metadata
+    return StateVector.from_amplitudes(amps), data
 
 
 def _cmd_deposit(args) -> int:
-    state, metadata = _load_state_json(args.state)
-    record = SnapshotRecord.from_state(state, **{
-        k: metadata.get(k) for k in
-        ("method", "representation", "best_fidelity", "epochs", "seed", "label")
-    })
-    ident = deposit(record, args.store)
-    print(ident)
+    state, document = _load_state_json(args.state)
+    # the record keeps the document's metadata keys and drops every other key
+    print(deposit(SnapshotRecord(state, document), args.store))
     return EXIT_OK
 
 
 def _cmd_withdraw(args) -> int:
-    state, prep = withdraw(args.id, args.store)
-    payload = {
-        "n_qubits": state.n_qubits,
-        "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
-    }
-    text = json.dumps(payload, indent=2) + "\n"
+    # the document deposit reads, so a round trip leaves the sidecar as it was
+    record = load(args.id, args.store)
+    text = json_bytes({"n_qubits": record.state.n_qubits,
+                       "amplitudes": [[a.real, a.imag] for a in record.state.amplitudes],
+                       **record.metadata})
     if args.out_file is not None:
-        Path(args.out_file).write_text(text)
+        Path(args.out_file).write_bytes(text)
         print(f"wrote {args.out_file}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.decode())
     if args.circuit_out is not None:
-        Path(args.circuit_out).write_text(prep.dump() + "\n")
+        Path(args.circuit_out).write_text(mottonen_prepare(record.state).dump() + "\n")
         print(f"wrote {args.circuit_out}")
     return EXIT_OK
 

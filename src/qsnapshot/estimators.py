@@ -78,12 +78,14 @@ class FidelityOracle:
     noisy ones as a few trajectory batches, bit for bit a candidate loop.
     """
 
+    TRAJECTORIES = 2000  # the noisy signal's default trajectory count
+
     def __init__(
         self,
         target_prep: QuantumCircuit,
         shots: int | None = None,
         noise_model: NoiseModel | None = None,
-        trajectories: int = 2000,
+        trajectories: int = TRAJECTORIES,
         rng: Rng | None = None,
     ):
         self.check_signal(shots, noise_model is not None, trajectories)

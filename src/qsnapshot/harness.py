@@ -119,7 +119,7 @@ class ExperimentSpec:
     n_qubits: int = 1
     n_trials: int = 20
     noise: NoiseParams | None = None
-    trajectories: int = 2000
+    trajectories: int = FidelityOracle.TRAJECTORIES
     shots: int | None = None  # None = analytic expectation
     thresholds: tuple = (0.95, 0.99)
     seed: int = 0
@@ -158,6 +158,8 @@ class ExperimentSpec:
         else:
             rows, shift = 4, n * (1 if self.representation == "statevector" else 2)
         _check_amplitude_bytes(n, f"SWAP tests of width {width}", rows, width + shift)
+        if not isinstance(self.thresholds, (tuple, list)):
+            raise ValueError(f"thresholds must be a tuple or a list, got {self.thresholds!r}")
         if not self.thresholds:
             raise ValueError("need at least one threshold, got none")
         for t in self.thresholds:

@@ -4,7 +4,7 @@ Each record is a binary amplitude body plus a JSON metadata sidecar,
 content-addressed by the SHA-256 of the body. The body's magic header
 carries the format version. Every file is written to a temporary name,
 fsynced, renamed into place, and the directory fsynced after the rename.
-Withdrawal rebuilds the state and its preparation circuit.
+Loading returns the stored record; withdrawal also builds its preparation.
 """
 
 from __future__ import annotations
@@ -126,12 +126,8 @@ def deposit(record: SnapshotRecord, store_path) -> str:
         raise StoreError(f"deposit failed: {exc}") from exc
 
 
-def withdraw(identifier: str, store_path) -> tuple:
-    """Load a stored state and a preparation circuit for it.
-
-    Returns (StateVector, QuantumCircuit); the circuit reprepares the stored
-    state from |0...0> with fidelity >= 1 - 1e-9.
-    """
+def load(identifier: str, store_path) -> SnapshotRecord:
+    """The stored record, with its sidecar's metadata (all None without one)."""
     if not _IDENTIFIER.fullmatch(str(identifier)):
         raise SnapshotNotFoundError(f"no snapshot with id {identifier!r}")
     store = Path(store_path)
@@ -141,7 +137,7 @@ def withdraw(identifier: str, store_path) -> tuple:
     body = body_file.read_bytes()
     if hashlib.sha256(body).hexdigest() != identifier:
         raise SnapshotIntegrityError(f"body of {identifier} fails its hash check")
-    state = _decode_body(body)
+    state, metadata = _decode_body(body), {}
     meta_file = store / f"{identifier}.json"
     if meta_file.exists():
         try:
@@ -150,6 +146,16 @@ def withdraw(identifier: str, store_path) -> tuple:
                 raise ValueError("not an object")
         except ValueError as exc:
             raise SnapshotIntegrityError(f"metadata of {identifier}: {exc}") from exc
+    return SnapshotRecord(state, metadata)
+
+
+def withdraw(identifier: str, store_path) -> tuple:
+    """Load a stored state and a preparation circuit for it.
+
+    Returns (StateVector, QuantumCircuit); the circuit reprepares the stored
+    state from |0...0> with fidelity >= 1 - 1e-9.
+    """
+    state = load(identifier, store_path).state
     return state, mottonen_prepare(state)
 
 

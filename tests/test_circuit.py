@@ -14,6 +14,7 @@ from qsnapshot.circuit import (
     Gate,
     QuantumCircuit,
     ancilla_expectation,
+    apply_gate,
     build_swap_test,
     execute_statevector,
     lower_to_basis,
@@ -141,6 +142,18 @@ class TestExecution:
         circ = QuantumCircuit(1).add("MEASURE", 0)
         with pytest.raises(ValueError):
             execute_statevector(circ, StateVector.computational_basis(1))
+
+    @pytest.mark.parametrize("run,message", [
+        (lambda: apply_gate(np.array([1.0, 0.0]), Gate("MEASURE", (0,)), 1),
+         "cannot apply gate kind 'MEASURE'"),
+        (lambda: execute_statevector(QuantumCircuit(2), StateVector.computational_basis(1)),
+         "initial state has 1 qubits, circuit 2"),
+        (lambda: ancilla_expectation(QuantumCircuit(2).add("MEASURE", 1)),
+         re.escape("circuit must measure exactly qubit 0, measures (1,)")),
+    ], ids=["apply-measure", "width-mismatch", "ancilla-not-qubit-0"])
+    def test_rejects_what_cannot_run(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 class TestMottonen:

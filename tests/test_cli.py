@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import shlex
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from qsnapshot.cli import build_parser, main
-from qsnapshot.estimators import EsConfig
+from qsnapshot.core import json_bytes
+from qsnapshot.estimators import EsConfig, FidelityOracle
 from qsnapshot.harness import ExperimentSpec
 
 
@@ -21,6 +23,11 @@ def run_cli(*args):
 
 
 SHAPE_MESSAGE = 'expected {"amplitudes": [[re, im], ...]}'  # a state file of another shape
+
+# a state file with every metadata key the store keeps
+DOCUMENT = {"amplitudes": [[0.6, 0.0], [0.0, 0.8]], "method": "qeswap",
+            "representation": "statevector", "best_fidelity": 0.998, "epochs": 7,
+            "created_at": "2026-10-21T12:00:00+00:00", "seed": 5, "label": "cut@3"}
 
 
 class TestExitCodes:
@@ -97,12 +104,15 @@ class TestExitCodes:
         ["cohort", "--gate", "1.5", "--trials", "1", "--max-iter", "1", "--out", "OUT"],
         ["standard", "--gate", "nan", "--max-iter", "1", "--out", "OUT"],
         ["standard", "--gate", "-0.1", "--max-iter", "1", "--out", "OUT"],
+        ["cohort", "--shots", "many", "--trials", "1", "--max-iter", "1", "--out", "OUT"],
     ], ids=["mixed-diagnostic--noise", "entropy--gate", "entropy--repr",
             "snapshot--out", "standard--threshold", "snapshot--qubits", "cohort--gate-nan",
-            "cohort--gate-1.5", "standard--gate-nan", "standard--gate-neg"])
+            "cohort--gate-1.5", "standard--gate-nan", "standard--gate-neg",
+            "cohort--shots-many"])
     def test_usage_error_flag_not_taken(self, tmp_path, args):
-        # each case passes one flag its subcommand does not take, or a --gate
-        # that is no fraction in [0, 1]; the rest would run and write to OUT
+        # each case passes one flag its subcommand does not take, a --gate
+        # that is no fraction in [0, 1], or a --shots that is no integer; the
+        # rest would run and write to OUT
         circ = tmp_path / "circ.txt"
         circ.write_text("H 0\nCX 0,1\n")
         out = tmp_path / "o"
@@ -273,6 +283,8 @@ def test_library_owns_the_defaults():
     assert checked > 0
     spec, es = ExperimentSpec(), EsConfig()
     assert (spec.population, spec.sigma, spec.alpha) == (es.population, es.sigma, es.alpha)
+    oracle_default = inspect.signature(FidelityOracle).parameters["trajectories"].default
+    assert spec.trajectories == oracle_default == FidelityOracle.TRAJECTORIES
 
 
 class TestCohortCommand:
@@ -345,6 +357,36 @@ class TestSnapshotAndStore:
                        "--store", str(store)) == 0
         assert len(list(store.glob("*.qsnap"))) == 1
 
+    def _deposit_document(self, tmp_path, capsys) -> tuple:
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(DOCUMENT))
+        store = tmp_path / "store"
+        assert run_cli("deposit", "--state", str(state), "--store", str(store)) == 0
+        return store, capsys.readouterr().out.strip()
+
+    def test_withdraw_writes_what_deposit_reads(self, tmp_path, capsys):
+        store, ident = self._deposit_document(tmp_path, capsys)
+        sidecar = (store / f"{ident}.json").read_bytes()
+        assert json.loads(sidecar) == {k: v for k, v in DOCUMENT.items() if k != "amplitudes"}
+        out_file = tmp_path / "withdrawn.json"
+        assert run_cli("withdraw", ident, "--store", str(store),
+                       "--out-file", str(out_file)) == 0
+        capsys.readouterr()
+        for target in (store, tmp_path / "fresh"):
+            assert run_cli("deposit", "--state", str(out_file), "--store", str(target)) == 0
+            assert capsys.readouterr().out.strip() == ident
+            assert (target / f"{ident}.json").read_bytes() == sidecar
+
+    def test_withdraw_prints_what_it_writes(self, tmp_path, capsys):
+        store, ident = self._deposit_document(tmp_path, capsys)
+        assert run_cli("withdraw", ident, "--store", str(store)) == 0
+        printed = capsys.readouterr().out
+        out_file = tmp_path / "withdrawn.json"
+        assert run_cli("withdraw", ident, "--store", str(store),
+                       "--out-file", str(out_file)) == 0
+        assert printed.encode() == out_file.read_bytes() == json_bytes(
+            {**DOCUMENT, "n_qubits": 1})
+
 
 class TestOtherCommands:
     def test_standard(self, tmp_path):
@@ -379,6 +421,17 @@ class TestOtherCommands:
 GOLDEN_OUTPUTS = {
     "cohort": (("cohort", "--qubits", "2", "--trials", "2", "--max-iter", "10",
                 "--seed", "4"), {
+        "summary.json":
+            "fd1be368bb5855df9f53c7fd8128fd8a578489ea117b9529fd1ac0f8a8df26ce",
+        "trace.csv":
+            "544478c9bf363107915a93e3b6904ce1c88c118c4f151863f24e42e4cc54d450",
+        "trials.csv":
+            "bbd491da10a432968abff3272df03ba78cbd37eac8f42142b11bc3f0097a923f",
+    }),
+    # the default signal, named by its flags, writes the same bytes as "cohort"
+    "cohort-noise-off-analytic": (("cohort", "--qubits", "2", "--trials", "2",
+                                   "--max-iter", "10", "--seed", "4",
+                                   "--noise", "off", "--shots", "analytic"), {
         "summary.json":
             "fd1be368bb5855df9f53c7fd8128fd8a578489ea117b9529fd1ac0f8a8df26ce",
         "trace.csv":

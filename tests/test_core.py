@@ -290,6 +290,12 @@ def test_non_finite_entries_rejected(cls, entries):
         cls(1, np.array(entries))
 
 
+@pytest.mark.parametrize("measure", [hilbert_schmidt_overlap, uhlmann_fidelity])
+def test_density_measures_reject_a_width_mismatch(measure):
+    with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
+        measure(_maximally_mixed(1), _maximally_mixed(2))
+
+
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         # |psi> = |+>_{q1} (x) |0>_{q0}; index q0 is the LSB

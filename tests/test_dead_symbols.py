@@ -11,7 +11,9 @@ must have a caller in the package outside ``__init__`` or in the benchmark
 (``perfbench/*.py``), or be one of the ``ENTRY_POINTS`` below. Code that only
 tests use belongs in the tests. Only ``core`` reads the Philox generator
 behind ``Rng`` (``._gen``); every other module draws through ``Rng``. No call
-in the package passes a literal equal to the default it would get anyway.
+in the package passes a literal equal to the default it would get anyway. Only
+``core.json_bytes`` writes JSON: nothing else calls or imports ``json.dump`` or
+``json.dumps``.
 """
 
 import ast
@@ -121,6 +123,24 @@ def generator_readers(trees: dict) -> list:
                           for node in ast.walk(tree)))
 
 
+def json_writers(trees: dict) -> list:
+    """``module:line`` of each call or import of ``json.dump`` or ``json.dumps``
+    outside ``core.json_bytes``."""
+    found = []
+    for module, tree in trees.items():
+        owner = [f for f in tree.body if module == "core.py"
+                 and getattr(f, "name", None) == "json_bytes"]
+        allowed = {id(node) for f in owner for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            calls = (isinstance(node, ast.Call)
+                     and ast.unparse(node.func) in ("json.dump", "json.dumps"))
+            imports = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                       and any(alias.name in ("dump", "dumps") for alias in node.names))
+            if (calls or imports) and id(node) not in allowed:
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
 def _literal(node):
     """(type, value) of a literal expression, None for any other node."""
     try:
@@ -189,6 +209,10 @@ def test_only_core_reads_the_generator():
     assert generator_readers(_trees()) == []
 
 
+def test_only_json_bytes_writes_json():
+    assert json_writers(_trees()) == []
+
+
 def test_no_call_restates_a_default():
     assert restated_defaults(_trees()) == []
 
@@ -233,6 +257,14 @@ def test_guard_sees_planted_uncalled_export():
     # a benchmark caller is enough
     benchmark = {**_benchmark_trees(), "planted.py": ast.parse("qsnapshot._planted_export()")}
     assert uncalled_exports(trees, benchmark) == []
+
+
+def test_guard_sees_planted_json_writers():
+    planted = ast.parse("import json\nfrom json import dumps\n\n"
+                        "def emit(payload, fh):\n    json.dump(payload, fh)\n"
+                        "    return json.dumps(payload) + json.loads('1')\n")
+    trees = {**_trees(), "planted.py": planted}
+    assert json_writers(trees) == ["planted.py:2", "planted.py:5", "planted.py:6"]
 
 
 def test_guard_sees_planted_generator_reader():

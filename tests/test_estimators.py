@@ -1052,6 +1052,13 @@ class TestReconstructDispatch:
         with pytest.raises(ValueError):
             reconstruct("qeswap", "mps", oracle)
 
+    @pytest.mark.parametrize("method,config", [("gradient", GradientConfig()),
+                                               ("qeswap", EsConfig())])
+    def test_no_config_is_the_engine_default(self, method, config):
+        default = reconstruct(method, "statevector", FidelityOracle(QuantumCircuit(1)))
+        given = reconstruct(method, "statevector", FidelityOracle(QuantumCircuit(1)), config)
+        assert _trajectory_digest(default) == _trajectory_digest(given)
+
     def test_unitary_representation_converges(self):
         target = random_pure_state(1, Rng(19))
         oracle = FidelityOracle(mottonen_prepare(target))

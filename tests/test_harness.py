@@ -169,6 +169,10 @@ class TestExperimentSpec:
         ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
         ({"seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
         ({"noise": "paper"}, "noise must be NoiseParams or None, got 'paper'"),
+        ({"thresholds": "0.99"}, "thresholds must be a tuple or a list, got '0.99'"),
+        ({"thresholds": 0.99}, "thresholds must be a tuple or a list, got 0.99"),
+        ({"thresholds": np.array([0.9, 0.8])},
+         re.escape("thresholds must be a tuple or a list, got array([0.9, 0.8])")),
     ])
     def test_rejects_specs_that_cannot_run(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -269,6 +273,13 @@ class TestExperimentSpec:
         assert ExperimentSpec().resolved_stop() == 0.999
         assert ExperimentSpec(noise=NoiseParams()).resolved_stop() == 0.99
         assert ExperimentSpec(stop_threshold=0.9).resolved_stop() == 0.9
+
+    @pytest.mark.parametrize("method,config", [
+        ("gradient", GradientConfig(epochs=7, seed=3)),
+        ("qeswap", EsConfig(max_iter=7, seed=3)),
+    ])
+    def test_estimator_config_follows_the_method(self, method, config):
+        assert ExperimentSpec(method=method, max_epochs=7).estimator_config(3) == config
 
 
 class TestCohorts:

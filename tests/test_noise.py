@@ -475,6 +475,13 @@ class TestNoiseParams:
         with pytest.raises(ValueError, match=re.escape(f"{cfg}:2: repeated key 't1'")):
             NoiseParams.from_file(cfg)
 
+    def test_from_file_line_without_equals_names_its_line(self, tmp_path):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("t1 = 100\nt2 80  # no '='\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}:2: expected key=value, got 't2 80'")):
+            NoiseParams.from_file(cfg)
+
     @pytest.mark.parametrize("value", ["abc", "", "1e"])
     def test_from_file_bad_value_names_its_line(self, tmp_path, value):
         cfg = tmp_path / "noise.cfg"
@@ -530,6 +537,14 @@ class TestCalibratedModel:
     def test_two_qubit_channel_on_one_qubit_kind_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel({"X": [depolarizing_channel(0.1, 2)]})
+
+    @pytest.mark.parametrize("assignments,message", [
+        ({"H": [bit_flip_channel(0.1)]}, "channel assigned to non-basis gate kind 'H'"),
+        ({"X": [np.eye(2)]}, "assignments must hold KrausChannel entries"),
+    ], ids=["non-basis-kind", "not-a-channel"])
+    def test_rejects_what_is_no_assignment(self, assignments, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(assignments)
 
     def test_golden_trajectories_every_channel_kind(self):
         # X, SX, RZ, CX (pair and operand channels), ID, DELAY and MEASURE:

@@ -24,12 +24,14 @@ from qsnapshot.core import Rng, StateVector, overlap_fidelity, random_pure_state
 from qsnapshot import store as store_module
 from qsnapshot.store import (
     MAGIC,
+    METADATA_KEYS,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     SnapshotRecord,
     StoreError,
     deposit,
     list_snapshots,
+    load,
     withdraw,
 )
 
@@ -315,6 +317,16 @@ class TestDepositWithdraw:
         assert meta["best_fidelity"] == 0.997
         state, _ = withdraw(ident, tmp_path)
         assert state.n_qubits == 1
+
+    def test_load_returns_the_stored_record(self, tmp_path):
+        record = SnapshotRecord.from_state(random_pure_state(2, Rng(4)), method="qeswap",
+                                           best_fidelity=0.998, epochs=7, label="cut@3")
+        ident = deposit(record, tmp_path)
+        loaded = load(ident, tmp_path)
+        assert np.array_equal(loaded.state.amplitudes, record.state.amplitudes)
+        assert loaded.metadata == record.metadata
+        (tmp_path / f"{ident}.json").unlink()
+        assert load(ident, tmp_path).metadata == dict.fromkeys(METADATA_KEYS)
 
     def test_fifty_cycles(self, tmp_path):
         rng = Rng(5)
