@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import StateVector, check_count, check_real, normalize_rows
 
-SINGLE_QUBIT_KINDS = frozenset({"X", "SX", "RZ", "H", "RY", "MEASURE", "ID", "DELAY"})
+_ARITY = {"X": 1, "SX": 1, "RZ": 1, "H": 1, "RY": 1, "MEASURE": 1, "ID": 1, "DELAY": 1,
+          "CX": 2, "CSWAP": 3}  # every gate kind and its qubit count
 BASIS_KINDS = frozenset({"CX", "DELAY", "ID", "MEASURE", "RZ", "SX", "X"})
 _PARAM_RULES = {"RZ": ("finite", "RZ parameter"), "RY": ("finite", "RY parameter"),
                 "DELAY": (">= 0", "DELAY duration")}
@@ -69,8 +70,8 @@ class Gate:
         for q in self.qubits:
             check_count(0, qubit=q)
         object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
-        arity = {"CX": 2, "CSWAP": 3}.get(self.kind, 1)
-        if self.kind not in SINGLE_QUBIT_KINDS and self.kind not in ("CX", "CSWAP"):
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} expects {arity} qubits, got {self.qubits}")

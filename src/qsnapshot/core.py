@@ -68,7 +68,7 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of ``n_qubits`` qubits: 2^n complex amplitudes, unit norm.
 
@@ -106,7 +106,7 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator over ``n_qubits``."""
 

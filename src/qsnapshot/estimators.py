@@ -362,8 +362,8 @@ class Adam:
     ``step`` takes each parameter's gradient as rank-1 factors ``(col, row)``,
     the gradient being ``np.outer(col, row)`` in the parameter's shape, and
     updates m, v and the parameters in place. It walks each parameter in
-    blocks of whole rows, or of BLOCK-wide pieces of a row longer than BLOCK,
-    forms a block's gradient with the one multiply ``np.outer`` makes, and
+    blocks of whole rows, max(1, BLOCK // row size) rows each, forms a
+    block's gradient with the one multiply ``np.outer`` makes, and
     runs the whole-array formula's operations in its order: the same bits.
     The update is elementwise, so the blocks are shared round-robin over up
     to WORKERS threads, the caller's first, each with its own scratch."""
@@ -379,7 +379,7 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
-        self._scratch = []  # per worker: a block's gradient and two temporaries
+        self._scratch = []  # per worker: the largest block's gradient and two temporaries
 
     def step(self, params, factors):
         blocks = []
@@ -394,18 +394,15 @@ class Adam:
             p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
             height = max(1, self.BLOCK // max(row.size, 1))  # rows per block
             for r0 in range(0, col.size, height):
-                r1 = min(r0 + height, col.size)
-                for j0 in range(0, row.size, self.BLOCK):
-                    j1 = min(j0 + self.BLOCK, row.size)
-                    i, n = r0 * row.size + j0, (r1 - r0) * (j1 - j0)
-                    blocks.append((col[r0:r1, None], row[j0:j1], p[i:i + n], m[i:i + n],
-                                   v[i:i + n]))
+                cut = slice(r0 * row.size, (r0 + height) * row.size)
+                blocks.append((col[r0:r0 + height, None], row, p[cut], m[cut], v[cut]))
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1 - self.BETA1**t, 1 - self.BETA2**t
         workers = max(1, min(self.WORKERS, len(blocks)))
-        while len(self._scratch) < workers:
-            self._scratch.append(np.empty((3, self.BLOCK)))
+        largest = max((pb.size for _, _, pb, _, _ in blocks), default=0)
+        if len(self._scratch) < workers or self._scratch[0].shape[1] < largest:
+            self._scratch = [np.empty((3, largest)) for _ in range(workers)]
         errors = []
 
         def helper(k, context):

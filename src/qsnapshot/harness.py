@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -187,12 +187,6 @@ class ExperimentSpec:
         return EsConfig(population=self.population, sigma=self.sigma, alpha=self.alpha,
                         **common)
 
-    def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["noise"] = None if self.noise is None else asdict(self.noise)
-        data["thresholds"] = list(self.thresholds)
-        return data
-
 
 def _epochs_to(trace, threshold):
     for i, f in enumerate(trace):
@@ -231,7 +225,7 @@ class CohortSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": self.spec.to_json_dict(),
+            "spec": asdict(self.spec),
             "trials": [asdict(t) for t in self.trials],
             "aggregate": {
                 "mean_fidelity": self.mean_fidelity,
@@ -457,7 +451,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
     diagnostic-only. Returns per-target rows and summary counts.
     """
     check_count(1, n_qubits=n_qubits, n_targets=n_targets)
-    EsConfig(population=population, max_iter=max_iter)  # its checks, before any target
+    base = EsConfig(population=population, max_iter=max_iter, stop_threshold=0.995)
     _check_amplitude_bytes(n_qubits, "density matrices", population, 2 * int(n_qubits))
     root = Rng(seed)
     rows = []
@@ -466,11 +460,7 @@ def run_mixed_state_diagnostic(n_qubits: int = 2, n_targets: int = 10,
         target = _random_rank2_density(n_qubits, rng)
         results = {}
         for tag in ("hilbert_schmidt", "uhlmann"):
-            config = EsConfig(
-                population=population, max_iter=max_iter,
-                seed=rng.child(1 if tag == "hilbert_schmidt" else 2).seed,
-                stop_threshold=0.995,
-            )
+            config = replace(base, seed=rng.child(1 if tag == "hilbert_schmidt" else 2).seed)
             report = reconstruct("qeswap", "density", DensityOracle(target, tag), config)
             results[tag] = {
                 "signal_best": report.best_fidelity,

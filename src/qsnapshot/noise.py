@@ -40,7 +40,7 @@ class UnsupportedRegimeError(ValueError):
     """Raised for noise parameter regimes outside the supported range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map given by its non-zero Kraus
     operators. Operators that are exactly zero are dropped; ``arity`` follows
@@ -105,10 +105,8 @@ class KrausChannel:
 
     @property
     def is_identity(self) -> bool:
-        if len(self.operators) != 1:
-            return False
-        k = self.operators[0]
-        return bool(np.max(np.abs(k - np.eye(k.shape[0]))) < 1e-12)
+        """One operator, the identity up to a global phase: it draws nothing."""
+        return len(self.operators) == 1 and bool(self._skip[0])
 
 
 def bit_flip_channel(p: float) -> KrausChannel:
@@ -162,13 +160,7 @@ def thermal_relaxation_channel(t1: float, t2: float, duration: float) -> KrausCh
     damp_1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=np.complex128)
     deph_0 = np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=np.complex128)
     deph_1 = np.array([[0, 0], [0, math.sqrt(lam)]], dtype=np.complex128)
-    ops = []
-    for d in (deph_0, deph_1):
-        for a in (damp_0, damp_1):
-            k = d @ a
-            if np.max(np.abs(k)) > 1e-15:
-                ops.append(k)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(tuple(d @ a for d in (deph_0, deph_1) for a in (damp_0, damp_1)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +213,7 @@ class NoiseParams:
         return cls(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Kraus channels per gate kind plus relaxation parameters for delays. A
     2-qubit channel acts on the CX pair, a 1-qubit one on each operand.

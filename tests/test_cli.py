@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qsnapshot import harness
 from qsnapshot.cli import build_parser, main
 from qsnapshot.core import json_bytes
 from qsnapshot.estimators import EsConfig, FidelityOracle
@@ -225,6 +226,19 @@ class TestExitCodes:
             "--seed", "3",
         )
         assert code == 3
+
+    def test_gate_miss_when_every_trial_fails(self, tmp_path, capsys, monkeypatch):
+        # the CLI cannot set alpha, so every trial raises the ES-overflow error
+        error = "ES step overflowed the mean: alpha=1e+308, sigma=0.1"
+
+        def overflow(*args):
+            raise ValueError(error)
+
+        monkeypatch.setattr(harness, "run_trial", overflow)
+        code = run_cli("cohort", "--trials", "2", "--out", str(tmp_path), "--gate", "0.5")
+        assert code == 3
+        assert "gate miss" in capsys.readouterr().err
+        assert f"ValueError: {error}" in (tmp_path / "trials.csv").read_text()
 
 
 SPEC_FLAGS = "--method --noise --trajectories --shots --seed --max-iter"

@@ -773,8 +773,9 @@ class TestAdam:
     @pytest.mark.parametrize("size", [1, Adam.BLOCK - 1, Adam.BLOCK, Adam.BLOCK + 1,
                                       2 * Adam.BLOCK + 7])
     def test_blocked_update_matches_whole_array_bit_for_bit(self, size, workers):
-        # (37, 1500) spans two row blocks, (3, BLOCK + 5) has rows longer than a
-        # block, and 40 columns give blocks of 819 rows, which 1000 rows do not fill
+        # (37, 1500) spans two row blocks, (3, BLOCK + 5) has rows longer than
+        # BLOCK, one to a block, and 40 columns give blocks of 819 rows, which
+        # 1000 rows do not fill
         shapes = [(size,), (37, 1500), (3, Adam.BLOCK + 5), (1000, 40), (3,)]
         gen = np.random.default_rng(size)
         params = [gen.normal(size=s) for s in shapes]
@@ -798,7 +799,7 @@ class TestAdam:
                 assert a.tobytes() == b.tobytes()
 
     def test_many_small_blocks_on_more_workers_than_cpus(self, monkeypatch):
-        # 8 workers share 623 blocks of at most 64 elements, switching threads
+        # 8 workers share 308 blocks of one row each, switching threads
         # every microsecond: a block updated twice or not at all, or a scratch
         # array two workers write, changes the bytes
         monkeypatch.setattr(Adam, "BLOCK", 64)
@@ -827,11 +828,11 @@ class TestAdam:
     def _overflowing_step():
         """An Adam and a step whose g^2 overflows in block 1 alone, which falls
         to a helper thread whenever there is one."""
-        p = np.zeros(3 * Adam.BLOCK)
-        row = np.ones(p.size)
-        row[Adam.BLOCK + 1] = 1e200
+        p = np.zeros((3, Adam.BLOCK))  # one row to a block
+        col, row = np.ones(3), np.ones(Adam.BLOCK)
+        col[1] = row[1] = 1e150
         adam = Adam([p.shape], lr=0.1)
-        return adam, lambda: adam.step([p], [(np.ones(1), row)])
+        return adam, lambda: adam.step([p], [(col, row)])
 
     @pytest.mark.parametrize("state, error", [({}, RuntimeWarning),
                                               ({"over": "raise"}, FloatingPointError)])
@@ -847,7 +848,7 @@ class TestAdam:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error", RuntimeWarning)
             step()
-        assert adam.v[0][Adam.BLOCK + 1] == math.inf and adam.step_count == 1
+        assert adam.v[0][1, 1] == math.inf and adam.step_count == 1
 
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], np.asfortranarray])
     def test_non_contiguous_parameter_rejected(self, view):
