@@ -222,25 +222,15 @@ def _cswap_permutation(n_qubits: int, control: int, a: int, b: int) -> np.ndarra
     return perm
 
 
-def _single_qubit_matrix(gate: Gate) -> np.ndarray | None:
-    if gate.kind == "X":
-        return X_MATRIX
-    if gate.kind == "SX":
-        return SX_MATRIX
-    if gate.kind == "H":
-        return H_MATRIX
-    if gate.kind == "RZ":
-        return rz_matrix(gate.param)
-    if gate.kind == "RY":
-        return ry_matrix(gate.param)
-    return None
+# each 1-qubit kind's matrix, as a function of the gate's parameter
+_MATRICES = {"X": lambda _: X_MATRIX, "SX": lambda _: SX_MATRIX, "H": lambda _: H_MATRIX,
+             "RZ": rz_matrix, "RY": ry_matrix}
 
 
 def apply_gate(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     """Apply one non-measurement gate to flat or batched amplitudes."""
-    mat = _single_qubit_matrix(gate)
-    if mat is not None:
-        return apply_matrix(amps, mat, gate.qubits, n_qubits)
+    if gate.kind in _MATRICES:
+        return apply_matrix(amps, _MATRICES[gate.kind](gate.param), gate.qubits, n_qubits)
     if gate.kind in ("CX", "CSWAP"):
         perm = _cx_permutation if gate.kind == "CX" else _cswap_permutation
         return amps[perm(n_qubits, *gate.qubits)]
@@ -286,7 +276,7 @@ def ancilla_expectation(circuit: QuantumCircuit) -> float:
 # Mottonen state preparation (uniformly controlled rotations, Gray-code CX)
 
 # A rotation angle, or every phase of a state, at most this far from 0 is
-# left out of the preparation (the batched kernel applies it as an exact 0).
+# an exact 0 (_mottonen_thetas), which the preparation leaves out.
 SKIP_TOL = 1e-15
 
 
@@ -307,7 +297,8 @@ def _multiplexor_thetas(alphas: np.ndarray) -> np.ndarray:
 def _mottonen_thetas(amps: np.ndarray) -> tuple:
     """Rotation angles preparing each row of a (batch, 2^n) amplitude array:
     the RY and RZ cascade angles, each (batch, 2^n - 1) in template column
-    order, and per row whether its phases need the RZ cascade at all."""
+    order, and per row whether its phases need the RZ cascade at all. Angles
+    within SKIP_TOL of 0, and an unphased row's RZ angles, are exact zeros."""
     batch, dim = amps.shape
     magnitudes, phases = np.abs(amps), np.angle(amps)
     ry, rz = [], []
@@ -327,7 +318,10 @@ def _mottonen_thetas(amps: np.ndarray) -> tuple:
         rz.append(_multiplexor_thetas(
             np.sum(blocks[..., half:] - blocks[..., :half], axis=-1) / half))
     phased = np.max(np.abs(phases), axis=1) > SKIP_TOL
-    return np.concatenate(ry, axis=1), np.concatenate(rz, axis=1), phased
+    ry, rz = np.concatenate(ry, axis=1), np.concatenate(rz, axis=1)
+    ry[np.abs(ry) <= SKIP_TOL] = 0.0
+    rz[(np.abs(rz) <= SKIP_TOL) | ~phased[:, None]] = 0.0
+    return ry, rz, phased
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,7 +349,7 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
     Uniformly controlled RY cascade for magnitudes, then a uniformly
     controlled RZ cascade for phases; multiplexors reduce to rotations
     interleaved with Gray-code CX ladders. Emits only RY, RZ, CX, leaving out
-    rotations with |theta| <= SKIP_TOL and the RZ cascade if no phase exceeds it.
+    rotations whose angle is 0 and the RZ cascade if no phase needs it.
     """
     n = target.n_qubits
     ry, rz, phased = _mottonen_thetas(target.amplitudes[None, :])
@@ -364,7 +358,7 @@ def mottonen_prepare(target: StateVector) -> QuantumCircuit:
         for slot, a, b in _mottonen_template(n):
             if slot == "CX":
                 gates.append(Gate("CX", (a, b)))
-            elif abs(thetas[b]) > SKIP_TOL:
+            elif thetas[b] != 0:
                 gates.append(Gate(kind, (a,), float(thetas[b])))
     return QuantumCircuit(n, gates)
 
@@ -486,8 +480,6 @@ def swap_test_probabilities(head: np.ndarray, candidates: np.ndarray) -> np.ndar
     n = candidates.shape[1].bit_length() - 1
     width = 2 * n + 1
     ry, rz, phased = _mottonen_thetas(candidates)
-    ry[np.abs(ry) <= SKIP_TOL] = 0.0
-    rz[(np.abs(rz) <= SKIP_TOL) | ~phased[:, None]] = 0.0
     amps = np.repeat(head[:, None], len(candidates), axis=1)
     for mats in (ry_matrix(ry.T), rz_matrix(rz.T))[: 1 + int(phased.any())]:
         for slot, a, b in _mottonen_template(n):

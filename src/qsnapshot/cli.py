@@ -134,8 +134,7 @@ def _cmd_cohort(args) -> int:
 def _cmd_standard(args) -> int:
     spec = _build_spec(args)
     rows = run_standard_states(spec)
-    write_rows(Path(args.out) / "standard.csv", ["state", "n_qubits", "epochs_to_099",
-               "best_fidelity", "epochs", "error"], rows)
+    write_rows(Path(args.out) / "standard.csv", list(rows[0]), rows)
     for r in rows:
         fid = "NA" if r["best_fidelity"] is None else f"{r['best_fidelity']:.4f}"
         print(f"{r['state']}: fidelity {fid}")
@@ -167,17 +166,9 @@ def _cmd_snapshot(args) -> int:
     print(f"snapshot {report.label}: best fidelity {report.best_fidelity:.4f} "
           f"in {report.epochs} epochs")
     if args.store is not None and report.final_candidate is not None:
-        record = SnapshotRecord.from_state(
-            report.final_candidate,
-            method=report.method,
-            representation=report.representation,
-            best_fidelity=report.best_fidelity,
-            epochs=report.epochs,
-            seed=report.seed,
-            label=report.label,
-        )
-        ident = deposit(record, args.store)
-        print(f"deposited {ident}")
+        # the record keeps the report's metadata keys and drops every other field
+        record = SnapshotRecord(report.final_candidate, vars(report))
+        print(f"deposited {deposit(record, args.store)}")
     return EXIT_OK
 
 
@@ -206,7 +197,12 @@ def _load_state_json(path: str) -> tuple:
         amps = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'{path}: expected {{"amplitudes": [[re, im], ...]}}') from exc
-    return StateVector.from_amplitudes(amps), data
+    state = StateVector.from_amplitudes(amps)
+    width = data.get("n_qubits", state.n_qubits)
+    if type(width) is not int or width != state.n_qubits:
+        raise ValueError(f"{path}: n_qubits names {width!r} qubits, "
+                         f"the amplitudes hold {state.n_qubits}")
+    return state, data
 
 
 def _cmd_deposit(args) -> int:

@@ -654,6 +654,10 @@ def reconstruct(method: str, representation: str, oracle, config=None
         raise ValueError(f"unknown method {method!r}")
     if representation not in _DECODERS:
         raise ValueError(f"unknown representation {representation!r}")
+    config_cls = GradientConfig if method == "gradient" else EsConfig
     if config is None:
-        config = GradientConfig() if method == "gradient" else EsConfig()
+        config = config_cls()
+    if not isinstance(config, config_cls):
+        raise ValueError(f"method {method!r} needs {config_cls.__name__}, "
+                         f"got {type(config).__name__}")
     return _run(method, representation, oracle, config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -296,17 +296,15 @@ def run_trial(spec: ExperimentSpec, target: StateVector, trial_index: int,
 
 
 def _run_trials(spec: ExperimentSpec, targets) -> list:
-    """Run trial i on the i-th target with ``Rng(spec.seed).child(i)``.
-
-    Per-trial failures are recorded with their error, not raised.
-    """
+    """Run trial i on the i-th target with ``Rng(spec.seed).child(i)``. A
+    trial's ValueError is recorded with it; any other error propagates."""
     root = Rng(spec.seed)
     trials = []
     for i, target in enumerate(targets):
         trial_rng = root.child(i)
         try:
             trials.append(run_trial(spec, target, i, trial_rng))
-        except Exception as exc:  # noqa: BLE001 - a run continues past bad trials
+        except ValueError as exc:  # every run-time error of a valid spec, LinAlgError too
             trials.append(TrialResult(
                 trial=i, seed=trial_rng.seed, best_fidelity=0.0,
                 validation_fidelity=0.0, epochs=0, oracle_evals=0,
@@ -320,7 +318,7 @@ def _run_trials(spec: ExperimentSpec, targets) -> list:
 def run_cohort(spec: ExperimentSpec) -> CohortSummary:
     """n_trials independent random targets reconstructed per the spec.
 
-    Per-trial failures are recorded, not fatal. Threshold statistics use the
+    A trial's ValueError is recorded, not fatal. Threshold statistics use the
     classical validation fidelity trace (identical to the oracle trace in
     noiseless state-vector runs; the honest measure under noise).
     """
@@ -496,13 +494,13 @@ def write_json(path, payload) -> None:
     path.write_bytes(json_bytes(payload))
 
 
-def write_rows(path, fields, rows) -> None:
-    """Write dict ``rows`` as CSV under a ``fields`` header, creating the
+def write_rows(path, columns, rows) -> None:
+    """Write dict ``rows`` as CSV under a ``columns`` header, creating the
     parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -512,11 +510,12 @@ def emit_report(cohort: CohortSummary, out_dir):
     byte-deterministic in (spec, seed)."""
     out = Path(out_dir)
     write_json(out / "summary.json", cohort.to_json_dict())
-    fields = ["trial", "seed", "best_fidelity", "validation_fidelity", "epochs",
-              "oracle_evals", "entropy_target", "entropy_recon", "error"]
+    # TrialResult's scalar fields; the other two get their own columns and file
+    scalars = [f.name for f in fields(TrialResult)
+               if f.name not in ("epochs_to_threshold", "validation_trace")]
     thresholds = cohort.spec.thresholds
-    write_rows(out / "trials.csv", fields + [f"epochs_to_{thr}" for thr in thresholds], (
-        {**{k: getattr(t, k) for k in fields},
+    write_rows(out / "trials.csv", scalars + [f"epochs_to_{thr}" for thr in thresholds], (
+        {**{k: getattr(t, k) for k in scalars},
          **{f"epochs_to_{thr}": t.epochs_to_threshold[thr] for thr in thresholds}}
         for t in cohort.trials))
     write_rows(out / "trace.csv", ["trial", "epoch", "fidelity"], (

@@ -21,16 +21,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .circuit import (BASIS_KINDS, QuantumCircuit, _column_sums, _local_index, apply_gate,
-                      apply_matrix, rz_matrix)
+from .circuit import (BASIS_KINDS, X_MATRIX, QuantumCircuit, _column_sums, _local_index,
+                      apply_gate, apply_matrix, rz_matrix)
 from .core import Rng, check_count, check_real
 
 COMPLETENESS_TOL = 1e-9
 
-_I2 = np.eye(2, dtype=np.complex128)
 _PAULIS = {
-    "I": _I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "I": np.eye(2, dtype=np.complex128),
+    "X": X_MATRIX,
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
@@ -54,6 +53,8 @@ class KrausChannel:
         if len(shapes) > 1 or not shapes <= {(2, 2), (4, 4)}:
             raise ValueError(f"Kraus operators must all be 2x2 or all 4x4, got shapes "
                              f"{sorted(shapes)}")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ValueError("a Kraus operator has a non-finite entry")
         ops = tuple(k for k in ops if k.any())
         if not ops:
             raise ValueError("channel needs at least one non-zero Kraus operator")
@@ -112,7 +113,7 @@ class KrausChannel:
 def bit_flip_channel(p: float) -> KrausChannel:
     """Pauli-X flip with probability p."""
     check_real("in [0, 1]", p=p)
-    return KrausChannel((math.sqrt(1.0 - p) * _I2, math.sqrt(p) * _PAULIS["X"]))
+    return KrausChannel((math.sqrt(1.0 - p) * _PAULIS["I"], math.sqrt(p) * _PAULIS["X"]))
 
 
 def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
@@ -325,8 +326,6 @@ def _channel_step(classes: _Classes, channel: KrausChannel, qubits: tuple, n_qub
             cum[i] += cum[i - 1]
         movers = np.flatnonzero(u > cum[0].take(classes.ids))
         choice = (u[movers] > cum.take(classes.ids[movers], axis=1)).sum(axis=0)
-    if movers.size == 0 and channel._skip[0]:  # nobody moves and operator 0 is the identity
-        return
     at = classes.ids[movers]
     choice = np.minimum(choice, k - 1)
     pairs, moved, counts = np.unique(at * k + choice, return_inverse=True, return_counts=True)
@@ -411,7 +410,7 @@ def _trajectory_chunk(circuits: list, steps: list, trajectories: int, gens: list
     draws = u.reshape(len(circuits), trajectories)
     for i, (gate, gate_steps) in enumerate(zip(first.gates, steps)):
         angles = [c.gates[i].param for c in circuits]
-        if gate.kind == "RZ" and len(set(angles)) > 1:
+        if len(set(angles)) > 1:  # only RZ angles may differ within a structure
             classes.rows = apply_matrix(classes.rows, rz_matrix(angles)[..., classes.circuit],
                                         gate.qubits, n)
         elif gate.kind != "MEASURE":

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from qsnapshot import harness
+from qsnapshot.circuit import QuantumCircuit
 from qsnapshot.cli import build_parser, main
 from qsnapshot.core import json_bytes
 from qsnapshot.estimators import EsConfig, FidelityOracle
@@ -195,8 +196,17 @@ class TestExitCodes:
         ('{"amplitudes": [[1.0, 0.0], [0.0', "not valid JSON: Expecting"),
         (json.dumps({"amplitudes": [[True, 0], [False, 0]]}), SHAPE_MESSAGE),
         (json.dumps({"amplitudes": [[10**400, 0], [0, 0]]}), SHAPE_MESSAGE),
+        (json.dumps({"n_qubits": 3, "amplitudes": [[1, 0], [0, 0]]}),
+         "n_qubits names 3 qubits, the amplitudes hold 1"),
+        (json.dumps({"n_qubits": 1, "amplitudes": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}),
+         "n_qubits names 1 qubits, the amplitudes hold 2"),
+        (json.dumps({"n_qubits": True, "amplitudes": [[1, 0], [0, 0]]}),
+         "n_qubits names True qubits, the amplitudes hold 1"),
+        (json.dumps({"n_qubits": 1.0, "amplitudes": [[1, 0], [0, 0]]}),
+         "n_qubits names 1.0 qubits, the amplitudes hold 1"),
     ], ids=["no-amplitudes", "top-level-list", "three-entry-pair", "truncated",
-            "boolean-entry", "integer-beyond-float"])
+            "boolean-entry", "integer-beyond-float", "wider-n-qubits", "narrower-n-qubits",
+            "boolean-n-qubits", "float-n-qubits"])
     def test_runtime_error_malformed_state_file(self, tmp_path, capsys, text, message):
         state = tmp_path / "s.json"
         state.write_text(text)
@@ -329,12 +339,13 @@ class TestCohortCommand:
 
 
 class TestSnapshotAndStore:
-    def test_snapshot_deposit_withdraw_list(self, tmp_path):
+    def test_snapshot_deposit_withdraw_list(self, tmp_path, capsys):
         circ = tmp_path / "circ.txt"
         circ.write_text("H 0\nCX 0,1\n")
         store = tmp_path / "store"
         assert run_cli("snapshot", "--circuit", str(circ), "--cut", "2",
                        "--max-iter", "60", "--store", str(store)) == 0
+        printed = capsys.readouterr().out
         idents = sorted(p.stem for p in store.glob("*.qsnap"))
         assert len(idents) == 1
         assert run_cli("list", "--store", str(store)) == 0
@@ -343,6 +354,15 @@ class TestSnapshotAndStore:
                        "--out-file", str(out_file)) == 0
         payload = json.loads(out_file.read_text())
         assert payload["n_qubits"] == 2
+        # the stored metadata is the printed report's
+        report = harness.run_midcircuit_snapshot(
+            QuantumCircuit(2).add("H", 0).add("CX", 0, 1), 2,
+            ExperimentSpec(n_qubits=2, max_epochs=60))
+        assert printed.startswith(f"snapshot {report.label}: best fidelity "
+                                  f"{report.best_fidelity:.4f} in {report.epochs} epochs\n")
+        keys = ("method", "representation", "best_fidelity", "epochs", "seed", "label")
+        assert {k: payload[k] for k in keys} == {k: getattr(report, k) for k in keys}
+        assert payload["created_at"] is None
 
     @pytest.mark.parametrize("amplitudes", [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, 0.8]],
                                             [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]],

@@ -13,7 +13,8 @@ tests use belongs in the tests. Only ``core`` reads the Philox generator
 behind ``Rng`` (``._gen``); every other module draws through ``Rng``. No call
 in the package passes a literal equal to the default it would get anyway. Only
 ``core.json_bytes`` writes JSON: nothing else calls or imports ``json.dump`` or
-``json.dumps``.
+``json.dumps``. Only ``circuit._mottonen_thetas`` reads ``SKIP_TOL``: it alone
+turns near-zero Mottonen angles into the exact zeros every preparation skips.
 """
 
 import ast
@@ -141,6 +142,24 @@ def json_writers(trees: dict) -> list:
     return found
 
 
+def skip_tol_readers(trees: dict) -> list:
+    """``module:line`` of each load or import of ``SKIP_TOL`` outside
+    ``circuit._mottonen_thetas``."""
+    found = []
+    for module, tree in trees.items():
+        owner = [f for f in tree.body if module == "circuit.py"
+                 and getattr(f, "name", None) == "_mottonen_thetas"]
+        allowed = {id(node) for f in owner for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            loads = (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                     and "SKIP_TOL" in (getattr(node, "id", None), getattr(node, "attr", None)))
+            imports = (isinstance(node, ast.ImportFrom)
+                       and any(alias.name == "SKIP_TOL" for alias in node.names))
+            if (loads or imports) and id(node) not in allowed:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
 def _literal(node):
     """(type, value) of a literal expression, None for any other node."""
     try:
@@ -213,6 +232,10 @@ def test_only_json_bytes_writes_json():
     assert json_writers(_trees()) == []
 
 
+def test_only_mottonen_thetas_reads_skip_tol():
+    assert skip_tol_readers(_trees()) == []
+
+
 def test_no_call_restates_a_default():
     assert restated_defaults(_trees()) == []
 
@@ -265,6 +288,14 @@ def test_guard_sees_planted_json_writers():
                         "    return json.dumps(payload) + json.loads('1')\n")
     trees = {**_trees(), "planted.py": planted}
     assert json_writers(trees) == ["planted.py:2", "planted.py:5", "planted.py:6"]
+
+
+def test_guard_sees_planted_skip_tol_readers():
+    planted = ast.parse("from .circuit import SKIP_TOL\nfrom . import circuit\n\n"
+                        "def keep(theta):\n    return abs(theta) > circuit.SKIP_TOL\n\n"
+                        "def _mottonen_thetas(theta):\n    return theta > SKIP_TOL\n")
+    trees = {**_trees(), "planted.py": planted}
+    assert skip_tol_readers(trees) == ["planted.py:1", "planted.py:5", "planted.py:8"]
 
 
 def test_guard_sees_planted_generator_reader():

@@ -1053,6 +1053,17 @@ class TestReconstructDispatch:
         with pytest.raises(ValueError):
             reconstruct("qeswap", "mps", oracle)
 
+    @pytest.mark.parametrize("method,config,message", [
+        ("gradient", EsConfig(), "method 'gradient' needs GradientConfig, got EsConfig"),
+        ("qeswap", GradientConfig(), "method 'qeswap' needs EsConfig, got GradientConfig"),
+    ])
+    def test_other_engines_config_rejected(self, method, config, message):
+        # the other config lacks the engine's budget field: a named error, not AttributeError
+        oracle = FidelityOracle(QuantumCircuit(1))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reconstruct(method, "statevector", oracle, config)
+        assert oracle.evaluations == 0
+
     @pytest.mark.parametrize("method,config", [("gradient", GradientConfig()),
                                                ("qeswap", EsConfig())])
     def test_no_config_is_the_engine_default(self, method, config):

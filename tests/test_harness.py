@@ -340,6 +340,18 @@ class TestCohorts:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert error in (tmp_path / "a" / "trials.csv").read_text()
 
+    @pytest.mark.parametrize("error", [TypeError, AttributeError])
+    def test_programming_errors_propagate(self, monkeypatch, error):
+        # only a ValueError is a failed trial; any other error is a defect to see
+        def broken(*args):
+            raise error("planted")
+
+        monkeypatch.setattr(harness_module, "run_trial", broken)
+        with pytest.raises(error, match="planted"):
+            run_cohort(small_spec())
+        with pytest.raises(error, match="planted"):
+            run_standard_states(small_spec())
+
 
 class TestStandardRun:
     def test_one_qubit_catalog(self):

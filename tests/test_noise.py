@@ -72,11 +72,10 @@ def _expand(op, qubits, n):
 
 
 def _gate_unitary(gate, n):
-    from qsnapshot.circuit import _single_qubit_matrix, _cx_permutation
+    from qsnapshot.circuit import _MATRICES, _cx_permutation
 
-    mat = _single_qubit_matrix(gate)
-    if mat is not None:
-        return _expand(mat, gate.qubits, n)
+    if gate.kind in _MATRICES:
+        return _expand(_MATRICES[gate.kind](gate.param), gate.qubits, n)
     if gate.kind == "CX":
         perm = _cx_permutation(n, *gate.qubits)
         u = np.zeros((2**n, 2**n), dtype=np.complex128)
@@ -354,7 +353,10 @@ class TestChannels:
          "must all be 2x2 or all 4x4, got shapes [(2, 2), (4, 4)]"),
         ((np.zeros((2, 2)),), "needs at least one non-zero Kraus operator"),
         ((), "needs at least one non-zero Kraus operator"),
-    ], ids=["8x8", "mixed-shapes", "all-zero", "empty"])
+        *(((np.eye(d), np.full((d, d), bad)), "a Kraus operator has a non-finite entry")
+          for d in (2, 4) for bad in (np.nan, np.inf, -np.inf)),
+    ], ids=["8x8", "mixed-shapes", "all-zero", "empty",
+            *(f"{bad}-{d}x{d}" for d in (2, 4) for bad in ("nan", "inf", "-inf"))])
     def test_rejects_what_is_no_channel(self, operators, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             KrausChannel(operators)
